@@ -234,7 +234,11 @@ fn bench_full_application_fast_tier(c: &mut Criterion, rows: &mut Vec<SimBenchRo
 }
 
 fn bench_evaluate_batch16(c: &mut Criterion, rows: &mut Vec<SimBenchRow>) {
-    let evaluator = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .expect("a benchmark evaluator always has an application");
     let dim = evaluator.parameter_dim();
     let thetas: Vec<Vec<f64>> = (0..16).map(|i| vec![-0.75 + 0.1 * i as f64; dim]).collect();
 

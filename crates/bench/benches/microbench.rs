@@ -187,7 +187,11 @@ fn bench_parmis_kernels(c: &mut Criterion) {
 /// the benchmark id is what future PRs track for speedup regressions in `BENCH_*.json`; on a
 /// ≥ 4-core machine `parallel/4` should run at least 2× faster than `serial/1`.
 fn bench_batch_evaluation(c: &mut Criterion) {
-    let evaluator = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .expect("a benchmark evaluator always has an application");
     let dim = evaluator.parameter_dim();
     let mut rng = StdRng::seed_from_u64(29);
     let thetas: Vec<Vec<f64>> = (0..16)

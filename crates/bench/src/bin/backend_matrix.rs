@@ -4,15 +4,14 @@
 //! cargo run --release -p bench --bin backend_matrix -- [--quick] [--scenario <name>]
 //! ```
 //!
-//! Runs the same θ batch through [`AnalyticSim`] (recording fixtures as it goes),
-//! [`TraceReplay`] (replaying those fixtures) and [`CounterProfile`], checks that the
-//! replayed objective vectors are bit-identical to the recorded run, and reports the
-//! per-evaluation cost of each backend plus the analytic/replay cost ratio (the tracked
-//! "replay is ≥ 5× cheaper" number). Set `PARMIS_RESULTS_DIR` to also write
-//! `BENCH_backends.json`.
+//! Runs the same θ batch through [`AnalyticSim`] (recording fixtures as it goes) and
+//! [`TraceReplay`] (replaying those fixtures), checks that the replayed objective vectors
+//! are bit-identical to the recorded run, and reports the per-evaluation cost of each
+//! backend plus the analytic/replay cost ratio (the tracked "replay is ≥ 5× cheaper"
+//! number). Set `PARMIS_RESULTS_DIR` to also write `BENCH_backends.json`.
 
 use bench::report;
-use parmis::backend::{AnalyticSim, CounterProfile, TraceReplay};
+use parmis::backend::{AnalyticSim, TraceReplay};
 use parmis::prelude::*;
 use serde::Serialize;
 use std::sync::Arc;
@@ -79,7 +78,7 @@ fn main() {
     };
     report::print_header(
         "backend matrix",
-        "one scenario through AnalyticSim / TraceReplay / CounterProfile",
+        "one scenario through AnalyticSim / TraceReplay",
     );
     println!("scenario: {scenario_name}   batch: {batch}");
 
@@ -116,9 +115,6 @@ fn main() {
         "replayed objectives must be bit-identical to the recorded run"
     );
 
-    let (profile_s, profile_results) =
-        timed_batch(&build(Arc::new(CounterProfile::new())), &thetas);
-
     let per_eval = |total_s: f64| total_s / batch as f64 * 1e6;
     let rows = vec![
         BackendRow {
@@ -136,14 +132,6 @@ fn main() {
             total_seconds: replay_s,
             per_eval_micros: per_eval(replay_s),
             matches_analytic_bitwise: replay_matches,
-        },
-        BackendRow {
-            backend: "counter-profile".into(),
-            deterministic: true,
-            batch,
-            total_seconds: profile_s,
-            per_eval_micros: per_eval(profile_s),
-            matches_analytic_bitwise: profile_results == analytic_results,
         },
     ];
     report::print_table(

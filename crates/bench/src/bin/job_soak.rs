@@ -85,9 +85,15 @@ fn supervisor_config(workers: usize, drain_on_signals: bool) -> SupervisorConfig
     }
 }
 
+fn evaluator() -> Result<SocEvaluator, ParmisError> {
+    SocEvaluator::builder()
+        .benchmark(Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+}
+
 fn evaluator_factory(_spec: &JobSpec) -> Result<Box<dyn PolicyEvaluator>, ParmisError> {
-    let evaluator = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
-    Ok(Box::new(evaluator))
+    Ok(Box::new(evaluator()?))
 }
 
 /// Seeded xorshift64* — all kill-schedule randomness flows from the logged seed.
@@ -304,10 +310,8 @@ fn orchestrate(quick: bool, seed: u64, max_seconds: Option<u64>, results_dir: &P
     let references: Vec<(String, String)> = specs
         .iter()
         .map(|spec| {
-            let evaluator =
-                SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
-            let outcome = Parmis::new(spec.config.clone())
-                .run(&evaluator)
+            let outcome = evaluator()
+                .and_then(|soc| Parmis::new(spec.config.clone()).run(&soc))
                 .unwrap_or_else(|e| die(&format!("reference run {} failed: {e}", spec.id)));
             (
                 spec.id.clone(),

@@ -10,11 +10,12 @@
 //! survives it but the files — and a `resume` phase in a fresh process that loads the
 //! checkpoint, verifies it, and finishes the search. The orchestrator then runs the same
 //! search uninterrupted in-process and compares the full trace-hash chains link by link.
-//! `--max-seconds` additionally puts the first segment on [`ParmisConfig::deadline_ms`]
-//! (the cooperative wall-clock budget): the segment suspends on whichever of the deadline
-//! or the fuel backstop fires first, and the audit is unchanged either way — deadlines
-//! decide *when* a segment suspends, never what it computes. Set `PARMIS_RESULTS_DIR` to
-//! keep the checkpoint, the hash logs and `BENCH_resume_smoke.json` as artifacts.
+//! `--max-seconds` additionally puts the first segment under a deadline token
+//! ([`CancelSource::with_deadline`], the cooperative wall-clock budget): the segment
+//! suspends on whichever of the deadline or the fuel backstop fires first, and the audit
+//! is unchanged either way — deadlines decide *when* a segment suspends, never what it
+//! computes. Set `PARMIS_RESULTS_DIR` to keep the checkpoint, the hash logs and
+//! `BENCH_resume_smoke.json` as artifacts.
 
 use bench::report;
 use parmis::jobs::atomic_write;
@@ -48,7 +49,11 @@ fn smoke_config(quick: bool) -> ParmisConfig {
 }
 
 fn evaluator() -> SocEvaluator {
-    SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec())
+    SocEvaluator::builder()
+        .benchmark(Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .unwrap_or_else(|e| die(&format!("building the evaluator failed: {e}")))
 }
 
 fn hash_log(hashes: &[u64]) -> String {
@@ -69,13 +74,14 @@ fn die(message: &str) -> ! {
 /// log, and exit. The process boundary *is* the kill.
 fn phase_first(quick: bool, checkpoint: &Path, max_seconds: Option<u64>) {
     let config = smoke_config(quick);
-    let fueled = ParmisConfig {
-        max_fuel: config.max_iterations / 2,
-        deadline_ms: max_seconds.map(|s| s.saturating_mul(1000)),
-        ..config
-    };
-    let step = Parmis::new(fueled)
-        .run_resumable(&evaluator())
+    let fuel = config.max_iterations / 2;
+    let mut search = Parmis::new(config);
+    if let Some(secs) = max_seconds {
+        let deadline = CancelSource::with_deadline(std::time::Duration::from_secs(secs));
+        search = search.with_cancel_token(deadline.token());
+    }
+    let step = search
+        .segment(&evaluator(), None, fuel, 0, &mut |_| Ok(()))
         .unwrap_or_else(|e| die(&format!("first segment failed: {e}")));
     let reason = step.stop_reason();
     let state = match step {
@@ -115,7 +121,7 @@ fn phase_resume(quick: bool, checkpoint: &Path) {
         state.evaluations()
     );
     let outcome = Parmis::new(smoke_config(quick))
-        .resume(state, &evaluator())
+        .segment(&evaluator(), Some(state), 0, 0, &mut |_| Ok(()))
         .unwrap_or_else(|e| die(&format!("resume failed: {e}")))
         .into_completed()
         .unwrap_or_else(|| die("resumed segment suspended again (fuel should be unlimited)"));
@@ -220,7 +226,8 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--max-seconds needs a u64"));
                 if secs == 0 {
-                    // ParmisConfig rejects deadline_ms == Some(0) as degenerate.
+                    // A zero budget expires before the first model-guided round, so the
+                    // first segment could never make progress past the initial design.
                     die("--max-seconds must be positive");
                 }
                 max_seconds = Some(secs);

@@ -195,7 +195,11 @@ pub fn run_parmis(
     budget: &ExperimentBudget,
     seed: u64,
 ) -> ParmisOutcome {
-    let evaluator = SocEvaluator::for_benchmark(benchmark, objectives.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(benchmark)
+        .objectives(objectives.to_vec())
+        .build()
+        .expect("a benchmark evaluator always has an application");
     Parmis::new(budget.parmis_config(seed))
         .run_parallel(&evaluator)
         .expect("PaRMIS run failed")

@@ -4,7 +4,7 @@
 //! objectives, constraints); an [`EvalBackend`] owns *how* a configured policy becomes
 //! [`RunAggregates`]. The trait is small and object-safe so evaluators hold backends as
 //! `Arc<dyn EvalBackend>` and new execution substrates (a hardware board, a remote fleet)
-//! plug in without touching the search loop. Four implementations ship:
+//! plug in without touching the search loop. Three implementations ship:
 //!
 //! * [`AnalyticSim`] — the streaming `DecisionTable`/`EpochSink` simulator, verbatim. This
 //!   is the default and the bit-identity reference: its aggregates are exactly what the
@@ -14,10 +14,6 @@
 //! * [`TraceReplay`] — replays recorded epoch-stream fixtures ([`soc_sim::trace`]) by
 //!   re-folding them with [`soc_sim::trace::RunTrace::aggregates`]: no simulation, exactly
 //!   reproducible, bit-identical to the run that recorded the trace.
-//! * [`CounterProfile`] — runs the synthetic perf-counter stream through the
-//!   collector/stats split ([`soc_sim::counters::CounterCollector`] /
-//!   [`soc_sim::counters::CounterStats`]), deriving every aggregate from the counters
-//!   alone. This is the seam a hardware-in-the-loop backend would feed from a real PMU.
 //! * [`FaultInject`] — a decorator that layers a **seeded, deterministic failure
 //!   schedule** (error-on-nth-run, panic, latency spike) over any inner backend, for
 //!   robustness drills: retry policies, worker panic containment and graceful degradation
@@ -31,7 +27,6 @@
 use crate::cancel::CancelToken;
 use crate::evaluation::SimBuffers;
 use crate::{ParmisError, Result};
-use soc_sim::counters::{CounterCollector, CounterStats};
 use soc_sim::platform::{
     CancelEpochs, CollectEpochs, DiscardEpochs, EpochSink, Platform, RunAggregates,
 };
@@ -313,45 +308,6 @@ impl EvalBackend for TraceReplay {
     }
 }
 
-/// Folds the synthetic perf-counter stream into aggregates via the collector/stats split.
-///
-/// The run still executes on the analytic platform (it is the counter *source*), but the
-/// fold sees only what a profiling stack measures: the Table I counters, per-epoch wall
-/// time and the thermal sensor ([`CounterCollector`]). [`CounterStats`] then derives every
-/// aggregate from those channels — notably energy as `Σ power-counter · time`, which
-/// excludes the simulator-internal DVFS switch-energy penalty. Deterministic, but a
-/// measurement-style view rather than a bit-copy of [`AnalyticSim`]; swapping the synthetic
-/// stream for a real PMU feed is the intended hardware-in-the-loop path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CounterProfile;
-
-impl CounterProfile {
-    /// The counter-profiling backend.
-    pub fn new() -> Self {
-        CounterProfile
-    }
-}
-
-impl EvalBackend for CounterProfile {
-    fn describe(&self) -> BackendInfo {
-        BackendInfo {
-            kind: BackendKind::CounterProfile,
-            description: "perf-counter stream folded via the collector/stats split",
-            deterministic: true,
-        }
-    }
-
-    fn run(&self, ctx: &EvalContext<'_>, buffers: &mut SimBuffers) -> Result<RunAggregates> {
-        let mut collector = CounterCollector::with_capacity(ctx.application.epoch_count());
-        run_streaming(ctx, buffers, &mut collector)
-            .map_err(|e| streaming_error(BackendKind::CounterProfile, ctx, e))?;
-        Ok(CounterStats::aggregate(
-            collector.samples(),
-            initial_temperature_c(ctx.platform),
-        ))
-    }
-}
-
 /// One entry of a [`FaultInject`] failure schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -520,7 +476,6 @@ pub fn default_backend_for(kind: BackendKind) -> Arc<dyn EvalBackend> {
     match kind {
         BackendKind::AnalyticSim => Arc::new(AnalyticSim::new()),
         BackendKind::TraceReplay => Arc::new(TraceReplay::new(TraceStore::new())),
-        BackendKind::CounterProfile => Arc::new(CounterProfile::new()),
         BackendKind::FaultInject => Arc::new(FaultInject::new(Arc::new(AnalyticSim::new()))),
     }
 }
@@ -536,6 +491,14 @@ mod tests {
         (Platform::odroid_xu3(), Benchmark::Qsort.application())
     }
 
+    fn qsort_evaluator() -> SocEvaluator {
+        SocEvaluator::builder()
+            .benchmark(Benchmark::Qsort)
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn describe_reports_the_matching_kind() {
         assert_eq!(AnalyticSim::new().describe().kind, BackendKind::AnalyticSim);
@@ -545,10 +508,6 @@ mod tests {
             TraceReplay::new(TraceStore::new()).describe().kind,
             BackendKind::TraceReplay
         );
-        assert_eq!(
-            CounterProfile::new().describe().kind,
-            BackendKind::CounterProfile
-        );
         for kind in BackendKind::ALL {
             assert_eq!(default_backend_for(kind).describe().kind, kind);
         }
@@ -557,8 +516,7 @@ mod tests {
     #[test]
     fn fault_inject_schedule_fires_on_the_counter_and_latency_preserves_results() {
         let (platform, application) = context_fixture();
-        let evaluator =
-            SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+        let evaluator = qsort_evaluator();
         let mut buffers = evaluator.sim_buffers();
         buffers
             .policy_mut()
@@ -623,8 +581,7 @@ mod tests {
     fn streaming_backends_abort_with_a_cancelled_error_and_ignore_untripped_tokens() {
         use crate::cancel::{CancelReason, CancelSource};
         let (platform, application) = context_fixture();
-        let evaluator =
-            SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+        let evaluator = qsort_evaluator();
         let mut buffers = evaluator.sim_buffers();
         buffers
             .policy_mut()
@@ -650,26 +607,17 @@ mod tests {
             baseline
         );
         assert!(token.heartbeats() > 0);
-        assert_eq!(
-            CounterProfile::new().run(&watched, &mut buffers).unwrap(),
-            CounterProfile::new().run(&plain, &mut buffers).unwrap()
-        );
 
         // A tripped token aborts the run with the structured cancellation error.
         source.cancel(CancelReason::User);
         let err = AnalyticSim::new().run(&watched, &mut buffers).unwrap_err();
-        assert_eq!(err.cancel_reason(), Some(CancelReason::User));
-        let err = CounterProfile::new()
-            .run(&watched, &mut buffers)
-            .unwrap_err();
         assert_eq!(err.cancel_reason(), Some(CancelReason::User));
     }
 
     #[test]
     fn record_mode_captures_the_stream_without_changing_aggregates() {
         let (platform, application) = context_fixture();
-        let evaluator =
-            SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+        let evaluator = qsort_evaluator();
         let mut buffers = evaluator.sim_buffers();
         let theta = vec![0.3; evaluator.parameter_dim()];
         buffers.policy_mut().set_flat_parameters(&theta);
@@ -701,8 +649,7 @@ mod tests {
     #[test]
     fn trace_replay_reproduces_recordings_and_errors_on_misses() {
         let (platform, application) = context_fixture();
-        let evaluator =
-            SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+        let evaluator = qsort_evaluator();
         let mut buffers = evaluator.sim_buffers();
         buffers
             .policy_mut()
@@ -733,63 +680,5 @@ mod tests {
             other => panic!("expected Backend error, got {other:?}"),
         }
         assert!(err.to_string().contains("no recorded trace"));
-    }
-
-    #[test]
-    fn counter_profile_is_deterministic_and_counter_derived() {
-        let (platform, application) = context_fixture();
-        let evaluator =
-            SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
-        let mut buffers = evaluator.sim_buffers();
-        let theta = vec![0.1; evaluator.parameter_dim()];
-        buffers.policy_mut().set_flat_parameters(&theta);
-        let ctx = EvalContext {
-            platform: &platform,
-            application: &application,
-            seed: 9,
-            cancel: None,
-        };
-        let profile = CounterProfile::new();
-        let a = profile.run(&ctx, &mut buffers).unwrap();
-        let b = profile.run(&ctx, &mut buffers).unwrap();
-        assert_eq!(a, b, "profiling the same run twice must be bit-identical");
-
-        // The counter fold sees the same time/instructions stream as the simulator; on the
-        // odroid preset (zero switch energy) the energy fold agrees too.
-        let sim = AnalyticSim::new().run(&ctx, &mut buffers).unwrap();
-        assert_eq!(a.epochs, sim.epochs);
-        assert_eq!(a.execution_time_s, sim.execution_time_s);
-        assert_eq!(a.instructions, sim.instructions);
-        assert_eq!(a.peak_temperature_c, sim.peak_temperature_c);
-        assert!((a.energy_j - sim.energy_j).abs() / sim.energy_j < 1e-12);
-
-        // On a platform with non-zero DVFS switch energy the measurement-style energy view
-        // may legitimately differ, but stays within a few percent of the simulator's.
-        let hexa = Platform::hexa_asym();
-        let hexa_eval = SocEvaluator::new(
-            hexa.clone(),
-            evaluator.architecture().clone(),
-            vec![Benchmark::Fft.application()],
-            Objective::TIME_ENERGY.to_vec(),
-        );
-        let mut hexa_buffers = hexa_eval.sim_buffers();
-        hexa_buffers
-            .policy_mut()
-            .set_flat_parameters(&vec![0.1; hexa_eval.parameter_dim()]);
-        let app = Benchmark::Fft.application();
-        let hexa_ctx = EvalContext {
-            platform: &hexa,
-            application: &app,
-            seed: 9,
-            cancel: None,
-        };
-        let prof = CounterProfile::new()
-            .run(&hexa_ctx, &mut hexa_buffers)
-            .unwrap();
-        let sim = AnalyticSim::new()
-            .run(&hexa_ctx, &mut hexa_buffers)
-            .unwrap();
-        assert!(prof.energy_j <= sim.energy_j, "switch energy is excluded");
-        assert!((prof.energy_j - sim.energy_j).abs() / sim.energy_j < 0.05);
     }
 }

@@ -6,7 +6,7 @@
 //! ```text
 //! CancelSource (drain root: User | Signal | fleet Deadline)
 //! └── CancelSource (per-wave child: Stall, per-job Deadline)
-//!     └── CancelToken ── Parmis::drive          (checked per iteration round)
+//!     └── CancelToken ── Parmis::segment        (checked per iteration round)
 //!         ├── ParallelEvaluator                 (checked between batch slots)
 //!         └── CancelEpochs sink (soc-sim)       (checked every N simulator epochs)
 //! ```

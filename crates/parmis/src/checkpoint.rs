@@ -27,10 +27,10 @@
 //! resuming into a silently divergent trajectory:
 //!
 //! * `config_digest` — a fold over every **trajectory-affecting** configuration field
-//!   (budgets, sampling/acquisition knobs, kernel family, seed, batch size). Knobs that
-//!   only affect scheduling or segmentation — `num_workers`, `max_fuel`,
-//!   `checkpoint_every`, the backend selection — are excluded, so a run suspended under a
-//!   small fuel budget can be resumed under a different one.
+//!   (budgets, sampling/acquisition knobs, kernel family, seed, batch size). The one
+//!   scheduling knob, `num_workers`, is excluded, and segmentation (fuel, checkpoint
+//!   cadence) is not configuration at all, so a run suspended under a small fuel budget
+//!   can be resumed under a different one, on any worker count.
 //! * `state_digest` — a fold over the state itself (front snapshot, PHV trace, RNG words,
 //!   round structure, chain head), recomputed and compared on load.
 
@@ -113,9 +113,9 @@ pub fn hash_chain(history: &[IterationRecord], rng_state: &[u64; 4]) -> Vec<u64>
 
 /// Digest over every trajectory-affecting field of a [`ParmisConfig`].
 ///
-/// Scheduling/segmentation knobs (`num_workers`, `max_fuel`, `checkpoint_every`,
-/// `deadline_ms`, the backend selection) are excluded: they change wall-clock behavior,
-/// never the trajectory.
+/// The scheduling knob `num_workers` is excluded: it changes wall-clock behavior, never the
+/// trajectory. Every stored checkpoint carries this digest and resume refuses a mismatch,
+/// so the fold order and the folded fields are part of the on-disk format.
 /// The precision tier *is* trajectory-affecting, but is folded in only when it differs
 /// from the default [`Precision::SeedExact`] so digests of pre-precision checkpoints stay
 /// valid.
@@ -148,7 +148,7 @@ pub fn config_digest(config: &ParmisConfig) -> u64 {
 
 /// A serializable snapshot of a suspended PaRMIS search, taken at an iteration boundary.
 ///
-/// Holds everything [`Parmis::resume`](crate::framework::Parmis::resume) needs to continue
+/// Holds everything [`Parmis::segment`](crate::framework::Parmis::segment) needs to continue
 /// bit-identically; GP factors and solver scratch are recomputed on load. Serialize with
 /// [`to_json`](Self::to_json), reload with [`from_json`](Self::from_json) (which verifies
 /// the format version, both digests and the full trace-hash chain).
@@ -559,12 +559,9 @@ mod tests {
         };
         assert_ne!(config_digest(&fast), digest);
 
-        // …scheduling/segmentation knobs do not.
+        // …the scheduling knob does not.
         let rescheduled = ParmisConfig {
             num_workers: 7,
-            max_fuel: 3,
-            checkpoint_every: 5,
-            deadline_ms: Some(120_000),
             ..base
         };
         assert_eq!(config_digest(&rescheduled), digest);
@@ -628,12 +625,11 @@ mod tests {
             )
             .is_err());
 
-        // Fuel/worker knobs are resume-compatible by design.
-        let refueled = ParmisConfig {
-            max_fuel: 9,
+        // The worker count is resume-compatible by design.
+        let rescheduled = ParmisConfig {
             num_workers: 3,
             ..config
         };
-        assert!(state.verify_for(&refueled, &objectives).is_ok());
+        assert!(state.verify_for(&rescheduled, &objectives).is_ok());
     }
 }

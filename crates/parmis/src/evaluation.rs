@@ -110,7 +110,10 @@ impl<E: PolicyEvaluator + ?Sized> PolicyEvaluator for &E {
 /// use soc_sim::apps::Benchmark;
 ///
 /// # fn main() -> Result<(), parmis::ParmisError> {
-/// let serial = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+/// let serial = SocEvaluator::builder()
+///     .benchmark(Benchmark::Qsort)
+///     .objectives(Objective::TIME_ENERGY.to_vec())
+///     .build()?;
 /// let parallel = ParallelEvaluator::new(serial, 4);
 /// let thetas = vec![vec![0.1; parallel.parameter_dim()]; 8];
 /// let objectives = parallel.evaluate_batch(&thetas)?;
@@ -348,6 +351,8 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Evaluates policies by running them on the simulated platform for one benchmark.
+///
+/// Assembled with [`SocEvaluator::builder`], its only constructor.
 #[derive(Debug, Clone)]
 pub struct SocEvaluator {
     platform: Platform,
@@ -364,7 +369,7 @@ pub struct SocEvaluator {
 }
 
 impl SocEvaluator {
-    /// Starts a fluent [`EvaluatorBuilder`] — the preferred way to assemble an evaluator.
+    /// Starts a fluent [`EvaluatorBuilder`], the way to assemble an evaluator.
     ///
     /// ```
     /// use parmis::prelude::*;
@@ -382,53 +387,9 @@ impl SocEvaluator {
         EvaluatorBuilder::new()
     }
 
-    /// Creates an evaluator for one benchmark on the default Odroid-XU3-like platform with
-    /// the paper's default policy architecture.
-    ///
-    /// Deprecation note: prefer [`SocEvaluator::builder`] with
-    /// [`benchmark`](EvaluatorBuilder::benchmark); this constructor is kept as a thin
-    /// wrapper for source compatibility.
-    pub fn for_benchmark(benchmark: Benchmark, objectives: Vec<Objective>) -> Self {
-        SocEvaluator::builder()
-            .benchmark(benchmark)
-            .objectives(objectives)
-            .build()
-            .expect("a benchmark evaluator always has an application")
-    }
-
-    /// Creates an evaluator for a [`Scenario`]: the scenario's platform preset, its
-    /// generated workload, its [`ScenarioConstraints`] applied as an objective penalty
-    /// (see [`with_constraints`](Self::with_constraints)), and its pinned
-    /// [`Scenario::backend`] selection when present.
-    ///
-    /// Deprecation note: prefer [`SocEvaluator::builder`] with
-    /// [`scenario`](EvaluatorBuilder::scenario); this constructor is kept as a thin
-    /// wrapper for source compatibility.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParmisError::Evaluation`] if the scenario's workload fails to build (e.g.
-    /// an unknown benchmark name in a scenario loaded from JSON).
-    pub fn for_scenario(scenario: &Scenario, objectives: Vec<Objective>) -> Result<Self> {
-        SocEvaluator::builder()
-            .scenario(scenario)
-            .objectives(objectives)
-            .build()
-    }
-
-    /// Applies scenario constraints: every objective value gets the constraints'
-    /// weighted relative-violation [`penalty`](ScenarioConstraints::penalty) added, so the
-    /// search is steered towards configurations that satisfy the scenario without changing
-    /// the objective set. A penalty of zero (all limits met) leaves values untouched.
-    pub fn with_constraints(mut self, constraints: ScenarioConstraints) -> Self {
-        self.constraints = Some(constraints);
-        self
-    }
-
-    /// Creates an evaluator from explicit components. `applications` may contain one
-    /// application (application-specific policies) or many (global policies; objectives are
-    /// averaged across applications).
-    pub fn new(
+    /// An evaluator over explicit components with the builder's defaults for everything
+    /// else (run seed, [`AnalyticSim`] backend, no constraints, no retries, no token).
+    fn new(
         platform: Platform,
         architecture: PolicyArchitecture,
         applications: Vec<Application>,
@@ -450,39 +411,9 @@ impl SocEvaluator {
         }
     }
 
-    /// Attaches a cancellation token threaded into every backend run's [`EvalContext`]:
-    /// streaming backends probe it every [`crate::backend::CANCEL_EPOCH_STRIDE`] simulator
-    /// epochs (beating the heartbeat, aborting with [`ParmisError::Cancelled`] when
-    /// tripped). A cancelled run's partial work is discarded and recomputed identically on
-    /// resume — the token never changes what an evaluation produces.
-    #[must_use]
-    pub fn with_cancel_token(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Overrides the measurement-noise seed used for every evaluation run.
-    pub fn with_run_seed(mut self, seed: u64) -> Self {
-        self.run_seed = seed;
-        self
-    }
-
-    /// Swaps the evaluation backend that carries out the policy→aggregates step.
-    pub fn with_backend(mut self, backend: Arc<dyn EvalBackend>) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// The evaluation backend in use.
     pub fn backend(&self) -> &dyn EvalBackend {
         &*self.backend
-    }
-
-    /// Sets the fault-handling policy applied around every backend run (retries with
-    /// deterministic backoff accounting, then fail-fast or skip-with-penalty).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// The fault-handling policy in use.
@@ -717,14 +648,13 @@ enum BackendRun {
     },
 }
 
-/// Fluent assembly of a [`SocEvaluator`], replacing the constructor sprawl
-/// (`for_benchmark` / `for_scenario` / `new` / `with_*` chains) with one composable
-/// surface.
+/// Fluent assembly of a [`SocEvaluator`]: the one way to build one.
 ///
 /// Defaults: Odroid-XU3-like platform, the paper's default policy architecture, run seed
 /// 17, the [`AnalyticSim`] backend, no constraints. Sources compose — e.g.
 /// [`scenario`](Self::scenario) sets platform/workload/constraints (and the scenario's
-/// pinned backend, if any) while [`backend`](Self::backend) still overrides the backend:
+/// pinned backend kind, if any) while [`backend`](Self::backend) still overrides the
+/// backend:
 ///
 /// ```
 /// use parmis::prelude::*;
@@ -735,10 +665,10 @@ enum BackendRun {
 /// let evaluator = SocEvaluator::builder()
 ///     .scenario(&scenario)
 ///     .objectives(Objective::TIME_ENERGY.to_vec())
-///     .backend(Arc::new(CounterProfile::new()))
+///     .backend(Arc::new(FaultInject::new(Arc::new(AnalyticSim::new()))))
 ///     .run_seed(42)
 ///     .build()?;
-/// assert_eq!(evaluator.backend().describe().name(), "counter-profile");
+/// assert_eq!(evaluator.backend().describe().name(), "fault-inject");
 /// # Ok(())
 /// # }
 /// ```
@@ -751,6 +681,8 @@ pub struct EvaluatorBuilder {
     constraints: Option<ScenarioConstraints>,
     run_seed: u64,
     backend: Option<Arc<dyn EvalBackend>>,
+    /// The backend kind a scenario pins ([`Scenario::backend`]); [`backend`](Self::backend)
+    /// takes precedence.
     backend_kind: Option<BackendKind>,
     precision: Option<Precision>,
     retry: RetryPolicy,
@@ -847,8 +779,10 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Applies scenario constraints as an additive objective penalty
-    /// ([`SocEvaluator::with_constraints`]).
+    /// Applies scenario constraints: every objective value gets the constraints' weighted
+    /// relative-violation [`penalty`](ScenarioConstraints::penalty) added, so the search is
+    /// steered towards configurations that satisfy the scenario without changing the
+    /// objective set. A penalty of zero (all limits met) leaves values untouched.
     pub fn constraints(mut self, constraints: ScenarioConstraints) -> Self {
         self.constraints = Some(constraints);
         self
@@ -860,42 +794,37 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Sets the evaluation backend instance. Takes precedence over
-    /// [`backend_kind`](Self::backend_kind) and any scenario-pinned selection — this is how
-    /// a [`crate::backend::TraceReplay`] loaded with fixtures is supplied.
+    /// Sets the evaluation backend instance. Takes precedence over a scenario-pinned
+    /// backend kind — this is how a [`crate::backend::TraceReplay`] loaded with fixtures is
+    /// supplied.
     pub fn backend(mut self, backend: Arc<dyn EvalBackend>) -> Self {
         self.backend = Some(backend);
         self
     }
 
-    /// Selects a stock backend by serializable kind
-    /// ([`crate::backend::default_backend_for`]).
-    pub fn backend_kind(mut self, kind: BackendKind) -> Self {
-        self.backend_kind = Some(kind);
-        self
-    }
-
-    /// Sets the numeric precision tier the platform simulates under. Like
-    /// [`backend_kind`](Self::backend_kind), the last call wins — including a
-    /// scenario-pinned tier picked up by [`scenario`](Self::scenario). When never set,
-    /// the platform keeps its own tier (seed-exact unless the platform was built with
-    /// [`Platform::with_precision`]).
+    /// Sets the numeric precision tier the platform simulates under. The last call wins —
+    /// including a scenario-pinned tier picked up by [`scenario`](Self::scenario). When
+    /// never set, the platform keeps its own tier (seed-exact unless the platform was built
+    /// with [`Platform::with_precision`]).
     pub fn precision(mut self, precision: Precision) -> Self {
         self.precision = Some(precision);
         self
     }
 
-    /// Sets the fault-handling policy applied around every backend run
-    /// ([`SocEvaluator::with_retry_policy`]).
+    /// Sets the fault-handling policy applied around every backend run: retries with
+    /// deterministic backoff accounting, then fail-fast or skip-with-penalty.
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
     }
 
-    /// Attaches a cancellation token to the evaluator
-    /// ([`SocEvaluator::with_cancel_token`]). Share the same [`CancelSource`]'s tokens
-    /// with [`crate::framework::Parmis::with_cancel_token`] so a single cancel request
-    /// stops both the round loop and any in-flight simulator run.
+    /// Attaches a cancellation token threaded into every backend run's [`EvalContext`]:
+    /// streaming backends probe it every [`crate::backend::CANCEL_EPOCH_STRIDE`] simulator
+    /// epochs (beating the heartbeat, aborting with [`ParmisError::Cancelled`] when
+    /// tripped). A cancelled run's partial work is discarded and recomputed identically on
+    /// resume — the token never changes what an evaluation produces. Share the same
+    /// [`CancelSource`]'s tokens with [`crate::framework::Parmis::with_cancel_token`] so a
+    /// single cancel request stops both the round loop and any in-flight simulator run.
     ///
     /// [`CancelSource`]: crate::cancel::CancelSource
     pub fn cancel_token(mut self, cancel: CancelToken) -> Self {
@@ -934,12 +863,12 @@ impl EvaluatorBuilder {
             self.architecture,
             self.applications,
             self.objectives,
-        )
-        .with_run_seed(self.run_seed)
-        .with_backend(backend)
-        .with_retry_policy(self.retry)
-        .with_cancel_token(self.cancel);
+        );
         evaluator.constraints = self.constraints;
+        evaluator.run_seed = self.run_seed;
+        evaluator.backend = backend;
+        evaluator.retry = self.retry;
+        evaluator.cancel = self.cancel;
         Ok(evaluator)
     }
 }
@@ -1036,20 +965,6 @@ impl GlobalEvaluator {
         }
     }
 
-    /// Swaps the evaluation backend of the wrapped evaluator; per-benchmark scoring via
-    /// [`evaluate_on`](Self::evaluate_on) uses the same backend.
-    pub fn with_backend(mut self, backend: Arc<dyn EvalBackend>) -> Self {
-        self.inner = self.inner.with_backend(backend);
-        self
-    }
-
-    /// Sets the fault-handling policy of the wrapped evaluator
-    /// ([`SocEvaluator::with_retry_policy`]); per-benchmark scoring uses the same policy.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.inner = self.inner.with_retry_policy(retry);
-        self
-    }
-
     /// Access to the wrapped [`SocEvaluator`] (e.g. to materialize policies).
     pub fn as_soc_evaluator(&self) -> &SocEvaluator {
         &self.inner
@@ -1062,15 +977,15 @@ impl GlobalEvaluator {
     ///
     /// Propagates simulator failures.
     pub fn evaluate_on(&self, theta: &[f64], benchmark: Benchmark) -> Result<Vec<f64>> {
-        let single = SocEvaluator::new(
+        let mut single = SocEvaluator::new(
             Platform::odroid_xu3(),
             self.inner.architecture.clone(),
             vec![benchmark.application()],
             self.inner.objectives.clone(),
-        )
-        .with_run_seed(self.inner.run_seed)
-        .with_backend(self.inner.backend.clone())
-        .with_retry_policy(self.inner.retry);
+        );
+        single.run_seed = self.inner.run_seed;
+        single.backend = self.inner.backend.clone();
+        single.retry = self.inner.retry;
         single.evaluate(theta)
     }
 }
@@ -1097,9 +1012,17 @@ impl PolicyEvaluator for GlobalEvaluator {
 mod tests {
     use super::*;
 
+    fn evaluator_for(benchmark: Benchmark, objectives: &[Objective]) -> SocEvaluator {
+        SocEvaluator::builder()
+            .benchmark(benchmark)
+            .objectives(objectives.to_vec())
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn parameter_dim_matches_policy_count() {
-        let eval = SocEvaluator::for_benchmark(Benchmark::Fft, Objective::TIME_ENERGY.to_vec());
+        let eval = evaluator_for(Benchmark::Fft, &Objective::TIME_ENERGY);
         let space = DecisionSpace::exynos5422();
         assert_eq!(
             eval.parameter_dim(),
@@ -1112,7 +1035,7 @@ mod tests {
 
     #[test]
     fn evaluation_rejects_wrong_dimension() {
-        let eval = SocEvaluator::for_benchmark(Benchmark::Fft, Objective::TIME_ENERGY.to_vec());
+        let eval = evaluator_for(Benchmark::Fft, &Objective::TIME_ENERGY);
         assert!(matches!(
             eval.evaluate(&[0.0; 3]),
             Err(ParmisError::Evaluation { .. })
@@ -1121,7 +1044,7 @@ mod tests {
 
     #[test]
     fn evaluation_returns_finite_minimization_objectives() {
-        let eval = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_PPW.to_vec());
+        let eval = evaluator_for(Benchmark::Qsort, &Objective::TIME_PPW);
         let theta = vec![0.2; eval.parameter_dim()];
         let v = eval.evaluate(&theta).unwrap();
         assert_eq!(v.len(), 2);
@@ -1132,14 +1055,19 @@ mod tests {
 
     #[test]
     fn evaluations_are_deterministic_for_fixed_theta() {
-        let eval = SocEvaluator::for_benchmark(Benchmark::Sha, Objective::TIME_ENERGY.to_vec());
+        let eval = evaluator_for(Benchmark::Sha, &Objective::TIME_ENERGY);
         let theta = vec![-0.4; eval.parameter_dim()];
         assert_eq!(
             eval.evaluate(&theta).unwrap(),
             eval.evaluate(&theta).unwrap()
         );
         // A different run seed changes the (noisy) measurement slightly.
-        let noisy = eval.clone().with_run_seed(99);
+        let noisy = SocEvaluator::builder()
+            .benchmark(Benchmark::Sha)
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .run_seed(99)
+            .build()
+            .unwrap();
         let a = eval.evaluate(&theta).unwrap();
         let b = noisy.evaluate(&theta).unwrap();
         assert_ne!(a, b);
@@ -1149,15 +1077,18 @@ mod tests {
     #[test]
     fn scenario_evaluator_applies_the_constraint_penalty_additively() {
         let scenario = soc_sim::scenario::by_name("odroid-pca-thermal").unwrap();
-        let constrained =
-            SocEvaluator::for_scenario(&scenario, Objective::TIME_ENERGY.to_vec()).unwrap();
+        let constrained = SocEvaluator::builder()
+            .scenario(&scenario)
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .build()
+            .unwrap();
         // The same platform/workload without constraints is the baseline.
-        let free = SocEvaluator::new(
-            scenario.platform(),
-            PolicyArchitecture::paper_default(),
-            vec![scenario.application().unwrap()],
-            Objective::TIME_ENERGY.to_vec(),
-        );
+        let free = SocEvaluator::builder()
+            .platform(scenario.platform())
+            .application(scenario.application().unwrap())
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .build()
+            .unwrap();
         // An all-out policy bias is the most likely to violate an 80 C limit; either way the
         // penalized values must be >= the raw ones with an identical offset on both axes.
         let theta = vec![0.5; constrained.parameter_dim()];
@@ -1175,14 +1106,17 @@ mod tests {
         let mut broken = scenario.clone();
         broken.workload.benchmarks[0] = "nope".into();
         assert!(matches!(
-            SocEvaluator::for_scenario(&broken, Objective::TIME_ENERGY.to_vec()),
+            SocEvaluator::builder()
+                .scenario(&broken)
+                .objectives(Objective::TIME_ENERGY.to_vec())
+                .build(),
             Err(ParmisError::Evaluation { .. })
         ));
     }
 
     #[test]
     fn different_thetas_produce_different_objectives() {
-        let eval = SocEvaluator::for_benchmark(Benchmark::Kmeans, Objective::TIME_ENERGY.to_vec());
+        let eval = evaluator_for(Benchmark::Kmeans, &Objective::TIME_ENERGY);
         let space = DecisionSpace::exynos5422();
         let arch = PolicyArchitecture::paper_default();
         let a_theta = DrmPolicy::random(&space, &arch, 1).to_flat_parameters();
@@ -1214,7 +1148,7 @@ mod tests {
 
     #[test]
     fn default_batch_agrees_with_elementwise_evaluate() {
-        let eval = SocEvaluator::for_benchmark(Benchmark::Fft, Objective::TIME_ENERGY.to_vec());
+        let eval = evaluator_for(Benchmark::Fft, &Objective::TIME_ENERGY);
         let dim = eval.parameter_dim();
         let thetas: Vec<Vec<f64>> = (0..5).map(|i| vec![-0.5 + 0.2 * i as f64; dim]).collect();
         let batch = eval.evaluate_batch(&thetas).unwrap();
@@ -1249,7 +1183,7 @@ mod tests {
     #[test]
     fn parallel_evaluator_checks_its_token_at_the_batch_boundary() {
         use crate::cancel::{CancelReason, CancelSource};
-        let serial = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+        let serial = evaluator_for(Benchmark::Qsort, &Objective::TIME_ENERGY);
         let dim = serial.parameter_dim();
         let thetas: Vec<Vec<f64>> = (0..4).map(|i| vec![0.05 * i as f64; dim]).collect();
         let baseline = serial.evaluate_batch(&thetas).unwrap();
@@ -1275,7 +1209,7 @@ mod tests {
         // The scratch path must be a pure function of θ: interleaving very different
         // candidates through ONE SimBuffers gives the same answers as fresh evaluations,
         // and the evaluation matches the materializing run_summaries path.
-        let eval = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+        let eval = evaluator_for(Benchmark::Qsort, &Objective::TIME_ENERGY);
         let dim = eval.parameter_dim();
         let thetas = [vec![0.9; dim], vec![-0.9; dim], vec![0.9; dim]];
         let mut buffers = eval.sim_buffers();
@@ -1298,7 +1232,11 @@ mod tests {
     #[test]
     fn scenario_constrained_scratch_path_matches_the_summary_path() {
         let scenario = soc_sim::scenario::by_name("odroid-pca-thermal").unwrap();
-        let eval = SocEvaluator::for_scenario(&scenario, Objective::TIME_ENERGY.to_vec()).unwrap();
+        let eval = SocEvaluator::builder()
+            .scenario(&scenario)
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .build()
+            .unwrap();
         let theta = vec![0.5; eval.parameter_dim()];
         let mut buffers = eval.sim_buffers();
         let streamed = eval.evaluate_with(&theta, &mut buffers).unwrap();
@@ -1310,7 +1248,7 @@ mod tests {
 
     #[test]
     fn parallel_evaluator_is_bitwise_identical_to_serial() {
-        let serial = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_PPW.to_vec());
+        let serial = evaluator_for(Benchmark::Qsort, &Objective::TIME_PPW);
         let dim = serial.parameter_dim();
         let thetas: Vec<Vec<f64>> = (0..9).map(|i| vec![0.3 - 0.07 * i as f64; dim]).collect();
         let expected = serial.evaluate_batch(&thetas).unwrap();
@@ -1327,7 +1265,7 @@ mod tests {
 
     #[test]
     fn parallel_evaluator_delegates_scalar_interface() {
-        let serial = SocEvaluator::for_benchmark(Benchmark::Sha, Objective::TIME_ENERGY.to_vec());
+        let serial = evaluator_for(Benchmark::Sha, &Objective::TIME_ENERGY);
         let parallel = ParallelEvaluator::new(serial.clone(), 2);
         assert_eq!(parallel.parameter_dim(), serial.parameter_dim());
         assert_eq!(parallel.parameter_bound(), serial.parameter_bound());
@@ -1343,7 +1281,7 @@ mod tests {
 
     #[test]
     fn batch_errors_surface_from_any_slot() {
-        let eval = SocEvaluator::for_benchmark(Benchmark::Aes, Objective::TIME_ENERGY.to_vec());
+        let eval = evaluator_for(Benchmark::Aes, &Objective::TIME_ENERGY);
         let dim = eval.parameter_dim();
         let thetas = vec![vec![0.0; dim], vec![0.0; 3]];
         assert!(matches!(
@@ -1355,92 +1293,26 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_the_deprecated_constructors_bitwise() {
-        let theta_dim =
-            SocEvaluator::for_benchmark(Benchmark::Fft, Objective::TIME_ENERGY.to_vec())
-                .parameter_dim();
-        let theta = vec![0.25; theta_dim];
-
-        let wrapped = SocEvaluator::for_benchmark(Benchmark::Fft, Objective::TIME_ENERGY.to_vec());
-        let built = SocEvaluator::builder()
-            .benchmark(Benchmark::Fft)
-            .objectives(Objective::TIME_ENERGY.to_vec())
-            .build()
-            .unwrap();
-        assert_eq!(
-            wrapped.evaluate(&theta).unwrap(),
-            built.evaluate(&theta).unwrap()
-        );
-
-        let scenario = soc_sim::scenario::by_name("odroid-pca-thermal").unwrap();
-        let wrapped =
-            SocEvaluator::for_scenario(&scenario, Objective::TIME_ENERGY.to_vec()).unwrap();
-        let built = SocEvaluator::builder()
-            .scenario(&scenario)
-            .objectives(Objective::TIME_ENERGY.to_vec())
-            .build()
-            .unwrap();
-        let theta = vec![0.5; wrapped.parameter_dim()];
-        assert_eq!(
-            wrapped.evaluate(&theta).unwrap(),
-            built.evaluate(&theta).unwrap()
-        );
-
-        // Explicit components + seed override match the method-chain spelling too.
-        let chained = SocEvaluator::new(
-            Platform::hexa_asym(),
-            PolicyArchitecture::paper_default(),
-            vec![Benchmark::Sha.application()],
-            Objective::TIME_PPW.to_vec(),
-        )
-        .with_run_seed(23);
-        let built = SocEvaluator::builder()
-            .platform(Platform::hexa_asym())
-            .architecture(PolicyArchitecture::paper_default())
-            .application(Benchmark::Sha.application())
-            .objectives(Objective::TIME_PPW.to_vec())
-            .run_seed(23)
-            .build()
-            .unwrap();
-        let theta = vec![-0.3; chained.parameter_dim()];
-        assert_eq!(
-            chained.evaluate(&theta).unwrap(),
-            built.evaluate(&theta).unwrap()
-        );
-    }
-
-    #[test]
     fn builder_resolves_backend_sources_with_explicit_instance_winning() {
-        use crate::backend::{CounterProfile, TraceReplay};
+        use crate::backend::TraceReplay;
 
-        // Kind selection instantiates the stock backend.
-        let by_kind = SocEvaluator::builder()
-            .benchmark(Benchmark::Qsort)
-            .objectives(Objective::TIME_ENERGY.to_vec())
-            .backend_kind(BackendKind::CounterProfile)
-            .build()
-            .unwrap();
-        assert_eq!(
-            by_kind.backend().describe().kind,
-            BackendKind::CounterProfile
-        );
-        let theta = vec![0.2; by_kind.parameter_dim()];
-        assert!(by_kind.evaluate(&theta).is_ok());
+        // With no backend source the evaluator runs on the analytic simulator.
+        let plain = evaluator_for(Benchmark::Qsort, &Objective::TIME_ENERGY);
+        assert_eq!(plain.backend().describe().kind, BackendKind::AnalyticSim);
 
         // A scenario-pinned selection flows into the evaluator…
         let mut scenario = soc_sim::scenario::by_name("odroid-pca-thermal").unwrap();
-        scenario.backend = Some(BackendKind::CounterProfile);
+        scenario.backend = Some(BackendKind::FaultInject);
         let pinned = SocEvaluator::builder()
             .scenario(&scenario)
             .objectives(Objective::TIME_ENERGY.to_vec())
             .build()
             .unwrap();
-        assert_eq!(
-            pinned.backend().describe().kind,
-            BackendKind::CounterProfile
-        );
+        assert_eq!(pinned.backend().describe().kind, BackendKind::FaultInject);
+        let theta = vec![0.2; pinned.parameter_dim()];
+        assert!(pinned.evaluate(&theta).is_ok());
 
-        // …but an explicit backend instance takes precedence over both.
+        // …but an explicit backend instance takes precedence.
         let explicit = SocEvaluator::builder()
             .scenario(&scenario)
             .objectives(Objective::TIME_ENERGY.to_vec())
@@ -1450,16 +1322,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(explicit.backend().describe().kind, BackendKind::TraceReplay);
-
-        // GlobalEvaluator forwards backend swaps to per-benchmark scoring.
-        let global =
-            GlobalEvaluator::for_benchmarks(&[Benchmark::Sha], Objective::TIME_ENERGY.to_vec())
-                .with_backend(std::sync::Arc::new(CounterProfile::new()));
-        let theta = vec![0.1; global.parameter_dim()];
-        assert_eq!(
-            global.evaluate(&theta).unwrap(),
-            global.evaluate_on(&theta, Benchmark::Sha).unwrap()
-        );
     }
 
     #[test]
@@ -1556,7 +1418,7 @@ mod tests {
 
     #[test]
     fn run_summaries_expose_per_application_details() {
-        let eval = SocEvaluator::for_benchmark(Benchmark::Aes, Objective::TIME_ENERGY.to_vec());
+        let eval = evaluator_for(Benchmark::Aes, &Objective::TIME_ENERGY);
         let theta = vec![0.0; eval.parameter_dim()];
         let summaries = eval.run_summaries(&theta).unwrap();
         assert_eq!(summaries.len(), 1);

@@ -16,10 +16,13 @@ use moo::ParetoFront;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use soc_sim::scenario::BackendKind;
-use std::time::{Duration, Instant};
 
-/// Configuration of a PaRMIS run.
+/// Configuration of a PaRMIS run: what the search computes.
+///
+/// Every field except [`num_workers`](Self::num_workers) shapes the trajectory and is
+/// folded into the checkpoint's [`config_digest`](checkpoint::config_digest). How a run is
+/// cut into segments — fuel, checkpoint cadence, deadlines — is not configuration: it is
+/// passed to [`Parmis::segment`] or carried by a [`CancelToken`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParmisConfig {
     /// Total evaluation budget, including the initial random design. The paper runs up to 500
@@ -56,13 +59,6 @@ pub struct ParmisConfig {
     /// pure, the Pareto front is **bit-identical for any worker count** — this knob trades
     /// wall-clock time only.
     pub num_workers: usize,
-    /// Which evaluation backend to instantiate when this configuration assembles its own
-    /// evaluator (e.g. `EvaluatorBuilder::backend_kind`). The selection uses the same
-    /// serializable [`BackendKind`] as [`soc_sim::scenario::Scenario::backend`], so a run
-    /// configuration round-trips through scenario JSON. The default,
-    /// [`BackendKind::AnalyticSim`], is the bit-identity reference; evaluators built
-    /// directly keep whatever backend they were given.
-    pub backend: BackendKind,
     /// Numeric precision tier of the model-side math: [`Precision::SeedExact`] (the
     /// default) reproduces the seed trajectory bit for bit, while [`Precision::Fast`]
     /// switches the RFF posterior-sample cosines inside the Pareto-front sampling step to
@@ -70,29 +66,6 @@ pub struct ParmisConfig {
     /// seeded, but a *different* deterministic trajectory than the exact tier). Excluded
     /// from the configuration digest while `SeedExact` so legacy checkpoints stay valid.
     pub precision: Precision,
-    /// Fuel budget of one run **segment**: the maximum number of evaluations performed
-    /// before the resumable entry points ([`Parmis::run_resumable`], [`Parmis::resume`])
-    /// suspend cleanly at an iteration boundary and return a [`SearchState`]. `0` (the
-    /// default) disables fuel accounting. The initial random design always completes
-    /// atomically (and counts toward the fuel), so every captured state is resumable.
-    /// Fuel only segments the run — it never changes the trajectory, so it is excluded
-    /// from the checkpoint's configuration digest.
-    pub max_fuel: usize,
-    /// Checkpoint cadence in evaluations: the `*_with_checkpoints` entry points invoke
-    /// their sink with a fresh [`SearchState`] after every round that crosses this many
-    /// evaluations since the last checkpoint. `0` (the default) disables cadence
-    /// checkpoints. Like [`max_fuel`](Self::max_fuel), this is a scheduling knob and does
-    /// not affect the trajectory or the configuration digest.
-    pub checkpoint_every: usize,
-    /// Wall-clock deadline of one run **segment**, in milliseconds: once this much time has
-    /// elapsed, the resumable entry points suspend at the next iteration boundary with
-    /// [`StopReason::Cancelled`]\([`CancelReason::Deadline`]) instead of starting another
-    /// round. `None` (the default) disables the budget; `Some(0)` is rejected by
-    /// validation (it could never pay for a single round — use cancellation for
-    /// "stop now"). Like [`max_fuel`](Self::max_fuel), the deadline only decides *when*
-    /// the segment suspends, never what is computed, so it is excluded from the
-    /// checkpoint's configuration digest and resumed runs stay bit-identical.
-    pub deadline_ms: Option<u64>,
 }
 
 impl Default for ParmisConfig {
@@ -109,11 +82,7 @@ impl Default for ParmisConfig {
             seed: 0x9a92_0c1e,
             batch_size: 1,
             num_workers: 1,
-            backend: BackendKind::AnalyticSim,
             precision: Precision::SeedExact,
-            max_fuel: 0,
-            checkpoint_every: 0,
-            deadline_ms: None,
         }
     }
 }
@@ -142,8 +111,8 @@ pub enum StopReason {
     BudgetExhausted,
     /// The convergence criterion fired ([`ParmisConfig::convergence_window`]).
     Converged,
-    /// The segment's fuel budget ([`ParmisConfig::max_fuel`]) expired at an iteration
-    /// boundary.
+    /// The segment's fuel budget (the `fuel` argument of [`Parmis::segment`]) expired at
+    /// an iteration boundary.
     FuelExhausted,
     /// The segment was cooperatively cancelled at an iteration boundary — by an explicit
     /// request, a wall-clock deadline, a stall monitor, a process signal, or an ancestor
@@ -235,15 +204,15 @@ impl ParmisOutcome {
     }
 }
 
-/// Result of one resumable run segment: either the search finished, or it suspended at an
-/// iteration boundary — because the fuel budget ([`ParmisConfig::max_fuel`]) expired, or
-/// because a cancellation (deadline, stall, signal, explicit request) was observed.
+/// Result of one run segment ([`Parmis::segment`]): either the search finished, or it
+/// suspended at an iteration boundary — because the segment's fuel expired, or because a
+/// cancellation (deadline, stall, signal, explicit request) was observed.
 #[derive(Debug, Clone)]
 pub enum SearchStep {
     /// The search ran to completion (budget exhausted or converged).
     Completed(Box<ParmisOutcome>),
     /// The segment suspended; the state can be serialized ([`SearchState::to_json`]) and
-    /// later handed to [`Parmis::resume`] to continue bit-identically, regardless of
+    /// later handed back to [`Parmis::segment`] to continue bit-identically, regardless of
     /// which `reason` ([`StopReason::FuelExhausted`] or [`StopReason::Cancelled`])
     /// suspended it.
     Suspended {
@@ -295,7 +264,7 @@ pub struct Parmis {
 
 impl Parmis {
     /// Creates a driver with the given configuration (and no cancellation wiring: the
-    /// search only stops on budget, convergence, fuel, or its own deadline).
+    /// search only stops on budget, convergence, or a segment's fuel).
     pub fn new(config: ParmisConfig) -> Self {
         Parmis {
             config,
@@ -305,7 +274,9 @@ impl Parmis {
 
     /// Wires a cancellation token into the driver: the search checks it at every
     /// iteration boundary and suspends with [`StopReason::Cancelled`] once it trips, and
-    /// beats its heartbeat as rounds complete. Evaluators carry their own token wiring
+    /// beats its heartbeat as rounds complete. A wall-clock budget is a token too:
+    /// [`CancelSource::with_deadline`](crate::cancel::CancelSource::with_deadline) suspends
+    /// with [`CancelReason::Deadline`]. Evaluators carry their own token wiring
     /// (e.g. [`crate::evaluation::EvaluatorBuilder::cancel_token`]) for the finer-grained
     /// mid-round checks.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
@@ -318,7 +289,7 @@ impl Parmis {
         &self.config
     }
 
-    /// Runs Algorithm 1 against `evaluator`.
+    /// Runs Algorithm 1 against `evaluator` to completion.
     ///
     /// Batches are evaluated through [`PolicyEvaluator::evaluate_batch`]; hand in a
     /// [`ParallelEvaluator`](crate::evaluation::ParallelEvaluator) (or call
@@ -326,10 +297,18 @@ impl Parmis {
     ///
     /// # Errors
     ///
-    /// Returns [`ParmisError::InvalidConfig`] for inconsistent configurations and propagates
+    /// Returns [`ParmisError::InvalidConfig`] for inconsistent configurations,
+    /// [`ParmisError::Cancelled`] when the search's cancel token trips (use
+    /// [`segment`](Self::segment) to keep the suspended state), and propagates
     /// evaluation/model failures.
     pub fn run(&self, evaluator: &dyn PolicyEvaluator) -> Result<ParmisOutcome> {
-        self.run_with_progress(evaluator, |_, _| {})
+        match self.segment(evaluator, None, 0, 0, &mut |_| Ok(()))? {
+            SearchStep::Completed(outcome) => Ok(*outcome),
+            SearchStep::Suspended { reason, .. } => match reason {
+                StopReason::Cancelled(reason) => Err(ParmisError::cancelled(reason)),
+                other => unreachable!("an unfueled segment cannot suspend with {other}"),
+            },
+        }
     }
 
     /// Runs Algorithm 1 with batches sharded across [`ParmisConfig::num_workers`] threads.
@@ -346,114 +325,37 @@ impl Parmis {
         self.run(&parallel)
     }
 
-    /// Runs Algorithm 1, invoking `progress` after every evaluation (used by the figure
-    /// harness to print convergence traces). With `batch_size > 1` the callback fires once
-    /// per batch slot, in slot order, after the whole batch has been evaluated.
+    /// Runs one segment of the search: a fresh run (`resume_from == None`) or the
+    /// continuation of a suspended one, bounded by `fuel` evaluations.
+    ///
+    /// The segment completes, or suspends cleanly at an iteration boundary with a
+    /// serializable [`SearchState`] — once `fuel` evaluations have been performed this
+    /// segment (`0` = unbounded), or once the search's cancel token trips. The initial
+    /// random design always completes atomically (and counts toward the fuel), so every
+    /// captured state is resumable. After every round that crosses `checkpoint_every`
+    /// evaluations since the last checkpoint (`0` = never), `on_checkpoint` receives a
+    /// fresh state: a durability sink, so a crash loses at most one cadence window. A sink
+    /// error aborts the segment.
+    ///
+    /// A resumed segment restores the observation history, Pareto archive, RNG cursor and
+    /// convergence counters, rebuilds the GP cache by replaying the recorded
+    /// model-fitting call sequence, and re-verifies the per-iteration trace-hash chain
+    /// before any new evaluation happens. Fuel, cadence and cancellation only decide
+    /// *when* a segment stops, never what it computes: any segmentation of a search
+    /// yields the uninterrupted trajectory bit for bit.
     ///
     /// # Errors
     ///
-    /// Same as [`run`](Self::run).
-    pub fn run_with_progress<F>(
-        &self,
-        evaluator: &dyn PolicyEvaluator,
-        mut progress: F,
-    ) -> Result<ParmisOutcome>
-    where
-        F: FnMut(usize, &IterationRecord),
-    {
-        match self.drive(evaluator, None, &mut progress, &mut |_| Ok(()))? {
-            SearchStep::Completed(outcome) => Ok(*outcome),
-            SearchStep::Suspended {
-                reason: StopReason::Cancelled(reason),
-                ..
-            } => Err(ParmisError::cancelled(reason)),
-            SearchStep::Suspended { .. } => Err(ParmisError::checkpoint(
-                crate::error::CheckpointFault::Incompatible,
-                "the fuel budget expired before the search completed; call run_resumable \
-                 to obtain the suspended state",
-            )),
-        }
-    }
-
-    /// Runs Algorithm 1 under the fuel budget: completes, or suspends cleanly at an
-    /// iteration boundary once [`ParmisConfig::max_fuel`] evaluations have been performed
-    /// this segment, returning a serializable [`SearchState`].
-    ///
-    /// With `max_fuel == 0` this never suspends and behaves exactly like
-    /// [`run`](Self::run).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_resumable(&self, evaluator: &dyn PolicyEvaluator) -> Result<SearchStep> {
-        self.drive(evaluator, None, &mut |_, _| {}, &mut |_| Ok(()))
-    }
-
-    /// Like [`run_resumable`](Self::run_resumable), additionally invoking `on_checkpoint`
-    /// with a fresh [`SearchState`] every [`ParmisConfig::checkpoint_every`] evaluations
-    /// (a durability sink: write the state to disk so a crash loses at most one cadence
-    /// window). A sink error aborts the run.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run), plus whatever `on_checkpoint` returns.
-    pub fn run_resumable_with_checkpoints<F>(
-        &self,
-        evaluator: &dyn PolicyEvaluator,
-        mut on_checkpoint: F,
-    ) -> Result<SearchStep>
-    where
-        F: FnMut(&SearchState) -> Result<()>,
-    {
-        self.drive(evaluator, None, &mut |_, _| {}, &mut on_checkpoint)
-    }
-
-    /// Continues a suspended search from `state`, bit-identically to the uninterrupted
-    /// run: the observation history, Pareto archive, RNG cursor and convergence counters
-    /// are restored, the GP cache is rebuilt by replaying the recorded model-fitting call
-    /// sequence, and the per-iteration trace-hash chain is re-verified before any new
-    /// evaluation happens. The segment again honors [`ParmisConfig::max_fuel`], so a long
-    /// run can be carried across many suspend/resume cycles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParmisError::Checkpoint`] if the state fails integrity verification or
-    /// is incompatible with this configuration/evaluator, plus everything
-    /// [`run`](Self::run) can return.
-    pub fn resume(
-        &self,
-        state: SearchState,
-        evaluator: &dyn PolicyEvaluator,
-    ) -> Result<SearchStep> {
-        self.drive(evaluator, Some(state), &mut |_, _| {}, &mut |_| Ok(()))
-    }
-
-    /// [`resume`](Self::resume) with a cadence checkpoint sink, mirroring
-    /// [`run_resumable_with_checkpoints`](Self::run_resumable_with_checkpoints).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`resume`](Self::resume), plus whatever `on_checkpoint` returns.
-    pub fn resume_with_checkpoints<F>(
-        &self,
-        state: SearchState,
-        evaluator: &dyn PolicyEvaluator,
-        mut on_checkpoint: F,
-    ) -> Result<SearchStep>
-    where
-        F: FnMut(&SearchState) -> Result<()>,
-    {
-        self.drive(evaluator, Some(state), &mut |_, _| {}, &mut on_checkpoint)
-    }
-
-    /// The search engine behind every entry point: fresh runs (`resume_from == None`) and
-    /// resumed segments share this loop, which is what makes resume bit-identity a
-    /// structural property rather than a test assertion.
-    fn drive(
+    /// Returns [`ParmisError::Checkpoint`] if `resume_from` fails integrity verification or
+    /// is incompatible with this configuration/evaluator, whatever `on_checkpoint`
+    /// returns, plus everything [`run`](Self::run) can return except cancellation (which
+    /// suspends).
+    pub fn segment(
         &self,
         evaluator: &dyn PolicyEvaluator,
         resume_from: Option<SearchState>,
-        progress: &mut dyn FnMut(usize, &IterationRecord),
+        fuel: usize,
+        checkpoint_every: usize,
         on_checkpoint: &mut dyn FnMut(&SearchState) -> Result<()>,
     ) -> Result<SearchStep> {
         self.validate(evaluator)?;
@@ -472,13 +374,9 @@ impl Parmis {
         // buffers and batched output column warm up on the first Pareto-front sample and
         // are reused by every later iteration instead of rebuilding solver state.
         let mut acquisition_scratch = AcquisitionScratch::default();
-        // Fuel/cadence accounting is per segment: a resumed run gets a fresh budget, and
-        // the wall-clock deadline (when configured) starts counting now.
+        // Fuel/cadence accounting is per segment: a resumed run gets a fresh budget.
         let mut segment_evaluations = 0usize;
         let mut evals_since_checkpoint = 0usize;
-        let deadline = cfg
-            .deadline_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
 
         let (
             mut rng,
@@ -524,7 +422,6 @@ impl Parmis {
                         .copied()
                         .unwrap_or(checkpoint::TRACE_HASH_SEED);
                     trace_hashes.push(checkpoint::record_hash(prev, &record, &rng_words));
-                    progress(i, &record);
                     history.push(record);
                 }
                 segment_evaluations += initial;
@@ -553,16 +450,14 @@ impl Parmis {
         let rng_words = rng.state();
         let mut iteration = history.len();
         'rounds: while iteration < cfg.max_iterations {
-            // Fuel / cancellation / deadline checks at the round boundary: suspend with a
-            // resumable state instead of starting a round that should not (or cannot) be
-            // paid for. The checks only gate *whether* the next round starts — the state
-            // captured is exactly the round-boundary state an uninterrupted run passes
-            // through, so resuming from it is bit-identical.
+            // Fuel / cancellation checks at the round boundary: suspend with a resumable
+            // state instead of starting a round that should not (or cannot) be paid for.
+            // The checks only gate *whether* the next round starts — the state captured is
+            // exactly the round-boundary state an uninterrupted run passes through, so
+            // resuming from it is bit-identical.
             let suspend_reason = if let Some(reason) = self.cancel.cancelled() {
                 Some(StopReason::Cancelled(reason))
-            } else if deadline.is_some_and(|d| Instant::now() >= d) {
-                Some(StopReason::Cancelled(CancelReason::Deadline))
-            } else if cfg.max_fuel > 0 && segment_evaluations >= cfg.max_fuel {
+            } else if fuel > 0 && segment_evaluations >= fuel {
                 Some(StopReason::FuelExhausted)
             } else {
                 None
@@ -637,7 +532,6 @@ impl Parmis {
                     .copied()
                     .unwrap_or(checkpoint::TRACE_HASH_SEED);
                 trace_hashes.push(checkpoint::record_hash(prev, &record, &rng_words));
-                progress(iteration + slot, &record);
                 history.push(record);
 
                 if improved {
@@ -659,8 +553,8 @@ impl Parmis {
 
             // Cadence checkpoint: hand a durable snapshot to the sink at the round
             // boundary (never after the final round — that segment returns an outcome).
-            if cfg.checkpoint_every > 0
-                && evals_since_checkpoint >= cfg.checkpoint_every
+            if checkpoint_every > 0
+                && evals_since_checkpoint >= checkpoint_every
                 && iteration < cfg.max_iterations
             {
                 on_checkpoint(&self.snapshot(
@@ -812,13 +706,6 @@ impl Parmis {
                 reason: format!(
                     "the parameter bound must be a positive finite number, got {bound}"
                 ),
-            });
-        }
-        if cfg.deadline_ms == Some(0) {
-            return Err(ParmisError::InvalidConfig {
-                reason: "deadline_ms must be positive when set (a zero budget could never \
-                         pay for a round; use a CancelToken to stop a search immediately)"
-                    .into(),
             });
         }
         Ok(())
@@ -1236,20 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_callback_sees_every_iteration() {
-        let evaluator = SyntheticEvaluator::new();
-        let mut seen = Vec::new();
-        Parmis::new(quick_config(12))
-            .run_with_progress(&evaluator, |i, r| {
-                seen.push((i, r.objectives.len()));
-            })
-            .unwrap();
-        assert_eq!(seen.len(), 12);
-        assert_eq!(seen[0].0, 0);
-        assert_eq!(seen[11].0, 11);
-    }
-
-    #[test]
     fn reporting_front_unnegates_maximized_objectives() {
         struct PpwEvaluator {
             objectives: Vec<Objective>,
@@ -1286,19 +1159,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_is_rejected_as_invalid_config() {
-        let evaluator = SyntheticEvaluator::new();
-        let bad = ParmisConfig {
-            deadline_ms: Some(0),
-            ..quick_config(10)
-        };
-        assert!(matches!(
-            Parmis::new(bad).run(&evaluator),
-            Err(ParmisError::InvalidConfig { .. })
-        ));
-    }
-
-    #[test]
     fn completed_outcomes_record_their_stop_reason() {
         let evaluator = SyntheticEvaluator::new();
         let outcome = Parmis::new(quick_config(12)).run(&evaluator).unwrap();
@@ -1322,7 +1182,7 @@ mod tests {
         source.cancel(CancelReason::User);
         let step = Parmis::new(quick_config(20))
             .with_cancel_token(source.token())
-            .run_resumable(&evaluator)
+            .segment(&evaluator, None, 0, 0, &mut |_| Ok(()))
             .unwrap();
         match &step {
             SearchStep::Suspended { state, reason } => {
@@ -1344,12 +1204,12 @@ mod tests {
         source.cancel(CancelReason::Stall);
         let state = Parmis::new(quick_config(14))
             .with_cancel_token(source.token())
-            .run_resumable(&evaluator)
+            .segment(&evaluator, None, 0, 0, &mut |_| Ok(()))
             .unwrap()
             .into_suspended()
             .expect("cancelled search suspends");
         let resumed = Parmis::new(quick_config(14))
-            .resume(state, &evaluator)
+            .segment(&evaluator, Some(state), 0, 0, &mut |_| Ok(()))
             .unwrap()
             .into_completed()
             .expect("resume with an untripped token completes");
@@ -1360,20 +1220,25 @@ mod tests {
 
     #[test]
     fn expired_deadline_suspends_with_a_deadline_reason() {
+        use crate::cancel::CancelSource;
         let evaluator = SyntheticEvaluator::new();
-        let config = ParmisConfig {
-            deadline_ms: Some(1),
-            ..quick_config(40)
-        };
-        // One millisecond cannot pay for a model-guided round on any machine, so the
-        // search suspends at the first boundary after the (atomic) initial design.
-        let step = Parmis::new(config).run_resumable(&evaluator).unwrap();
-        match step {
-            SearchStep::Suspended { reason, .. } => {
+        // A zero budget has expired before the search starts, so the search suspends at
+        // the first boundary after the (atomic) initial design.
+        let deadline = CancelSource::with_deadline(std::time::Duration::ZERO);
+        let search = Parmis::new(quick_config(40)).with_cancel_token(deadline.token());
+        match search
+            .segment(&evaluator, None, 0, 0, &mut |_| Ok(()))
+            .unwrap()
+        {
+            SearchStep::Suspended { state, reason } => {
                 assert_eq!(reason, StopReason::Cancelled(CancelReason::Deadline));
+                assert_eq!(state.evaluations(), 6);
             }
             SearchStep::Completed(_) => panic!("an expired deadline must suspend"),
         }
+        // `run` has no state to hand back, so it reports the cancellation as an error.
+        let err = search.run(&evaluator).unwrap_err();
+        assert_eq!(err.cancel_reason(), Some(CancelReason::Deadline));
     }
 
     #[test]

@@ -48,7 +48,12 @@
 //!         JobSpec::new(format!("search-{i}"), config)
 //!     })
 //!     .collect();
-//! let supervisor_config = SupervisorConfig { workers: 2, segment_fuel: 20, ..SupervisorConfig::default() };
+//! let supervisor_config = SupervisorConfig {
+//!     workers: 2,
+//!     segment_fuel: 20,
+//!     checkpoint_every: 5,
+//!     ..SupervisorConfig::default()
+//! };
 //! let mut supervisor = JobSupervisor::open("checkpoints/fleet", supervisor_config)?;
 //! let report = supervisor.run(&specs, |_spec| {
 //!     let evaluator = SocEvaluator::builder()
@@ -148,12 +153,8 @@ pub(crate) mod testutil {
 
     /// A real mid-search [`SearchState`] captured from a fuel-suspended tiny run.
     pub fn tiny_state(seed: u64) -> SearchState {
-        let config = ParmisConfig {
-            max_fuel: 6,
-            ..tiny_config(seed, 12)
-        };
-        Parmis::new(config)
-            .run_resumable(&TinyEvaluator::new())
+        Parmis::new(tiny_config(seed, 12))
+            .segment(&TinyEvaluator::new(), None, 6, 0, &mut |_| Ok(()))
             .expect("tiny run")
             .into_suspended()
             .expect("fuel suspends before completion")

@@ -39,9 +39,9 @@ use std::time::{Duration, Instant};
 pub struct JobSpec {
     /// Job id; see [`validate_job_id`] for the accepted alphabet.
     pub id: String,
-    /// The search configuration. `max_fuel` / `checkpoint_every` are overridden per
-    /// segment by [`SupervisorConfig`]; everything trajectory-affecting is digested and
-    /// pinned on first submission.
+    /// The search configuration. Everything trajectory-affecting is digested and pinned
+    /// on first submission; how the search is cut into segments comes from the
+    /// [`SupervisorConfig`].
     pub config: ParmisConfig,
 }
 
@@ -62,15 +62,18 @@ pub struct SupervisorConfig {
     /// knob in the workspace this trades wall-clock only — outcomes are bit-identical
     /// for any value.
     pub workers: usize,
-    /// Fuel budget (evaluations) of one segment; `0` runs each job to completion in a
-    /// single segment.
+    /// Fuel budget (evaluations) of one segment, passed to
+    /// [`Parmis::segment`]; `0` runs each job to completion in a single segment.
     pub segment_fuel: usize,
-    /// Cadence checkpoint interval inside a segment, in evaluations; `0` keeps each
-    /// job's own [`ParmisConfig::checkpoint_every`].
+    /// Cadence checkpoint interval inside a segment, in evaluations, passed to
+    /// [`Parmis::segment`]; `0` disables cadence checkpoints (a segment then persists
+    /// only the state it suspends with).
     pub checkpoint_every: usize,
     /// Wall-clock watchdog budget per segment, in milliseconds; `0` disables. A segment
     /// over budget is **suspended at its next checkpoint boundary** — never killed — so
-    /// supervision affects scheduling, not trajectories.
+    /// supervision affects scheduling, not trajectories. The watchdog is checked as each
+    /// cadence checkpoint is saved, so it needs a non-zero
+    /// [`checkpoint_every`](Self::checkpoint_every).
     pub segment_wall_ms: u64,
     /// Restart attempts after a faulted segment before the job is marked `Failed`.
     pub max_restarts: usize,
@@ -785,20 +788,26 @@ impl JobSupervisor {
             Ok(evaluator) => evaluator,
             Err(e) => return SegmentResult::Faulted(e),
         };
-        let mut config = spec.config.clone();
-        config.max_fuel = self.config.segment_fuel;
-        if self.config.checkpoint_every > 0 {
-            config.checkpoint_every = self.config.checkpoint_every;
-        }
-        if self.config.segment_wall_ms > 0 && config.checkpoint_every == 0 {
-            // The watchdog fires at checkpoint boundaries; give it boundaries.
-            config.checkpoint_every = config.batch_size.max(1);
-        }
-        let search = Parmis::new(config).with_cancel_token(scope.token());
+        let resume_from = if fresh {
+            None
+        } else {
+            match self.store.load_latest(&spec.id) {
+                Err(e) => return SegmentResult::Faulted(e),
+                Ok(load) => match load.state {
+                    None => {
+                        return SegmentResult::StoreBroken {
+                            quarantined: load.quarantined.into_iter().map(|q| q.file).collect(),
+                        }
+                    }
+                    Some((_, state)) => Some(state),
+                },
+            }
+        };
+        let search = Parmis::new(spec.config.clone()).with_cancel_token(scope.token());
         let started = Instant::now();
         let wall_ms = self.config.segment_wall_ms;
         let mut last_saved: Option<(u64, usize, Option<u64>)> = None;
-        let sink = |state: &crate::checkpoint::SearchState| -> Result<()> {
+        let mut sink = |state: &crate::checkpoint::SearchState| -> Result<()> {
             let seq = self.store.save(&spec.id, state)?;
             last_saved = Some((seq, state.evaluations(), state.last_trace_hash()));
             if wall_ms > 0 && started.elapsed().as_millis() as u64 >= wall_ms {
@@ -812,21 +821,13 @@ impl JobSupervisor {
             Ok(())
         };
 
-        let step = if fresh {
-            search.run_resumable_with_checkpoints(&*evaluator, sink)
-        } else {
-            match self.store.load_latest(&spec.id) {
-                Err(e) => return SegmentResult::Faulted(e),
-                Ok(load) => match load.state {
-                    None => {
-                        return SegmentResult::StoreBroken {
-                            quarantined: load.quarantined.into_iter().map(|q| q.file).collect(),
-                        }
-                    }
-                    Some((_, state)) => search.resume_with_checkpoints(state, &*evaluator, sink),
-                },
-            }
-        };
+        let step = search.segment(
+            &*evaluator,
+            resume_from,
+            self.config.segment_fuel,
+            self.config.checkpoint_every,
+            &mut sink,
+        );
 
         match step {
             Ok(SearchStep::Completed(outcome)) => SegmentResult::Completed(outcome),

@@ -33,19 +33,18 @@
 //! # Evaluation backends
 //!
 //! The policy→aggregates step lives behind the small object-safe
-//! [`backend::EvalBackend`] trait. Four implementations ship: the streaming analytic
+//! [`backend::EvalBackend`] trait. Three implementations ship: the streaming analytic
 //! simulator ([`backend::AnalyticSim`], the default and bit-identity reference, with a
-//! fixture-recording mode), recorded-trace replay ([`backend::TraceReplay`]), a
-//! perf-counter profiling fold ([`backend::CounterProfile`]) and a deterministic
-//! fault-injection decorator ([`backend::FaultInject`]). Evaluators are assembled
-//! with [`evaluation::SocEvaluator::builder`].
+//! fixture-recording mode), recorded-trace replay ([`backend::TraceReplay`]) and a
+//! deterministic fault-injection decorator ([`backend::FaultInject`]). Evaluators are
+//! assembled with [`evaluation::SocEvaluator::builder`], their only constructor.
 //!
 //! # Robustness: checkpoint/resume, trace hashes, fault tolerance
 //!
-//! Long-budget searches are **resumable and auditable**: [`ParmisConfig::max_fuel`] makes
-//! [`framework::Parmis::run_resumable`] suspend cleanly at an iteration boundary with a
-//! serializable [`checkpoint::SearchState`] that [`framework::Parmis::resume`] continues
-//! **bit-identically** — verified by a per-iteration trace-hash chain
+//! Long-budget searches are **resumable and auditable**: [`framework::Parmis::segment`]
+//! runs a search in fuel-bounded segments, each of which suspends cleanly at an iteration
+//! boundary with a serializable [`checkpoint::SearchState`] that the next segment
+//! continues **bit-identically** — verified by a per-iteration trace-hash chain
 //! ([`checkpoint::hash_chain`]) recorded in every checkpoint and outcome. The evaluation
 //! seam is fault-tolerant: backend panics are contained into structured errors, failures
 //! are retried under a deterministic [`evaluation::RetryPolicy`], and exhausted retries
@@ -62,7 +61,7 @@
 //! hierarchical [`cancel::CancelSource`]/[`cancel::CancelToken`] pair: searches wired with
 //! [`framework::Parmis::with_cancel_token`] suspend at the next deterministic boundary
 //! with a reason-carrying [`framework::StopReason`], wall-clock budgets
-//! ([`framework::ParmisConfig::deadline_ms`], the supervisor's per-job and fleet
+//! ([`cancel::CancelSource::with_deadline`], the supervisor's per-job and fleet
 //! deadlines) convert expiry into a suspend-at-checkpoint rather than a kill, a
 //! supervisor-side monitor raises `Stall` on workers whose heartbeat stops moving, and
 //! SIGTERM/SIGINT drain the whole fleet gracefully
@@ -117,8 +116,7 @@ pub type Result<T> = std::result::Result<T, ParmisError>;
 /// `std::result::Result`.
 pub mod prelude {
     pub use crate::backend::{
-        AnalyticSim, BackendInfo, CounterProfile, EvalBackend, EvalContext, FaultInject, FaultKind,
-        TraceReplay,
+        AnalyticSim, BackendInfo, EvalBackend, EvalContext, FaultInject, FaultKind, TraceReplay,
     };
     pub use crate::cancel::{CancelReason, CancelSource, CancelToken};
     pub use crate::checkpoint::SearchState;

@@ -71,12 +71,8 @@ fn tiny_config(seed: u64) -> ParmisConfig {
 
 /// A real checkpoint captured from a fuel-suspended search (not a hand-built fixture).
 fn real_checkpoint(seed: u64) -> (SearchState, String) {
-    let config = ParmisConfig {
-        max_fuel: 8,
-        ..tiny_config(seed)
-    };
-    let state = Parmis::new(config)
-        .run_resumable(&SyntheticEvaluator::new())
+    let state = Parmis::new(tiny_config(seed))
+        .segment(&SyntheticEvaluator::new(), None, 8, 0, &mut |_| Ok(()))
         .expect("tiny run")
         .into_suspended()
         .expect("fuel suspends before completion");
@@ -257,7 +253,7 @@ fn store_quarantines_matrix_corruptions_and_falls_back() {
     }
 }
 
-/// Direct `resume` of a tampered state is rejected with a structured error before any
+/// Directly resuming a tampered state is rejected with a structured error before any
 /// evaluation happens — the search engine can't be tricked into running on rot.
 #[test]
 fn resume_rejects_tampered_state_with_structured_error() {
@@ -265,7 +261,13 @@ fn resume_rejects_tampered_state_with_structured_error() {
     let mut tampered = state;
     tampered.history[1].theta[0] += 1.0;
     let err = Parmis::new(tiny_config(11))
-        .resume(tampered, &SyntheticEvaluator::new())
+        .segment(
+            &SyntheticEvaluator::new(),
+            Some(tampered),
+            0,
+            0,
+            &mut |_| Ok(()),
+        )
         .expect_err("tampered state must be rejected");
     assert!(matches!(err, ParmisError::Checkpoint { .. }), "got {err}");
     assert_eq!(

@@ -3,13 +3,14 @@
 //! segments — must produce an outcome bit-identical to the uninterrupted run, with the
 //! per-iteration trace-hash chain as the audit trail. The suite covers the synthetic
 //! test problem across (seed × interrupt point), a registry scenario on the real SoC
-//! evaluator, resume on top of the [`TraceReplay`] backend, cadence checkpoints, and the
-//! rejection paths for incompatible or tampered states.
+//! evaluator, resume on top of the [`TraceReplay`] backend, cadence checkpoints, a
+//! committed checkpoint fixture that pins the on-disk format, and the rejection paths for
+//! incompatible or tampered states.
 
 use parmis::acquisition::AcquisitionOptimizerConfig;
 use parmis::backend::{AnalyticSim, TraceReplay};
 use parmis::cancel::{CancelReason, CancelSource};
-use parmis::checkpoint::SearchState;
+use parmis::checkpoint::{config_digest, SearchState};
 use parmis::evaluation::{PolicyEvaluator, SocEvaluator};
 use parmis::framework::{Parmis, ParmisConfig, ParmisOutcome, SearchStep, StopReason};
 use parmis::objective::Objective;
@@ -116,6 +117,16 @@ fn assert_outcomes_identical(a: &ParmisOutcome, b: &ParmisOutcome, label: &str) 
     assert_eq!(tags(a), tags(b), "{label}: front parameter tags diverged");
 }
 
+/// Runs one segment with no checkpoint sink.
+fn segment(
+    search: &Parmis,
+    evaluator: &dyn PolicyEvaluator,
+    resume_from: Option<SearchState>,
+    fuel: usize,
+) -> Result<SearchStep> {
+    search.segment(evaluator, resume_from, fuel, 0, &mut |_| Ok(()))
+}
+
 /// Drives a fuel-bounded search to completion, forcing every suspended state through the
 /// checkpoint JSON format before resuming it. Returns the outcome and the segment count.
 fn run_segmented(
@@ -123,13 +134,9 @@ fn run_segmented(
     fuel: usize,
     evaluator: &dyn PolicyEvaluator,
 ) -> (ParmisOutcome, usize) {
-    let fueled = ParmisConfig {
-        max_fuel: fuel,
-        ..config.clone()
-    };
-    let search = Parmis::new(fueled);
+    let search = Parmis::new(config.clone());
     let mut segments = 1;
-    let mut step = search.run_resumable(evaluator).unwrap();
+    let mut step = segment(&search, evaluator, None, fuel).unwrap();
     while let SearchStep::Suspended { state, .. } = step {
         // The kill: nothing survives except the serialized checkpoint.
         let json = state.to_json().unwrap();
@@ -140,7 +147,7 @@ fn run_segmented(
         );
         segments += 1;
         assert!(segments < 100, "resume loop failed to make progress");
-        step = search.resume(restored, evaluator).unwrap();
+        step = segment(&search, evaluator, Some(restored), fuel).unwrap();
     }
     (step.into_completed().unwrap(), segments)
 }
@@ -189,11 +196,7 @@ proptest! {
     ) {
         let evaluator = SyntheticEvaluator::new();
         let config = tiny_config(seed, 11);
-        let uninterrupted = Parmis::new(config.clone())
-            .run_resumable(&evaluator)
-            .unwrap()
-            .into_completed()
-            .unwrap();
+        let uninterrupted = Parmis::new(config.clone()).run(&evaluator).unwrap();
         let (resumed, segments) = run_segmented(&config, fuel, &evaluator);
         prop_assert!(segments >= 2, "fuel {fuel} never suspended");
         assert_outcomes_identical(&uninterrupted, &resumed, &format!("fuel {fuel}"));
@@ -210,9 +213,7 @@ proptest! {
     ) {
         let config = tiny_config(seed, 11);
         let uninterrupted = Parmis::new(config.clone())
-            .run_resumable(&SyntheticEvaluator::new())
-            .unwrap()
-            .into_completed()
+            .run(&SyntheticEvaluator::new())
             .unwrap();
 
         let source = CancelSource::new();
@@ -222,10 +223,8 @@ proptest! {
             cancel_after,
             source: source.clone(),
         };
-        let step = Parmis::new(config.clone())
-            .with_cancel_token(source.token())
-            .run_resumable(&tripwire)
-            .unwrap();
+        let cancellable = Parmis::new(config.clone()).with_cancel_token(source.token());
+        let step = segment(&cancellable, &tripwire, None, 0).unwrap();
         let state = match step {
             SearchStep::Suspended { state, reason } => {
                 prop_assert_eq!(reason, StopReason::Cancelled(CancelReason::User));
@@ -241,8 +240,7 @@ proptest! {
 
         // The kill: only the checkpoint JSON survives; the resumer has no token.
         let restored = SearchState::from_json(&state.to_json().unwrap()).unwrap();
-        let resumed = Parmis::new(config)
-            .resume(restored, &SyntheticEvaluator::new())
+        let resumed = segment(&Parmis::new(config), &SyntheticEvaluator::new(), Some(restored), 0)
             .unwrap()
             .into_completed()
             .unwrap();
@@ -259,13 +257,13 @@ proptest! {
 #[test]
 fn registry_scenario_resumes_bit_identically() {
     let scenario = soc_sim::scenario::registry().into_iter().next().unwrap();
-    let evaluator = SocEvaluator::for_scenario(&scenario, Objective::TIME_ENERGY.to_vec()).unwrap();
-    let config = tiny_config(91, 9);
-    let uninterrupted = Parmis::new(config.clone())
-        .run_resumable(&evaluator)
-        .unwrap()
-        .into_completed()
+    let evaluator = SocEvaluator::builder()
+        .scenario(&scenario)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
         .unwrap();
+    let config = tiny_config(91, 9);
+    let uninterrupted = Parmis::new(config.clone()).run(&evaluator).unwrap();
     let (resumed, segments) = run_segmented(&config, 3, &evaluator);
     assert!(segments >= 2);
     assert_outcomes_identical(
@@ -284,26 +282,24 @@ fn resume_on_trace_replay_fixtures_is_bit_identical() {
     // replayed searches will request.
     let (recording, _) = AnalyticSim::recording();
     let recorder = Arc::new(recording);
-    let live = SocEvaluator::for_benchmark(
-        soc_sim::apps::Benchmark::Qsort,
-        Objective::TIME_ENERGY.to_vec(),
-    )
-    .with_backend(recorder.clone());
+    let live = SocEvaluator::builder()
+        .benchmark(soc_sim::apps::Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .backend(recorder.clone())
+        .build()
+        .unwrap();
     let config = tiny_config(23, 9);
     Parmis::new(config.clone()).run(&live).unwrap();
 
     let store = recorder.snapshot_traces().unwrap();
-    let replayed = SocEvaluator::for_benchmark(
-        soc_sim::apps::Benchmark::Qsort,
-        Objective::TIME_ENERGY.to_vec(),
-    )
-    .with_backend(Arc::new(TraceReplay::new(store)));
-
-    let uninterrupted = Parmis::new(config.clone())
-        .run_resumable(&replayed)
-        .unwrap()
-        .into_completed()
+    let replayed = SocEvaluator::builder()
+        .benchmark(soc_sim::apps::Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .backend(Arc::new(TraceReplay::new(store)))
+        .build()
         .unwrap();
+
+    let uninterrupted = Parmis::new(config.clone()).run(&replayed).unwrap();
     let (resumed, segments) = run_segmented(&config, 4, &replayed);
     assert!(segments >= 2);
     assert_outcomes_identical(&uninterrupted, &resumed, "trace-replay resume");
@@ -315,14 +311,11 @@ fn resume_on_trace_replay_fixtures_is_bit_identical() {
 #[test]
 fn cadence_checkpoints_are_valid_resume_points() {
     let evaluator = SyntheticEvaluator::new();
-    let config = ParmisConfig {
-        checkpoint_every: 3,
-        ..tiny_config(7, 11)
-    };
+    let config = tiny_config(7, 11);
     let search = Parmis::new(config.clone());
     let mut checkpoints: Vec<SearchState> = Vec::new();
     let uninterrupted = search
-        .run_resumable_with_checkpoints(&evaluator, |state| {
+        .segment(&evaluator, None, 0, 3, &mut |state| {
             checkpoints.push(state.clone());
             Ok(())
         })
@@ -339,8 +332,7 @@ fn cadence_checkpoints_are_valid_resume_points() {
     }
 
     let restored = SearchState::from_json(&checkpoints.last().unwrap().to_json().unwrap()).unwrap();
-    let finished = search
-        .resume(restored, &evaluator)
+    let finished = segment(&search, &evaluator, Some(restored), 0)
         .unwrap()
         .into_completed()
         .unwrap();
@@ -348,7 +340,7 @@ fn cadence_checkpoints_are_valid_resume_points() {
 
     // A sink error aborts the run instead of being swallowed.
     let err = search
-        .run_resumable_with_checkpoints(&evaluator, |_| {
+        .segment(&evaluator, None, 0, 3, &mut |_| {
             Err(ParmisError::checkpoint(
                 parmis::CheckpointFault::Io,
                 "disk full",
@@ -365,58 +357,96 @@ fn cadence_checkpoints_are_valid_resume_points() {
 fn resume_rejects_incompatible_config_and_evaluator() {
     let evaluator = SyntheticEvaluator::new();
     let config = tiny_config(3, 11);
-    let state = Parmis::new(ParmisConfig {
-        max_fuel: 6,
-        ..config.clone()
-    })
-    .run_resumable(&evaluator)
-    .unwrap()
-    .into_suspended()
-    .unwrap();
+    let state = segment(&Parmis::new(config.clone()), &evaluator, None, 6)
+        .unwrap()
+        .into_suspended()
+        .unwrap();
 
     // Different seed → different trajectory → refused.
     let reseeded = Parmis::new(ParmisConfig {
         seed: config.seed + 1,
         ..config.clone()
     });
-    let err = reseeded.resume(state.clone(), &evaluator).unwrap_err();
+    let err = segment(&reseeded, &evaluator, Some(state.clone()), 0).unwrap_err();
     assert!(matches!(err, ParmisError::Checkpoint { .. }), "{err}");
 
     // Same config, evaluator optimizing different objectives → refused.
     let other = SyntheticEvaluator {
         objectives: vec![Objective::ExecutionTime, Objective::PeakTemperature],
     };
-    let err = Parmis::new(config.clone())
-        .resume(state.clone(), &other)
-        .unwrap_err();
+    let err = segment(&Parmis::new(config.clone()), &other, Some(state.clone()), 0).unwrap_err();
     assert!(matches!(err, ParmisError::Checkpoint { .. }), "{err}");
 
-    // Scheduling knobs are resume-compatible: a different worker count or fuel budget
-    // accepts the state (this is the whole point of fuel-bounded segments).
+    // Scheduling is resume-compatible: a different worker count or fuel budget accepts
+    // the state (this is the whole point of fuel-bounded segments).
     let rescheduled = Parmis::new(ParmisConfig {
-        max_fuel: 0,
         num_workers: 3,
         ..config
     });
-    let outcome = rescheduled
-        .resume(state, &evaluator)
+    let outcome = segment(&rescheduled, &evaluator, Some(state), 0)
         .unwrap()
         .into_completed()
         .unwrap();
     assert_eq!(outcome.history.len(), 11);
 }
 
-/// The non-resumable entry points refuse to drop a suspended state on the floor:
-/// `run()` under a fuel budget reports a structured checkpoint error telling the caller
-/// to use `run_resumable`.
+/// Fuel bounds the one segment it is passed to: the same `Parmis` suspends a fueled
+/// segment with `FuelExhausted`, while its plain `run` always completes.
 #[test]
-fn plain_run_surfaces_fuel_exhaustion_as_an_error() {
+fn fuel_suspends_a_segment_and_never_a_plain_run() {
     let evaluator = SyntheticEvaluator::new();
-    let config = ParmisConfig {
-        max_fuel: 6,
-        ..tiny_config(5, 11)
-    };
-    let err = Parmis::new(config).run(&evaluator).unwrap_err();
-    assert!(matches!(err, ParmisError::Checkpoint { .. }), "{err}");
-    assert!(err.to_string().contains("run_resumable"), "{err}");
+    let search = Parmis::new(tiny_config(5, 11));
+    match segment(&search, &evaluator, None, 6).unwrap() {
+        SearchStep::Suspended { state, reason } => {
+            assert_eq!(reason, StopReason::FuelExhausted);
+            assert!(state.evaluations() >= 6 && state.evaluations() < 11);
+        }
+        SearchStep::Completed(_) => panic!("fuel below the iteration budget must suspend"),
+    }
+    let outcome = search.run(&evaluator).unwrap();
+    assert_eq!(outcome.history.len(), 11);
+    assert_eq!(outcome.stop_reason, StopReason::BudgetExhausted);
+}
+
+/// `config_digest(&ParmisConfig::default())`, recorded when the fixture below was written.
+/// Every stored checkpoint carries its configuration's digest, and resume refuses a
+/// mismatch, so moving this value orphans every checkpoint on disk.
+const DEFAULT_CONFIG_DIGEST: u64 = 0xb009_d269_f2d1_7aca;
+
+/// Final trace hash of the uninterrupted `tiny_config(7, 11)` search.
+const TINY_SEARCH_FINAL_HASH: u64 = 0x90d2_122a_822e_42f2;
+
+/// A checkpoint written by an earlier build still loads, verifies and resumes to the
+/// recorded trajectory: the fixture is the fuel-6 suspension of `tiny_config(7, 11)`.
+#[test]
+fn stored_checkpoint_fixture_resumes_to_the_pinned_trace_hash() {
+    assert_eq!(
+        config_digest(&ParmisConfig::default()),
+        DEFAULT_CONFIG_DIGEST
+    );
+
+    let fixture = include_str!("fixtures/fuel_suspended_state.json");
+    let stored = SearchState::from_json(fixture).unwrap();
+    assert_eq!(stored.evaluations(), 7);
+    let config = tiny_config(7, 11);
+    assert_eq!(stored.config_digest, config_digest(&config));
+
+    // Today's build writes the same state at the same suspension point…
+    let search = Parmis::new(config);
+    let evaluator = SyntheticEvaluator::new();
+    let fresh = segment(&search, &evaluator, None, 6)
+        .unwrap()
+        .into_suspended()
+        .unwrap();
+    assert_eq!(fresh, stored);
+
+    // …and resuming the stored one finishes on the recorded trace hash.
+    let resumed = segment(&search, &evaluator, Some(stored), 0)
+        .unwrap()
+        .into_completed()
+        .unwrap();
+    assert_eq!(resumed.history.len(), 11);
+    assert_eq!(resumed.trace_hashes.last(), Some(&TINY_SEARCH_FINAL_HASH));
+    let uninterrupted = search.run(&evaluator).unwrap();
+    assert_outcomes_identical(&uninterrupted, &resumed, "stored fixture resume");
 }

@@ -42,9 +42,13 @@ fn evaluator_with(
     backend: Arc<dyn parmis::backend::EvalBackend>,
     retry: RetryPolicy,
 ) -> SocEvaluator {
-    SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec())
-        .with_backend(backend)
-        .with_retry_policy(retry)
+    SocEvaluator::builder()
+        .benchmark(Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .backend(backend)
+        .retry_policy(retry)
+        .build()
+        .unwrap()
 }
 
 /// Transient faults — a structured error at one backend run and a contained panic at

@@ -49,7 +49,11 @@ fn engine_config() -> ParmisConfig {
 /// would pollute each other's deltas.
 #[test]
 fn parmis_run_takes_the_incremental_and_batched_paths() {
-    let evaluator = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .unwrap();
     let config = engine_config();
     gp::stats::reset();
     moo::stats::reset();

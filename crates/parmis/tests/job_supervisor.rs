@@ -185,12 +185,8 @@ fn interrupted_jobs_resume_bit_identically_after_simulated_crash() {
     // both as Running.
     {
         let store = CheckpointStore::open(&dir, 3).expect("open store");
-        let segment_config = ParmisConfig {
-            max_fuel: 4,
-            ..specs[0].config.clone()
-        };
-        let state = Parmis::new(segment_config)
-            .run_resumable(&SyntheticEvaluator::new())
+        let state = Parmis::new(specs[0].config.clone())
+            .segment(&SyntheticEvaluator::new(), None, 4, 0, &mut |_| Ok(()))
             .expect("segment")
             .into_suspended()
             .expect("fuel suspends");
@@ -297,7 +293,11 @@ fn fault_injected_segments_stay_bit_identical_under_retries() {
         ..tiny_config(41, 11)
     };
     let objectives = vec![Objective::ExecutionTime, Objective::Energy];
-    let clean = SocEvaluator::for_benchmark(soc_sim::apps::Benchmark::Qsort, objectives.clone());
+    let clean = SocEvaluator::builder()
+        .benchmark(soc_sim::apps::Benchmark::Qsort)
+        .objectives(objectives.clone())
+        .build()
+        .unwrap();
     let reference = Parmis::new(config.clone())
         .run(&clean)
         .expect("fault-free reference");
@@ -320,12 +320,13 @@ fn fault_injected_segments_stay_bit_identical_under_retries() {
                 .fault_on(1, FaultKind::Error)
                 .fault_on(2, FaultKind::LatencySpike { micros: 200 })
                 .fault_on(3, FaultKind::Panic);
-            let evaluator = SocEvaluator::for_benchmark(
-                soc_sim::apps::Benchmark::Qsort,
-                vec![Objective::ExecutionTime, Objective::Energy],
-            )
-            .with_backend(Arc::new(backend))
-            .with_retry_policy(RetryPolicy::retries(1).backoff_base_micros(50));
+            let evaluator = SocEvaluator::builder()
+                .benchmark(soc_sim::apps::Benchmark::Qsort)
+                .objectives(vec![Objective::ExecutionTime, Objective::Energy])
+                .backend(Arc::new(backend))
+                .retry_policy(RetryPolicy::retries(1).backoff_base_micros(50))
+                .build()
+                .unwrap();
             stats_handles
                 .lock()
                 .expect("handles")
@@ -367,18 +368,17 @@ fn corrupt_newest_generation_falls_back_and_still_converges() {
     // suspended at the newest.
     {
         let store = CheckpointStore::open(&dir, 3).expect("open store");
-        let segment = |fuel: usize| ParmisConfig {
-            max_fuel: fuel,
-            ..spec.config.clone()
-        };
-        let first = Parmis::new(segment(4))
-            .run_resumable(&SyntheticEvaluator::new())
+        let search = Parmis::new(spec.config.clone());
+        let first = search
+            .segment(&SyntheticEvaluator::new(), None, 4, 0, &mut |_| Ok(()))
             .expect("segment 1")
             .into_suspended()
             .expect("suspends");
         store.save(&spec.id, &first).expect("gen 1");
-        let second = Parmis::new(segment(4))
-            .resume(first, &SyntheticEvaluator::new())
+        let second = search
+            .segment(&SyntheticEvaluator::new(), Some(first), 4, 0, &mut |_| {
+                Ok(())
+            })
             .expect("segment 2")
             .into_suspended()
             .expect("suspends");
@@ -584,7 +584,11 @@ fn fleet_deadline_drains_early_and_a_later_run_completes() {
 fn stalled_worker_is_detected_suspended_and_completes_on_restart() {
     let config = tiny_config(67, 6);
     let objectives = vec![Objective::ExecutionTime, Objective::Energy];
-    let clean = SocEvaluator::for_benchmark(soc_sim::apps::Benchmark::Qsort, objectives.clone());
+    let clean = SocEvaluator::builder()
+        .benchmark(soc_sim::apps::Benchmark::Qsort)
+        .objectives(objectives.clone())
+        .build()
+        .unwrap();
     let reference = Parmis::new(config.clone())
         .run(&clean)
         .expect("clean reference");
@@ -613,11 +617,12 @@ fn stalled_worker_is_detected_suspended_and_completes_on_restart() {
     let report = supervisor
         .run(std::slice::from_ref(&spec), |_spec| {
             Ok(Box::new(
-                SocEvaluator::for_benchmark(
-                    soc_sim::apps::Benchmark::Qsort,
-                    vec![Objective::ExecutionTime, Objective::Energy],
-                )
-                .with_backend(hung_backend.clone()),
+                SocEvaluator::builder()
+                    .benchmark(soc_sim::apps::Benchmark::Qsort)
+                    .objectives(vec![Objective::ExecutionTime, Objective::Energy])
+                    .backend(hung_backend.clone())
+                    .build()
+                    .unwrap(),
             ))
         })
         .expect("run");
@@ -645,14 +650,11 @@ fn corrupt_journal_is_rebuilt_from_checkpoints() {
     let reference = reference_outcome(&spec.config);
     {
         let store = CheckpointStore::open(&dir, 3).expect("open store");
-        let state = Parmis::new(ParmisConfig {
-            max_fuel: 4,
-            ..spec.config.clone()
-        })
-        .run_resumable(&SyntheticEvaluator::new())
-        .expect("segment")
-        .into_suspended()
-        .expect("suspends");
+        let state = Parmis::new(spec.config.clone())
+            .segment(&SyntheticEvaluator::new(), None, 4, 0, &mut |_| Ok(()))
+            .expect("segment")
+            .into_suspended()
+            .expect("suspends");
         store.save(&spec.id, &state).expect("gen 1");
         std::fs::write(dir.join(JOURNAL_FILE), b"{torn mid-write").expect("corrupt journal");
     }

@@ -70,7 +70,11 @@ fn assert_outcomes_identical(a: &ParmisOutcome, b: &ParmisOutcome, label: &str) 
 
 #[test]
 fn soc_outcome_is_bit_identical_for_1_2_and_4_workers() {
-    let evaluator = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .unwrap();
     let baseline = Parmis::new(tiny_config(1)).run(&evaluator).unwrap();
     for workers in [1, 2, 4] {
         let outcome = Parmis::new(tiny_config(workers))
@@ -82,7 +86,11 @@ fn soc_outcome_is_bit_identical_for_1_2_and_4_workers() {
 
 #[test]
 fn explicit_parallel_evaluator_matches_plain_run() {
-    let evaluator = SocEvaluator::for_benchmark(Benchmark::Sha, Objective::TIME_PPW.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(Benchmark::Sha)
+        .objectives(Objective::TIME_PPW.to_vec())
+        .build()
+        .unwrap();
     let plain = Parmis::new(tiny_config(1)).run(&evaluator).unwrap();
     let wrapped = ParallelEvaluator::new(evaluator, 2);
     let parallel = Parmis::new(tiny_config(1)).run(&wrapped).unwrap();
@@ -100,7 +108,7 @@ proptest! {
         workers in 1usize..5,
     ) {
         let evaluator =
-            SocEvaluator::for_benchmark(Benchmark::Dijkstra, Objective::TIME_ENERGY.to_vec());
+            SocEvaluator::builder().benchmark(Benchmark::Dijkstra).objectives(Objective::TIME_ENERGY.to_vec()).build().unwrap();
         let dim = evaluator.parameter_dim();
         // Tile the 4 generated coefficients across the full parameter dimension.
         let thetas: Vec<Vec<f64>> = raw
@@ -125,7 +133,11 @@ proptest! {
 #[test]
 #[ignore = "wall-clock sensitive; needs >= 4 cores"]
 fn four_workers_halve_batch_evaluation_time() {
-    let evaluator = SocEvaluator::for_benchmark(Benchmark::Kmeans, Objective::TIME_ENERGY.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(Benchmark::Kmeans)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .unwrap();
     let dim = evaluator.parameter_dim();
     let thetas: Vec<Vec<f64>> = (0..32)
         .map(|i| vec![(i as f64 / 32.0) - 0.5; dim])

@@ -14,7 +14,11 @@ use soc_sim::apps::Benchmark;
 /// entry point that accepts a parameter vector.
 #[test]
 fn wrong_dimension_theta_is_a_structured_error() {
-    let evaluator = SocEvaluator::for_benchmark(Benchmark::Qsort, Objective::TIME_ENERGY.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(Benchmark::Qsort)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .unwrap();
     let short = vec![0.1; evaluator.parameter_dim() - 1];
 
     let err = evaluator.run_summaries(&short).unwrap_err();

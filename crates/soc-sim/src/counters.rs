@@ -10,7 +10,6 @@
 use crate::cluster::ClusterParams;
 use crate::config::DrmDecision;
 use crate::perf::EpochPerf;
-use crate::platform::{EpochResult, EpochSink, RunAggregates};
 use crate::power::PowerBreakdown;
 use crate::workload::PhaseSpec;
 use serde::{Deserialize, Serialize};
@@ -146,125 +145,6 @@ impl CounterSnapshot {
     }
 }
 
-/// One profiled decision epoch as a perf-counter backend observes it: the Table I counter
-/// vector plus the two measured side channels real profiling stacks expose alongside the
-/// PMU (wall-clock time per sample window, and the junction temperature from the thermal
-/// sensor).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CounterSample {
-    /// Wall-clock duration of the epoch in seconds.
-    pub time_s: f64,
-    /// Hottest junction temperature at the end of the epoch, in °C.
-    pub temperature_c: f64,
-    /// The hardware counters observed for the epoch.
-    pub counters: CounterSnapshot,
-}
-
-/// Collector half of the counter-profile split: an [`EpochSink`] that retains only what a
-/// perf-counter profiler would measure ([`CounterSample`]s), dropping the simulator-internal
-/// energy/rail channels. The stats half ([`CounterStats`]) folds the collected stream into
-/// [`RunAggregates`] after the run — the same collector/stats seam a hardware-in-the-loop
-/// backend would feed from a real PMU instead of the synthetic stream.
-#[derive(Debug, Clone, Default)]
-pub struct CounterCollector {
-    samples: Vec<CounterSample>,
-}
-
-impl CounterCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        CounterCollector::default()
-    }
-
-    /// An empty collector with space reserved for `capacity` samples.
-    pub fn with_capacity(capacity: usize) -> Self {
-        CounterCollector {
-            samples: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// The collected samples, in execution order.
-    pub fn samples(&self) -> &[CounterSample] {
-        &self.samples
-    }
-
-    /// Consumes the collector, returning the sample stream.
-    pub fn into_samples(self) -> Vec<CounterSample> {
-        self.samples
-    }
-}
-
-impl EpochSink for CounterCollector {
-    fn on_epoch(&mut self, epoch: &EpochResult) {
-        self.samples.push(CounterSample {
-            time_s: epoch.time_s,
-            temperature_c: epoch.temperature_c,
-            counters: epoch.counters,
-        });
-    }
-}
-
-/// Stats half of the counter-profile split: pure folds from a [`CounterSample`] stream to
-/// [`RunAggregates`], with every quantity derived from the counters alone.
-///
-/// Energy is reconstructed as `Σ total_chip_power_w · time_s` per epoch, so it excludes the
-/// DVFS switch-energy penalty the analytic simulator adds outside the power counter — the
-/// counter profile is a *measurement-style* view, deterministic but deliberately not
-/// bit-identical to the simulator's energy accounting on platforms with non-zero switch
-/// energy. Rail energies are attributed by the relative big/little utilization counters
-/// (an estimate; the PMU has no per-rail energy channel).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CounterStats;
-
-impl CounterStats {
-    /// Folds `samples` into aggregates. `initial_temperature_c` seeds the peak-temperature
-    /// max exactly like the live runner's initial thermal state.
-    pub fn aggregate(samples: &[CounterSample], initial_temperature_c: f64) -> RunAggregates {
-        let mut total_time = 0.0;
-        let mut total_energy = 0.0;
-        let mut total_instructions = 0.0;
-        let mut big_rail_energy = 0.0;
-        let mut little_rail_energy = 0.0;
-        let mut peak_temperature_c = initial_temperature_c;
-        for sample in samples {
-            let epoch_energy = sample.counters.total_chip_power_w * sample.time_s;
-            total_time += sample.time_s;
-            total_energy += epoch_energy;
-            total_instructions += sample.counters.instructions_retired;
-            let big_w = sample.counters.big_cluster_utilization_per_core;
-            let little_w = sample.counters.little_cluster_utilization_sum;
-            let denom = big_w + little_w;
-            let big_share = if denom > 0.0 { big_w / denom } else { 0.5 };
-            big_rail_energy += big_share * epoch_energy;
-            little_rail_energy += (1.0 - big_share) * epoch_energy;
-            if sample.temperature_c > peak_temperature_c {
-                peak_temperature_c = sample.temperature_c;
-            }
-        }
-        let average_power_w = if total_time > 0.0 {
-            total_energy / total_time
-        } else {
-            0.0
-        };
-        let ppw = if total_energy > 0.0 {
-            total_instructions / 1e9 / total_energy
-        } else {
-            0.0
-        };
-        RunAggregates {
-            epochs: samples.len(),
-            execution_time_s: total_time,
-            energy_j: total_energy,
-            instructions: total_instructions,
-            big_rail_energy_j: big_rail_energy,
-            little_rail_energy_j: little_rail_energy,
-            average_power_w,
-            ppw,
-            peak_temperature_c,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,76 +273,5 @@ mod tests {
         });
         // Same instructions, but stalls inflate busy cycles at higher frequency.
         assert!(hi.cpu_cycles > lo.cpu_cycles);
-    }
-
-    #[test]
-    fn counter_collector_retains_the_measured_channels() {
-        use crate::apps::Benchmark;
-        use crate::governor::OndemandGovernor;
-        use crate::platform::{CollectEpochs, Platform};
-
-        let platform = Platform::odroid_xu3();
-        let app = Benchmark::Sha.application();
-        let mut governor = OndemandGovernor::new(platform.spec().clone());
-        let mut collector = CounterCollector::with_capacity(app.epoch_count());
-        platform
-            .run_application_with(&app, &mut governor, 7, &mut collector)
-            .unwrap();
-        let mut governor = OndemandGovernor::new(platform.spec().clone());
-        let mut full = CollectEpochs::new();
-        platform
-            .run_application_with(&app, &mut governor, 7, &mut full)
-            .unwrap();
-        assert_eq!(collector.samples().len(), full.epochs().len());
-        for (sample, epoch) in collector.samples().iter().zip(full.epochs()) {
-            assert_eq!(sample.time_s, epoch.time_s);
-            assert_eq!(sample.temperature_c, epoch.temperature_c);
-            assert_eq!(sample.counters, epoch.counters);
-        }
-        assert_eq!(
-            collector.samples().len(),
-            collector.clone().into_samples().len()
-        );
-    }
-
-    #[test]
-    fn counter_stats_fold_matches_the_counter_energy_model() {
-        let snap = snapshot(DrmDecision {
-            big_cores: 2,
-            little_cores: 2,
-            big_freq_mhz: 1400,
-            little_freq_mhz: 1000,
-        });
-        let samples = [
-            CounterSample {
-                time_s: 0.5,
-                temperature_c: 55.0,
-                counters: snap,
-            },
-            CounterSample {
-                time_s: 0.25,
-                temperature_c: 62.0,
-                counters: snap,
-            },
-        ];
-        let agg = CounterStats::aggregate(&samples, 45.0);
-        assert_eq!(agg.epochs, 2);
-        assert_eq!(agg.execution_time_s, 0.75);
-        let expected_energy = snap.total_chip_power_w * 0.5 + snap.total_chip_power_w * 0.25;
-        assert_eq!(agg.energy_j, expected_energy);
-        assert_eq!(agg.instructions, 2.0 * snap.instructions_retired);
-        assert_eq!(agg.average_power_w, agg.energy_j / agg.execution_time_s);
-        assert_eq!(agg.ppw, agg.instructions / 1e9 / agg.energy_j);
-        assert_eq!(agg.peak_temperature_c, 62.0);
-        // Rail attribution conserves total energy.
-        assert!((agg.big_rail_energy_j + agg.little_rail_energy_j - agg.energy_j).abs() < 1e-12);
-        assert!(agg.big_rail_energy_j > 0.0 && agg.little_rail_energy_j > 0.0);
-
-        // Empty fold: zeroed aggregates, peak seeded by the initial temperature.
-        let empty = CounterStats::aggregate(&[], 45.0);
-        assert_eq!(empty.epochs, 0);
-        assert_eq!(empty.average_power_w, 0.0);
-        assert_eq!(empty.ppw, 0.0);
-        assert_eq!(empty.peak_temperature_c, 45.0);
     }
 }

@@ -109,7 +109,6 @@ mod thread_safety {
         assert_worker_shareable::<BackendKind>();
         assert_worker_shareable::<RunTrace>();
         assert_worker_shareable::<TraceStore>();
-        assert_worker_shareable::<counters::CounterSample>();
         assert_worker_shareable::<scenario::WorkloadSpec>();
         assert_worker_shareable::<scenario::ScenarioConstraints>();
         assert_worker_shareable::<ThermalModel>();

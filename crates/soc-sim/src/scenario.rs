@@ -97,9 +97,6 @@ pub enum BackendKind {
     AnalyticSim,
     /// Replay of recorded epoch-stream fixtures ([`crate::trace::TraceStore`]).
     TraceReplay,
-    /// Synthetic perf-counter profiling folded through the collector/stats split
-    /// ([`crate::counters::CounterCollector`] / [`crate::counters::CounterStats`]).
-    CounterProfile,
     /// Deterministic fault-injection decorator layered over another backend (robustness
     /// drills; selecting it by kind wraps the consumer's default backend with a benign
     /// schedule unless the consumer configures one explicitly).
@@ -108,10 +105,9 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Every backend kind, in declaration order.
-    pub const ALL: [BackendKind; 4] = [
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::AnalyticSim,
         BackendKind::TraceReplay,
-        BackendKind::CounterProfile,
         BackendKind::FaultInject,
     ];
 
@@ -120,7 +116,6 @@ impl BackendKind {
         match self {
             BackendKind::AnalyticSim => "analytic-sim",
             BackendKind::TraceReplay => "trace-replay",
-            BackendKind::CounterProfile => "counter-profile",
             BackendKind::FaultInject => "fault-inject",
         }
     }

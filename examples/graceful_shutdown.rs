@@ -77,7 +77,7 @@ fn single_search_cancellation() -> Result<(), Box<dyn std::error::Error>> {
     };
     let step = Parmis::new(config.clone())
         .with_cancel_token(source.token())
-        .run_resumable(&cancelling)?;
+        .segment(&cancelling, None, 0, 0, &mut |_| Ok(()))?;
     let (state, reason) = match step {
         SearchStep::Suspended { state, reason } => (state, reason),
         SearchStep::Completed(_) => unreachable!("the token trips before the budget"),
@@ -91,8 +91,9 @@ fn single_search_cancellation() -> Result<(), Box<dyn std::error::Error>> {
 
     // The suspended state round-trips through JSON — exactly what a deployment persists
     // before exiting — and resumes under a fresh, untripped driver.
+    let restored = SearchState::from_json(&state.to_json()?)?;
     let resumed = Parmis::new(config)
-        .resume(SearchState::from_json(&state.to_json()?)?, &evaluator()?)?
+        .segment(&evaluator()?, Some(restored), 0, 0, &mut |_| Ok(()))?
         .into_completed()
         .expect("no token, no fuel budget: the resumed segment completes");
     assert_eq!(

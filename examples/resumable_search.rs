@@ -28,13 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Fuel-bounded: the search suspends at an iteration boundary once the per-segment
     // evaluation budget is spent, handing back a serializable state.
-    let fueled = ParmisConfig {
-        max_fuel: config.max_iterations / 2,
-        ..config
-    };
-    let search = Parmis::new(fueled);
+    let fuel = config.max_iterations / 2;
+    let search = Parmis::new(config);
     let mut segments = 1;
-    let mut step = search.run_resumable(&evaluator)?;
+    let mut step = search.segment(&evaluator, None, fuel, 0, &mut |_| Ok(()))?;
     let resumed = loop {
         match step {
             SearchStep::Completed(outcome) => break *outcome,
@@ -49,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     json.len()
                 );
                 let restored = SearchState::from_json(&json)?;
-                step = search.resume(restored, &evaluator)?;
+                step = search.segment(&evaluator, Some(restored), fuel, 0, &mut |_| Ok(()))?;
                 segments += 1;
             }
         }

@@ -14,7 +14,11 @@ use soc_sim::platform::Platform;
 
 #[test]
 fn parmis_end_to_end_improves_over_random_and_respects_invariants() {
-    let evaluator = SocEvaluator::for_benchmark(Benchmark::Fft, Objective::TIME_ENERGY.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(Benchmark::Fft)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .unwrap();
     let outcome = Parmis::new(example_parmis_config(16, 3))
         .run(&evaluator)
         .expect("PaRMIS run succeeds");
@@ -46,7 +50,11 @@ fn parmis_front_policies_beat_fixed_governor_extremes_somewhere() {
     // powersave governor in time and at least one that is strictly better than the
     // performance governor in energy — i.e. it genuinely spans the trade-off space.
     let benchmark = Benchmark::Qsort;
-    let evaluator = SocEvaluator::for_benchmark(benchmark, Objective::TIME_ENERGY.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(benchmark)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .unwrap();
     let outcome = Parmis::new(example_parmis_config(20, 5))
         .run(&evaluator)
         .expect("PaRMIS run succeeds");
@@ -75,7 +83,11 @@ fn baselines_and_parmis_are_comparable_under_a_common_reference() {
     let benchmark = Benchmark::Blowfish;
     let objectives = Objective::TIME_ENERGY.to_vec();
 
-    let evaluator = SocEvaluator::for_benchmark(benchmark, objectives.clone());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(benchmark)
+        .objectives(objectives.clone())
+        .build()
+        .unwrap();
     let parmis_outcome = Parmis::new(example_parmis_config(18, 9))
         .run(&evaluator)
         .expect("PaRMIS run succeeds");
@@ -124,7 +136,11 @@ fn global_policies_transfer_to_individual_applications() {
 
 #[test]
 fn ppw_objective_pipeline_produces_positive_reported_ppw() {
-    let evaluator = SocEvaluator::for_benchmark(Benchmark::Basicmath, Objective::TIME_PPW.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(Benchmark::Basicmath)
+        .objectives(Objective::TIME_PPW.to_vec())
+        .build()
+        .unwrap();
     let outcome = Parmis::new(example_parmis_config(12, 17))
         .run(&evaluator)
         .expect("PaRMIS run succeeds");
@@ -139,7 +155,11 @@ fn selected_pareto_policy_is_reproducible_on_the_platform() {
     // Selecting a policy from the front and re-running it on the platform should reproduce
     // its archived objective values up to measurement noise.
     let benchmark = Benchmark::Kmeans;
-    let evaluator = SocEvaluator::for_benchmark(benchmark, Objective::TIME_ENERGY.to_vec());
+    let evaluator = SocEvaluator::builder()
+        .benchmark(benchmark)
+        .objectives(Objective::TIME_ENERGY.to_vec())
+        .build()
+        .unwrap();
     let outcome = Parmis::new(example_parmis_config(14, 19))
         .run(&evaluator)
         .expect("PaRMIS run succeeds");
