@@ -9,13 +9,14 @@
 //! 2. End-to-end, a warm-scratch `ParetoFrontSampler::sample_with` must beat the seed
 //!    per-point path outright.
 //!
-//! The end-to-end ratio is structurally capped well below the machinery ratio: ~75 % of a
-//! `sample()` is `cos` evaluations of the random features, and bit-identity (the
-//! `acq_equivalence` contract) pins those to the exact same scalar operations on both
-//! paths — the same situation as PR 4's Box–Muller noise draws, which were an identical
-//! cost on both simulation paths. The engine's full win therefore shows where the model is
-//! cheap relative to the evolution, and as allocation-freedom (see `bench_acq`'s counting
-//! -allocator assert) everywhere else.
+//! The end-to-end ratio is structurally capped well below the machinery ratio: at this
+//! 3-dimensional probe ~75 % of a `sample()` is `cos` evaluations of the random features
+//! (at dim 501 each `cos` comes with a 501-term dot product, which dominates instead), and
+//! bit-identity (the `acq_equivalence` contract) pins those to the exact same scalar
+//! operations on both paths — the same situation as the simulation engine's Box–Muller
+//! noise draws, which were an identical cost on both simulation paths. The engine's full
+//! win therefore shows where the model is cheap relative to the evolution, and as
+//! allocation-freedom (see `bench_acq`'s counting-allocator assert) everywhere else.
 //!
 //! Timing assertions are meaningless in debug builds and flake under noisy neighbours, so
 //! this stays `#[ignore]`d; run it with `cargo test -q -p bench --release -- --ignored` on

@@ -3,11 +3,13 @@
 //! The two structural caps the earlier engine gates document are exactly what the fast
 //! tier removes:
 //!
-//! 1. **Acquisition** (`acq_speed_gate`): ~75 % of an end-to-end
-//!    `ParetoFrontSampler::sample()` is `cos` over the random features, and bit-identity
-//!    pinned those to libm on both the seed and the flat path — capping the end-to-end
-//!    win near 1.1×. With the fast polynomial cosine in the flat engine, the end-to-end
-//!    fast-tier `sample()` must beat the seed-exact per-point path by at least **2×**.
+//! 1. **Acquisition** (`acq_speed_gate`): at the gate's 3-dimensional probe ~75 % of an
+//!    end-to-end `ParetoFrontSampler::sample()` is `cos` over the random features (at
+//!    dim 501 each `cos` comes with a 501-term dot product, which dominates instead),
+//!    and bit-identity pinned those to libm on both the seed and the flat path — capping
+//!    the end-to-end win near 1.1×. With the fast polynomial cosine in the flat engine,
+//!    the end-to-end fast-tier `sample()` must beat the seed-exact per-point path by at
+//!    least **2×**.
 //! 2. **Simulation** (`sim_speed_gate`): the two Box–Muller log-normal draws per epoch
 //!    are an identical RNG-stream-mandated cost on both simulation paths, compressing
 //!    the noisy full-application win to ~1.4×. With the blocked fast-math noise

@@ -2,8 +2,10 @@
 //!
 //! PR 4 and PR 5 rebuilt the simulation and acquisition engines around streaming tables
 //! and flat buffers, but both kept bit-identity with the seed implementation — which
-//! pins ~75 % of an end-to-end acquisition `sample()` on scalar libm `cos` over RFF
-//! features and the noisy simulation path on per-epoch scalar Box–Muller draws. This
+//! pins ~75 % of an end-to-end acquisition `sample()` at the 3-dimensional `bench_acq`
+//! probe on scalar libm `cos` over RFF features (at dim 501 each `cos` comes with a
+//! 501-term dot product, which dominates instead) and the noisy simulation path on
+//! per-epoch scalar Box–Muller draws. This
 //! crate is the explicit trade: a **fast tier** of polynomial, range-reduced,
 //! chunk-friendly kernels whose error against libm is *bounded and tested* rather than
 //! zero, selected by the [`Precision`] knob that defaults to [`Precision::SeedExact`]

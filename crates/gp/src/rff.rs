@@ -16,16 +16,20 @@
 //!
 //! NSGA-II asks a sampled function for a whole population at a time, so
 //! [`PosteriorSample::eval_batch_into`] answers a row-major block of query points in one
-//! pass: conceptually one `frequencies × Xᵀ` matrix product followed by a `cos`/dot sweep,
-//! implemented *fused* (feature-major loop, population-minor) so the frequency row stays in
-//! L1 across the population and no `M × count` intermediate is materialized. Per point the
-//! floating-point operation order is exactly that of [`PosteriorSample::eval`], so batched
-//! answers are **bit-identical** to the per-point path; the only costs removed are the
-//! per-point re-streaming of the frequency matrix and the per-call bookkeeping. Sampler and
-//! sample share the frequency matrix and phases through `Arc`, and
-//! [`RffSampler::sample_with`] reuses a caller-provided [`WeightScratch`] across draws, so
-//! a warm acquisition loop draws and evaluates sample functions without reallocating its
-//! feature machinery. Regenerate the measured per-point-vs-batched ratios with
+//! pass: the feature products `frequencies × Xᵀ` followed by a `cos`/weight sweep. At the
+//! paper's shape (θ ∈ ℝ⁵⁰¹, 150 features, 40 points) the products are nearly all of the
+//! work, ~1000 flops per feature and point against one `cos`. A private walker computes
+//! them in register tiles of 4 features × 4 points with [`vector::dot_tile`]: 16
+//! independent sums run side by side instead of one add-latency-bound chain at a time,
+//! and each row is read once per tile. Blocks on the ragged edges use plain
+//! [`vector::dot`]. Every tile entry is summed in the same order as `dot`, and every point
+//! takes its features in ascending order, so batched answers are **bit-identical** to the
+//! per-point [`PosteriorSample::eval`]. The training-set feature matrix Φ inside
+//! [`RffSampler::new`] goes through the same walker. Sampler and sample share the
+//! frequency matrix and phases through `Arc`, and [`RffSampler::sample_with`] reuses a
+//! caller-provided [`WeightScratch`] across draws, so a warm acquisition loop draws and
+//! evaluates sample functions without reallocating its feature machinery. Regenerate the
+//! measured per-point-vs-batched ratios with
 //! `PARMIS_RESULTS_DIR=results cargo bench -p bench --bench bench_acq` (writes
 //! `BENCH_acq.json`).
 
@@ -150,8 +154,12 @@ impl RffSampler {
         // Feature matrix over the training inputs.
         let xs = gp.training_inputs();
         let n = xs.len();
-        let phi = Matrix::from_fn(n, m, |i, j| {
-            feature(&frequencies, &phases, feature_scale, j, &xs[i])
+        let mut phi = Matrix::zeros(n, m);
+        let point = |i: usize| xs[i].as_slice();
+        feature_products(&frequencies, n, point, |j, first, projections| {
+            for (i, wx) in (first..).zip(projections) {
+                phi[(i, j)] = feature_scale * (*wx + phases[j]).cos();
+            }
         });
 
         // Weight posterior: A = ΦᵀΦ + σ_n² I, mean = A⁻¹ Φᵀ y_c, cov = σ_n² A⁻¹.
@@ -306,10 +314,10 @@ impl PosteriorSample {
     /// Evaluates the sampled function at a whole row-major block of query points at once,
     /// writing one value per point into `out` (`points.len() == out.len() * dim`).
     ///
-    /// One fused `frequencies × Xᵀ` product + `cos`/dot sweep: the feature-major loop keeps
-    /// each frequency row hot across the population instead of re-streaming the whole
-    /// matrix per point. Per point the operation order matches [`eval`](Self::eval)
-    /// exactly, so results are bit-identical; the pass allocates nothing.
+    /// One `frequencies × Xᵀ` product in 4 × 4 register tiles ([`vector::dot_tile`], plain
+    /// [`vector::dot`] on the ragged edges), each projection folded straight into its
+    /// point's sum. Per point the operation order matches [`eval`](Self::eval) exactly, so
+    /// results are bit-identical; the pass allocates nothing.
     ///
     /// # Panics
     ///
@@ -323,44 +331,27 @@ impl PosteriorSample {
         );
         crate::stats::record_rff_feature_matrix_product();
         out.fill(0.0);
-        let m = self.weights.len();
+        let dim = self.dim;
+        let point = |p: usize| &points[p * dim..(p + 1) * dim];
         match self.precision {
             Precision::SeedExact => {
-                for j in 0..m {
-                    let row = self.frequencies.row(j);
-                    let phase = self.phases[j];
-                    let weight = self.weights[j];
-                    for (p, out_p) in out.iter_mut().enumerate() {
-                        let x = &points[p * self.dim..(p + 1) * self.dim];
-                        *out_p +=
-                            (self.feature_scale * (vector::dot(row, x) + phase).cos()) * weight;
+                feature_products(&self.frequencies, count, point, |j, first, projections| {
+                    let (phase, weight) = (self.phases[j], self.weights[j]);
+                    for (out_p, wx) in out[first..].iter_mut().zip(projections) {
+                        *out_p += (self.feature_scale * (*wx + phase).cos()) * weight;
                     }
-                }
+                });
             }
             Precision::Fast => {
-                // The fast tier batches the cosine: per feature, fill a fixed stack
-                // chunk with `w·x + b` over a stretch of points and fold the weighted
-                // fast_cos straight into the accumulator (fastmath::fused_cos_axpy).
-                // No heap use — the acquisition engine's zero-allocations-per-generation
-                // contract holds on this tier too.
-                const CHUNK: usize = 16;
-                let mut args = [0.0f64; CHUNK];
-                for j in 0..m {
-                    let row = self.frequencies.row(j);
-                    let phase = self.phases[j];
-                    let coeff = self.feature_scale * self.weights[j];
-                    let mut base = 0;
-                    while base < count {
-                        let n = CHUNK.min(count - base);
-                        for (i, arg) in args[..n].iter_mut().enumerate() {
-                            let p = base + i;
-                            let x = &points[p * self.dim..(p + 1) * self.dim];
-                            *arg = vector::dot(row, x) + phase;
-                        }
-                        fastmath::fused_cos_axpy(&mut args[..n], coeff, &mut out[base..base + n]);
-                        base += n;
+                // The projections buffer becomes the cosine arguments in place, so the
+                // fast tier stays as allocation-free as the exact one.
+                feature_products(&self.frequencies, count, point, |j, first, args| {
+                    for arg in args.iter_mut() {
+                        *arg += self.phases[j];
                     }
-                }
+                    let coeff = self.feature_scale * self.weights[j];
+                    fastmath::fused_cos_axpy(args, coeff, &mut out[first..first + args.len()]);
+                });
             }
         }
         for v in out.iter_mut() {
@@ -378,6 +369,57 @@ impl PosteriorSample {
 fn feature(frequencies: &Matrix, phases: &[f64], scale: f64, j: usize, x: &[f64]) -> f64 {
     let row = frequencies.row(j);
     scale * (vector::dot(row, x) + phases[j]).cos()
+}
+
+/// Feature rows per register tile of [`feature_products`].
+///
+/// Chosen by measurement on the paper's 150 features × 40 points × 501 dimensions: one
+/// `eval_batch_into` took ~0.7 ms with 4 × 4 tiles against ~2.6 ms with one `dot` per pair
+/// (one core of a shared 2-vCPU Xeon VM, default x86-64 target). 3 × 4, 2 × 8, 4 × 8 and
+/// 8 × 4 tiles ran within noise of 4 × 4; 2 × 4, 4 × 2 and 1 × 8 were slower.
+const TILE_FEATURES: usize = 4;
+/// Query points per register tile of [`feature_products`] (see [`TILE_FEATURES`]).
+const TILE_POINTS: usize = 4;
+
+/// Walks the projections `w_j·x_p` of every random feature `j` (row `j` of `frequencies`)
+/// onto each of `count` query points `point(p)`, each bit-identical to
+/// `vector::dot(frequencies.row(j), point(p))`.
+///
+/// Calls `visit(j, first, projections)` with feature `j`'s projections onto the points
+/// `first..first + projections.len()` (at most [`TILE_POINTS`] of them; the buffer is
+/// scratch the visitor may overwrite). Every point sees its features in ascending order,
+/// so a visitor that accumulates per point sums in the same order as a per-point loop.
+/// Full `TILE_FEATURES × TILE_POINTS` blocks go through one [`vector::dot_tile`]; blocks on
+/// the ragged edges fall back to plain [`vector::dot`]. Nothing is allocated.
+fn feature_products<'a>(
+    frequencies: &Matrix,
+    count: usize,
+    point: impl Fn(usize) -> &'a [f64],
+    mut visit: impl FnMut(usize, usize, &mut [f64]),
+) {
+    let m = frequencies.rows();
+    for j0 in (0..m).step_by(TILE_FEATURES) {
+        let features = j0..(j0 + TILE_FEATURES).min(m);
+        for p0 in (0..count).step_by(TILE_POINTS) {
+            let points = p0..(p0 + TILE_POINTS).min(count);
+            let mut block = [[0.0; TILE_POINTS]; TILE_FEATURES];
+            if features.len() == TILE_FEATURES && points.len() == TILE_POINTS {
+                block = vector::dot_tile(
+                    std::array::from_fn(|r| frequencies.row(j0 + r)),
+                    std::array::from_fn(|c| point(p0 + c)),
+                );
+            } else {
+                for (j, projections) in features.clone().zip(&mut block) {
+                    for (p, wx) in points.clone().zip(projections) {
+                        *wx = vector::dot(frequencies.row(j), point(p));
+                    }
+                }
+            }
+            for (j, projections) in features.clone().zip(&mut block) {
+                visit(j, p0, &mut projections[..points.len()]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -407,6 +449,25 @@ mod tests {
             assert!(
                 (exact - approx).abs() < 0.25,
                 "at {q}: exact {exact} vs rff {approx}"
+            );
+        }
+    }
+
+    #[test]
+    fn approximate_variance_tracks_exact_posterior_variance() {
+        // Φ feeds the weight covariance, so the spread of the drawn functions checks the
+        // second moment the way `approximate_mean` checks the first, near the data, at its
+        // edge and beyond it.
+        let gp = fitted_gp();
+        let sampler = RffSampler::new(&gp, 400, 3).unwrap();
+        let samples: Vec<_> = (0..400).map(|s| sampler.sample(s).unwrap()).collect();
+        for q in [0.5, 1.7, 3.3, 4.45, 5.0, 6.0, 8.0] {
+            let (_, exact) = gp.predict(&[q]).unwrap();
+            let values: Vec<f64> = samples.iter().map(|f| f.eval(&[q])).collect();
+            let ratio = vector::variance(&values) / exact;
+            assert!(
+                (0.6..=1.4).contains(&ratio),
+                "at {q}: rff variance is {ratio}× the exact {exact}"
             );
         }
     }
@@ -496,8 +557,27 @@ mod tests {
         f.eval(&[1.0, 2.0]);
     }
 
-    #[test]
-    fn eval_batch_into_is_bit_identical_to_per_point_eval() {
+    /// Checks `eval_batch_into` against per-point `eval` bit for bit on `precision`: on a
+    /// 2-D GP for feature and point counts below, equal to, off and on a multiple of the
+    /// 4 × 4 tile (every ragged-edge combination), and at the paper's shape of 150 features
+    /// × 40 points × 501 dimensions.
+    fn assert_batch_matches_per_point(precision: Precision) {
+        fn check(f: &PosteriorSample, queries: &[Vec<f64>]) {
+            let flat: Vec<f64> = queries.iter().flatten().copied().collect();
+            let mut batched = vec![0.0; queries.len()];
+            f.eval_batch_into(&flat, &mut batched);
+            for (q, b) in queries.iter().zip(&batched) {
+                assert_eq!(
+                    f.eval(q).to_bits(),
+                    b.to_bits(),
+                    "{:?} batched eval diverged with {} features, {} points",
+                    f.precision,
+                    f.weights.len(),
+                    queries.len()
+                );
+            }
+        }
+
         let xs = vec![
             vec![0.0, 0.0],
             vec![1.0, 0.3],
@@ -509,18 +589,40 @@ mod tests {
         let ys = vec![0.0, 1.3, 1.2, 2.0, 1.0, 0.5];
         for kernel in [Kernel::rbf(1.0, 0.8), Kernel::matern52(1.2, 0.9)] {
             let gp = GaussianProcess::fit(xs.clone(), ys.clone(), kernel, 1e-4).unwrap();
-            let sampler = RffSampler::new(&gp, 120, 31).unwrap();
-            let f = sampler.sample(4).unwrap();
-            let queries: Vec<Vec<f64>> = (0..17)
-                .map(|i| vec![-1.0 + 0.17 * i as f64, 2.0 - 0.21 * i as f64])
-                .collect();
-            let flat: Vec<f64> = queries.iter().flatten().copied().collect();
-            let mut batched = vec![0.0; queries.len()];
-            f.eval_batch_into(&flat, &mut batched);
-            for (q, b) in queries.iter().zip(&batched) {
-                assert_eq!(f.eval(q), *b, "batched eval diverged at {q:?}");
+            for features in [1, 3, 4, 7, 120] {
+                let sampler = RffSampler::new(&gp, features, 31)
+                    .unwrap()
+                    .with_precision(precision);
+                let f = sampler.sample(4).unwrap();
+                assert_eq!(f.precision(), precision);
+                for count in [1, 3, 4, 6, 8, 17] {
+                    let queries: Vec<Vec<f64>> = (0..count)
+                        .map(|i| vec![-1.0 + 0.17 * i as f64, 2.0 - 0.21 * i as f64])
+                        .collect();
+                    check(&f, &queries);
+                }
             }
         }
+
+        let dim = 501;
+        let point = |i: usize| -> Vec<f64> {
+            (0..dim)
+                .map(|d| ((i * 7919 + d * 104_729) % 1000) as f64 / 1000.0 - 0.5)
+                .collect()
+        };
+        let xs: Vec<Vec<f64>> = (0..12).map(point).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<f64>().sin()).collect();
+        let gp = GaussianProcess::fit(xs, ys, Kernel::matern52(1.0, 3.0), 1e-3).unwrap();
+        let sampler = RffSampler::new(&gp, 150, 5)
+            .unwrap()
+            .with_precision(precision);
+        let queries: Vec<Vec<f64>> = (100..140).map(point).collect();
+        check(&sampler.sample(9).unwrap(), &queries);
+    }
+
+    #[test]
+    fn eval_batch_into_is_bit_identical_to_per_point_eval() {
+        assert_batch_matches_per_point(Precision::SeedExact);
     }
 
     #[test]
@@ -560,32 +662,7 @@ mod tests {
 
     #[test]
     fn fast_tier_eval_batch_into_is_bit_identical_to_per_point_eval() {
-        let xs = vec![
-            vec![0.0, 0.0],
-            vec![1.0, 0.3],
-            vec![0.2, 1.0],
-            vec![1.0, 1.0],
-            vec![0.5, 0.5],
-            vec![-0.4, 0.9],
-        ];
-        let ys = vec![0.0, 1.3, 1.2, 2.0, 1.0, 0.5];
-        for kernel in [Kernel::rbf(1.0, 0.8), Kernel::matern52(1.2, 0.9)] {
-            let gp = GaussianProcess::fit(xs.clone(), ys.clone(), kernel, 1e-4).unwrap();
-            let sampler = RffSampler::new(&gp, 120, 31)
-                .unwrap()
-                .with_precision(Precision::Fast);
-            let f = sampler.sample(4).unwrap();
-            assert_eq!(f.precision(), Precision::Fast);
-            let queries: Vec<Vec<f64>> = (0..17)
-                .map(|i| vec![-1.0 + 0.17 * i as f64, 2.0 - 0.21 * i as f64])
-                .collect();
-            let flat: Vec<f64> = queries.iter().flatten().copied().collect();
-            let mut batched = vec![0.0; queries.len()];
-            f.eval_batch_into(&flat, &mut batched);
-            for (q, b) in queries.iter().zip(&batched) {
-                assert_eq!(f.eval(q), *b, "fast batched eval diverged at {q:?}");
-            }
-        }
+        assert_batch_matches_per_point(Precision::Fast);
     }
 
     #[test]

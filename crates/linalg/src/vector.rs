@@ -4,7 +4,13 @@
 //! control both operands, and a silent wrong-length dot product would be a far worse bug than
 //! a loud panic. Each function documents its panic condition.
 
-/// Dot product of two equal-length slices.
+/// Seed of every dot-product sum. `-0.0` is the exact additive identity (`-0.0 + x` is `x`
+/// bit for bit, `+0.0` included), so a product chain sums as if unseeded and an all-`-0.0`
+/// chain keeps its sign. Spelled out because `Iterator::sum` for `f64` seeds with `-0.0`
+/// only on newer toolchains; older ones seed with `+0.0`.
+const DOT_SEED: f64 = -0.0;
+
+/// Dot product of two equal-length slices, summed in index order from `-0.0`.
 ///
 /// # Panics
 ///
@@ -17,7 +23,49 @@
 /// ```
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot product length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(DOT_SEED, |acc, (x, y)| acc + x * y)
+}
+
+/// Every dot product `a[r] · b[c]` of an `R × C` tile, each bit-identical to
+/// [`dot`]`(a[r], b[c])`.
+///
+/// Each entry is its own in-order sum from the same seed as [`dot`]; the tile only runs
+/// its `R·C` independent chains side by side, so the adds overlap instead of each waiting
+/// on the previous one. Every operand row is read once per tile rather than once per
+/// product, and nothing is allocated.
+///
+/// # Panics
+///
+/// Panics if the slices do not all have the same length.
+///
+/// # Examples
+///
+/// ```
+/// use linalg::vector::{dot, dot_tile};
+///
+/// let (a0, a1, b0) = ([1.0, 2.0], [0.5, -1.0], [3.0, 4.0]);
+/// let tile = dot_tile([&a0[..], &a1[..]], [&b0[..]]);
+/// assert_eq!(tile, [[dot(&a0, &b0)], [dot(&a1, &b0)]]);
+/// ```
+pub fn dot_tile<const R: usize, const C: usize>(a: [&[f64]; R], b: [&[f64]; C]) -> [[f64; C]; R] {
+    let len = a.iter().chain(&b).next().map_or(0, |s| s.len());
+    assert!(
+        a.iter().chain(&b).all(|s| s.len() == len),
+        "dot_tile length mismatch"
+    );
+    // Re-slicing to the shared length lets the compiler drop the per-element bounds checks.
+    let a = a.map(|s| &s[..len]);
+    let b = b.map(|s| &s[..len]);
+    let mut acc = [[DOT_SEED; C]; R];
+    for k in 0..len {
+        for (acc_r, a_r) in acc.iter_mut().zip(&a) {
+            let x = a_r[k];
+            for (acc_rc, b_c) in acc_r.iter_mut().zip(&b) {
+                *acc_rc += x * b_c[k];
+            }
+        }
+    }
+    acc
 }
 
 /// Euclidean (L2) norm.
@@ -187,6 +235,42 @@ mod tests {
     #[should_panic]
     fn dot_length_mismatch_panics() {
         dot(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn all_negative_zero_products_sum_to_negative_zero() {
+        // Every product is -0.0, so only a -0.0 seed keeps the sign of the exact sum.
+        let (a, b) = ([-0.0, 0.0, 3.0], [1.0, -2.0, -0.0]);
+        assert_eq!(dot(&a, &b).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(dot(&[], &[]).to_bits(), (-0.0f64).to_bits());
+        let tile = dot_tile([&a[..], &b[..]], [&b[..], &a[..]]);
+        assert_eq!(tile[0][0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(tile[1][1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            dot_tile([&[][..]], [&[][..]])[0][0].to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
+
+    #[test]
+    fn dot_tile_matches_dot_per_entry() {
+        let rows: Vec<Vec<f64>> = (0..3)
+            .map(|r| (0..7).map(|k| (r * 7 + k) as f64 * 0.37 - 2.0).collect())
+            .collect();
+        let tile = dot_tile([&rows[0][..], &rows[1][..]], [&rows[2][..], &rows[0][..]]);
+        for (r, a) in [&rows[0], &rows[1]].into_iter().enumerate() {
+            for (c, b) in [&rows[2], &rows[0]].into_iter().enumerate() {
+                assert_eq!(tile[r][c].to_bits(), dot(a, b).to_bits());
+            }
+        }
+        let empty: [[f64; 0]; 0] = dot_tile([], []);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "dot_tile length mismatch")]
+    fn dot_tile_length_mismatch_panics() {
+        dot_tile([&[1.0][..]], [&[1.0, 2.0][..], &[1.0][..]]);
     }
 
     #[test]

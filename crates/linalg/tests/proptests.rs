@@ -14,6 +14,49 @@ fn matrix_strategy(n: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(n, n, data).expect("length matches"))
 }
 
+/// Longest operand row the `dot_tile` property draws.
+const MAX_TILE_LEN: usize = 12;
+
+/// Strategy producing floats that are mostly ordinary and otherwise a signed zero, a
+/// subnormal, a huge value, ±∞ or NaN, so dot products can cancel to a signed zero,
+/// underflow, overflow or turn NaN.
+fn edge_float() -> impl Strategy<Value = f64> {
+    (0usize..24, -100.0f64..100.0).prop_map(|(kind, x)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => x * 1e-3 * f64::MIN_POSITIVE,
+        3 => x * 1e306,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        6 => f64::NAN,
+        _ => x,
+    })
+}
+
+/// Whether two dot products agree bit for bit. A NaN result only has to be NaN: Rust
+/// leaves the sign and payload of a NaN produced by arithmetic unspecified.
+fn same_sum(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Checks every entry of an `R × C` tile over rows of `data` (each [`MAX_TILE_LEN`] long,
+/// truncated to `len`) against [`vector::dot`].
+fn assert_tile_matches_dot<const R: usize, const C: usize>(data: &[f64], len: usize) {
+    let row = |i: usize| &data[i * MAX_TILE_LEN..i * MAX_TILE_LEN + len];
+    let a: [&[f64]; R] = std::array::from_fn(row);
+    let b: [&[f64]; C] = std::array::from_fn(|c| row(R + c));
+    let tile = vector::dot_tile(a, b);
+    for (r, a_r) in a.iter().enumerate() {
+        for (c, b_c) in b.iter().enumerate() {
+            let (got, want) = (tile[r][c], vector::dot(a_r, b_c));
+            assert!(
+                same_sum(got, want),
+                "{R}x{C} tile entry ({r}, {c}) at length {len}: {got:e} vs dot {want:e}"
+            );
+        }
+    }
+}
+
 /// Builds a symmetric positive-definite matrix as B Bᵀ + n·I from arbitrary B.
 fn spd_strategy(n: usize) -> impl Strategy<Value = Matrix> {
     matrix_strategy(n).prop_map(move |b| {
@@ -136,5 +179,19 @@ proptest! {
             prop_assert!((at_zero[i] - a[i]).abs() < 1e-12);
             prop_assert!((at_one[i] - b[i]).abs() < 1e-12);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn dot_tile_entries_equal_dot_bitwise(
+        len in 0usize..=MAX_TILE_LEN,
+        data in prop::collection::vec(edge_float(), 8 * MAX_TILE_LEN),
+    ) {
+        assert_tile_matches_dot::<4, 4>(&data, len);
+        assert_tile_matches_dot::<3, 2>(&data, len);
+        assert_tile_matches_dot::<1, 1>(&data, len);
     }
 }

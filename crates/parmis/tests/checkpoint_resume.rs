@@ -4,7 +4,8 @@
 //! per-iteration trace-hash chain as the audit trail. The suite covers the synthetic
 //! test problem across (seed × interrupt point), a registry scenario on the real SoC
 //! evaluator, resume on top of the [`TraceReplay`] backend, cadence checkpoints, a
-//! committed checkpoint fixture that pins the on-disk format, and the rejection paths for
+//! committed checkpoint fixture that pins the on-disk format, a paper-shape search pinned
+//! by its final trace hash on both precision tiers, and the rejection paths for
 //! incompatible or tampered states.
 
 use parmis::acquisition::AcquisitionOptimizerConfig;
@@ -15,6 +16,7 @@ use parmis::evaluation::{PolicyEvaluator, SocEvaluator};
 use parmis::framework::{Parmis, ParmisConfig, ParmisOutcome, SearchStep, StopReason};
 use parmis::objective::Objective;
 use parmis::pareto_sampling::ParetoSamplingConfig;
+use parmis::prelude::Precision;
 use parmis::{ParmisError, Result};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -449,4 +451,46 @@ fn stored_checkpoint_fixture_resumes_to_the_pinned_trace_hash() {
     assert_eq!(resumed.trace_hashes.last(), Some(&TINY_SEARCH_FINAL_HASH));
     let uninterrupted = search.run(&evaluator).unwrap();
     assert_outcomes_identical(&uninterrupted, &resumed, "stored fixture resume");
+}
+
+/// Final trace hashes of the paper-shape search below, one per precision tier, recorded
+/// before the RFF feature products were register-blocked.
+const PAPER_SHAPE_FINAL_HASH_EXACT: u64 = 0x6d2b_2c9a_5b67_e0ea;
+const PAPER_SHAPE_FINAL_HASH_FAST: u64 = 0x3665_80d6_395a_0317;
+
+/// The RFF front sampler at the paper's shape ends on the recorded trajectory on both
+/// precision tiers: θ ∈ ℝ⁵⁰¹ on `spectral`, and 150 features with a 40-point population, so
+/// neither the feature count nor the dimension is a multiple of a small tile.
+#[test]
+fn paper_shape_search_ends_on_the_pinned_trace_hashes() {
+    for (precision, expected) in [
+        (Precision::SeedExact, PAPER_SHAPE_FINAL_HASH_EXACT),
+        (Precision::Fast, PAPER_SHAPE_FINAL_HASH_FAST),
+    ] {
+        let evaluator = SocEvaluator::builder()
+            .benchmark(soc_sim::apps::Benchmark::Spectral)
+            .objectives(Objective::TIME_ENERGY.to_vec())
+            .build()
+            .unwrap();
+        assert_eq!(evaluator.parameter_dim(), 501);
+        let config = ParmisConfig {
+            max_iterations: 7,
+            initial_samples: 5,
+            sampling: ParetoSamplingConfig {
+                rff_features: 150,
+                nsga_population: 40,
+                nsga_generations: 2,
+            },
+            seed: 0x9a92_0c1e,
+            precision,
+            ..ParmisConfig::default()
+        };
+        let outcome = Parmis::new(config).run(&evaluator).unwrap();
+        assert_eq!(outcome.history.len(), 7);
+        assert_eq!(
+            outcome.trace_hashes.last(),
+            Some(&expected),
+            "{precision:?} trajectory moved"
+        );
+    }
 }
