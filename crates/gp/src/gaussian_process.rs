@@ -2,7 +2,7 @@
 
 use crate::kernel::Kernel;
 use crate::{GpError, Result};
-use linalg::{vector, Cholesky};
+use linalg::{vector, Cholesky, Matrix};
 
 /// An exact Gaussian-process regressor with zero prior mean and i.i.d. observation noise,
 /// matching the statistical model of the paper (§IV-A).
@@ -58,32 +58,25 @@ impl GaussianProcess {
         kernel: Kernel,
         noise_variance: f64,
     ) -> Result<Self> {
-        if xs.is_empty() {
-            return Err(GpError::InvalidData {
-                reason: "no training points".into(),
-            });
-        }
-        if xs.len() != ys.len() {
-            return Err(GpError::InvalidData {
-                reason: format!("{} inputs but {} targets", xs.len(), ys.len()),
-            });
-        }
-        let dim = xs[0].len();
-        if dim == 0 {
-            return Err(GpError::InvalidData {
-                reason: "inputs must have at least one dimension".into(),
-            });
-        }
-        if xs.iter().any(|x| x.len() != dim) {
-            return Err(GpError::InvalidData {
-                reason: "inputs have inconsistent dimensions".into(),
-            });
-        }
-        if ys.iter().any(|y| !y.is_finite()) {
-            return Err(GpError::InvalidData {
-                reason: "targets must be finite".into(),
-            });
-        }
+        Self::fit_with_gram(xs, ys, kernel, noise_variance, Kernel::gram)
+    }
+
+    /// [`fit`](Self::fit) with the kernel matrix built by `gram(&kernel, &xs)` once the
+    /// inputs have passed `fit`'s validation. The hyperparameter search passes a map of the
+    /// squared distances it has already computed; `gram` must return what
+    /// [`Kernel::gram`] would. Counts one full fit in [`crate::stats`], like `fit`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`fit`](Self::fit).
+    pub(crate) fn fit_with_gram(
+        xs: Vec<Vec<f64>>,
+        ys: Vec<f64>,
+        kernel: Kernel,
+        noise_variance: f64,
+        gram: impl FnOnce(&Kernel, &[Vec<f64>]) -> Matrix,
+    ) -> Result<Self> {
+        validate_training_data(&xs, &ys)?;
         if !(noise_variance.is_finite() && noise_variance >= 0.0) {
             return Err(GpError::InvalidHyperparameter {
                 name: "noise_variance",
@@ -94,7 +87,7 @@ impl GaussianProcess {
         let y_mean = vector::mean(&ys);
         let centred: Vec<f64> = ys.iter().map(|y| y - y_mean).collect();
 
-        let chol = Self::factorize(&xs, &kernel, noise_variance)?;
+        let chol = Self::factorize(gram(&kernel, &xs), noise_variance)?;
         let alpha = chol.solve_vec(&centred)?;
 
         Ok(GaussianProcess {
@@ -109,13 +102,13 @@ impl GaussianProcess {
         })
     }
 
-    /// Factorizes `K + σ_n² I` with the crate's standard nugget floor and jitter retry
-    /// policy. Shared by [`fit`](Self::fit) and the degenerate-extension fallback of the
-    /// incremental update, so both paths produce the same factor for the same system — and
-    /// both count as a from-scratch fit in [`crate::stats`], so the operation counters
-    /// cannot miss a run that silently degrades into per-iteration refactorizations.
-    fn factorize(xs: &[Vec<f64>], kernel: &Kernel, noise_variance: f64) -> Result<Cholesky> {
-        let mut gram = kernel.gram(xs);
+    /// Factorizes `K + σ_n² I` from the kernel matrix `gram` with the crate's standard
+    /// nugget floor and jitter retry policy. Shared by [`fit`](Self::fit) and the
+    /// degenerate-extension fallback of the incremental update, so both paths produce the
+    /// same factor for the same system — and both count as a from-scratch fit in
+    /// [`crate::stats`], so the operation counters cannot miss a run that silently degrades
+    /// into per-iteration refactorizations.
+    fn factorize(mut gram: Matrix, noise_variance: f64) -> Result<Cholesky> {
         gram.add_diagonal(noise_variance.max(1e-10));
         let chol = Cholesky::new_with_jitter(&gram, 1e-8, 8)?;
         crate::stats::record_full_fit();
@@ -366,7 +359,7 @@ impl GaussianProcess {
             xs.push(x.clone());
         }
         if degenerate {
-            chol = Self::factorize(&xs, &self.kernel, self.noise_variance)?;
+            chol = Self::factorize(self.kernel.gram(&xs), self.noise_variance)?;
         }
 
         let y_mean = vector::mean(&ys);
@@ -395,6 +388,39 @@ impl GaussianProcess {
     pub fn with_targets(&self, ys: Vec<f64>) -> Result<Self> {
         self.with_observations_and_targets(&[], ys)
     }
+}
+
+/// Rejects training data [`GaussianProcess::fit`] cannot use: no points, a target count
+/// that differs from the input count, inputs without a shared positive dimension, or a
+/// non-finite target.
+pub(crate) fn validate_training_data(xs: &[Vec<f64>], ys: &[f64]) -> Result<()> {
+    if xs.is_empty() {
+        return Err(GpError::InvalidData {
+            reason: "no training points".into(),
+        });
+    }
+    if xs.len() != ys.len() {
+        return Err(GpError::InvalidData {
+            reason: format!("{} inputs but {} targets", xs.len(), ys.len()),
+        });
+    }
+    let dim = xs[0].len();
+    if dim == 0 {
+        return Err(GpError::InvalidData {
+            reason: "inputs must have at least one dimension".into(),
+        });
+    }
+    if xs.iter().any(|x| x.len() != dim) {
+        return Err(GpError::InvalidData {
+            reason: "inputs have inconsistent dimensions".into(),
+        });
+    }
+    if ys.iter().any(|y| !y.is_finite()) {
+        return Err(GpError::InvalidData {
+            reason: "targets must be finite".into(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

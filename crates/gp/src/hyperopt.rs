@@ -5,7 +5,8 @@
 //! entirely adequate — and considerably harder to get wrong than a hand-rolled gradient
 //! optimizer. The search maximizes the exact log marginal likelihood.
 
-use crate::kernel::{Kernel, KernelFamily};
+use crate::gaussian_process::validate_training_data;
+use crate::kernel::{squared_distance_matrix, Kernel, KernelFamily};
 use crate::{GaussianProcess, GpError, Result};
 use linalg::{vector, Cholesky, Matrix};
 
@@ -123,8 +124,14 @@ pub fn fit_with_hyperopt(
         }
     }
 
+    // The selected model's Gram is one more map of the same squared distances.
+    let ScoreContext {
+        squared_distances, ..
+    } = ctx;
     let kernel = Kernel::isotropic(config.family, sv, ls)?;
-    let model = GaussianProcess::fit(xs, ys, kernel, nv)?;
+    let model = GaussianProcess::fit_with_gram(xs, ys, kernel, nv, |kernel, _| {
+        kernel.gram_from_squared_distances(&squared_distances)
+    })?;
     let log_marginal_likelihood = model.log_marginal_likelihood();
     Ok(FittedModel {
         model,
@@ -132,43 +139,18 @@ pub fn fit_with_hyperopt(
     })
 }
 
-/// Mirrors the input validation of [`GaussianProcess::fit`] so invalid data is rejected
-/// before any Gram matrix is built (the scoring path below bypasses `fit`).
-fn validate_training_data(xs: &[Vec<f64>], ys: &[f64]) -> Result<()> {
-    if xs.is_empty() {
-        return Err(GpError::InvalidData {
-            reason: "no training points".into(),
-        });
-    }
-    if xs.len() != ys.len() {
-        return Err(GpError::InvalidData {
-            reason: format!("{} inputs but {} targets", xs.len(), ys.len()),
-        });
-    }
-    let dim = xs[0].len();
-    if dim == 0 || xs.iter().any(|x| x.len() != dim) {
-        return Err(GpError::InvalidData {
-            reason: "inputs must share one positive dimension".into(),
-        });
-    }
-    if ys.iter().any(|y| !y.is_finite()) {
-        return Err(GpError::InvalidData {
-            reason: "targets must be finite".into(),
-        });
-    }
-    Ok(())
-}
-
 /// Shared state of the grid/refinement scoring loop.
 ///
-/// The expensive part of scoring one grid cell is the `O(n² d)` Gram matrix build — but the
-/// Gram matrix of a stationary kernel factors as `σ² G(ℓ)` where `G` depends only on the
-/// lengthscale. The context therefore caches the unit-signal-variance Gram per lengthscale
-/// and rescales it across the whole (signal variance, noise variance) grid, reducing the
-/// grid's Gram builds from `|ℓ|·|σ²|·|σ_n²|` to `|ℓ|`. It also centres the targets once and
-/// reuses one solve buffer, where the seed cloned `xs`/`ys` and re-centred per cell.
-struct ScoreContext<'a> {
-    xs: &'a [Vec<f64>],
+/// An isotropic stationary kernel depends on its inputs only through their squared
+/// distance, and its Gram matrix factors as `σ² G(ℓ)` where `G` depends only on the
+/// lengthscale. The context therefore computes the `O(n² d)` pairwise squared distances once
+/// per search, maps them into a unit-signal-variance Gram per lengthscale in `O(n²)`, and
+/// rescales that Gram across the whole (signal variance, noise variance) grid. What remains
+/// per grid cell is one `O(n³)` Cholesky factorization. It also centres the targets once
+/// and reuses one solve buffer.
+struct ScoreContext {
+    /// Pairwise squared distances of the training inputs.
+    squared_distances: Matrix,
     centred: Vec<f64>,
     norm_term: f64,
     family: KernelFamily,
@@ -179,13 +161,13 @@ struct ScoreContext<'a> {
     alpha: Vec<f64>,
 }
 
-impl<'a> ScoreContext<'a> {
-    fn new(xs: &'a [Vec<f64>], ys: &[f64], family: KernelFamily) -> Self {
+impl ScoreContext {
+    fn new(xs: &[Vec<f64>], ys: &[f64], family: KernelFamily) -> Self {
         let y_mean = vector::mean(ys);
         let centred: Vec<f64> = ys.iter().map(|y| y - y_mean).collect();
         let norm_term = -0.5 * ys.len() as f64 * (2.0 * std::f64::consts::PI).ln();
         ScoreContext {
-            xs,
+            squared_distances: squared_distance_matrix(xs),
             centred,
             norm_term,
             family,
@@ -216,8 +198,8 @@ impl<'a> ScoreContext<'a> {
             self.unit_grams.swap(0, pos);
         } else {
             let kernel = Kernel::isotropic(self.family, 1.0, lengthscale).ok()?;
-            self.unit_grams
-                .insert(0, (lengthscale, kernel.gram(self.xs)));
+            let unit = kernel.gram_from_squared_distances(&self.squared_distances);
+            self.unit_grams.insert(0, (lengthscale, unit));
             self.unit_grams.truncate(2);
         }
         let (_, unit) = &self.unit_grams[0];
@@ -325,6 +307,58 @@ mod tests {
         assert!(ctx.score(1.0, -1.0, 1e-4).is_none());
         assert!(ctx.score(1.0, 1.0, f64::NAN).is_none());
         assert!(ctx.score(-1.0, 1.0, 1e-4).is_none());
+    }
+
+    #[test]
+    fn selected_model_is_bit_identical_to_a_direct_fit() {
+        // Past 8 points the search's distances run through full 4 × 4 tiles as well as
+        // ragged edges.
+        for (n, family) in [
+            (9, KernelFamily::Matern52),
+            (17, KernelFamily::SquaredExponential),
+            (42, KernelFamily::Matern52),
+        ] {
+            let point = |i: usize| -> Vec<f64> {
+                (0..5)
+                    .map(|d| ((i * 5 + d + 1) as f64 * 0.618_033_988_749_895).fract() * 4.0 - 2.0)
+                    .collect()
+            };
+            let xs: Vec<Vec<f64>> = (0..n).map(point).collect();
+            let ys: Vec<f64> = xs.iter().map(|x| x[0].sin() + 0.5 * x[1] * x[2]).collect();
+            // Signal variances that are not powers of two, so a Gram scaled in another
+            // order than `Kernel::gram`'s would round differently.
+            let config = HyperoptConfig {
+                family,
+                signal_variances: vec![0.3, 1.3, 2.7],
+                ..Default::default()
+            };
+            let fitted = fit_with_hyperopt(xs.clone(), ys.clone(), &config).unwrap();
+            let model = &fitted.model;
+            let direct =
+                GaussianProcess::fit(xs, ys, model.kernel().clone(), model.noise_variance())
+                    .unwrap();
+            assert_eq!(
+                fitted.log_marginal_likelihood.to_bits(),
+                direct.log_marginal_likelihood().to_bits(),
+                "n = {n}"
+            );
+            let queries: Vec<Vec<f64>> = (n..n + 7).map(point).collect();
+            let bits = |(mean, variance): (f64, f64)| (mean.to_bits(), variance.to_bits());
+            for q in model.training_inputs().iter().chain(&queries) {
+                assert_eq!(
+                    bits(model.predict(q).unwrap()),
+                    bits(direct.predict(q).unwrap())
+                );
+            }
+            let batch = |gp: &GaussianProcess| -> Vec<_> {
+                gp.predict_batch(&queries)
+                    .unwrap()
+                    .into_iter()
+                    .map(bits)
+                    .collect()
+            };
+            assert_eq!(batch(model), batch(&direct), "n = {n}");
+        }
     }
 
     #[test]

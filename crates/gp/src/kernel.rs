@@ -5,7 +5,7 @@
 //! automatic-relevance-determination (ARD, one lengthscale per input dimension).
 
 use crate::{GpError, Result};
-use linalg::vector;
+use linalg::{vector, Matrix};
 
 /// Family of the stationary kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +72,8 @@ impl Kernel {
         .expect("matern52 constructor arguments must be positive and finite")
     }
 
-    /// Creates a kernel with per-dimension (ARD) lengthscales.
+    /// Creates a kernel with per-dimension (ARD) lengthscales. It can only be evaluated on
+    /// inputs with one dimension per lengthscale.
     ///
     /// # Errors
     ///
@@ -181,30 +182,33 @@ impl Kernel {
         Self::validated(self.family, signal_variance, self.lengthscales.clone())
     }
 
-    /// Scaled squared distance `Σ ((x_d - y_d) / ℓ_d)²`.
+    /// Scaled squared distance `Σ ((x_d - y_d) / ℓ_d)²`, the first step of
+    /// [`eval`](Self::eval).
     fn scaled_sq_dist(&self, x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(x.len(), y.len(), "kernel inputs must share dimension");
         match &self.lengthscales {
             Lengthscales::Isotropic(l) => vector::squared_distance(x, y) / (l * l),
-            Lengthscales::Ard(ls) => x
-                .iter()
-                .zip(y)
-                .zip(ls)
-                .map(|((a, b), l)| {
-                    let d = (a - b) / l;
-                    d * d
-                })
-                .sum(),
+            Lengthscales::Ard(ls) => {
+                assert_eq!(
+                    ls.len(),
+                    x.len(),
+                    "ARD kernel needs one lengthscale per input dimension"
+                );
+                x.iter()
+                    .zip(y)
+                    .zip(ls)
+                    .map(|((a, b), l)| {
+                        let d = (a - b) / l;
+                        d * d
+                    })
+                    .sum()
+            }
         }
     }
 
-    /// Evaluates the covariance between two points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the points have different dimensions.
-    pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
-        let r2 = self.scaled_sq_dist(x, y);
+    /// Covariance at the scaled squared distance `r2`, the second step of
+    /// [`eval`](Self::eval). Every Gram and cross-covariance entry goes through it.
+    fn covariance(&self, r2: f64) -> f64 {
         match self.family {
             KernelFamily::SquaredExponential => self.signal_variance * (-0.5 * r2).exp(),
             KernelFamily::Matern52 => {
@@ -215,33 +219,166 @@ impl Kernel {
         }
     }
 
-    /// Builds the Gram matrix `K[i][j] = k(xs[i], xs[j])`.
-    pub fn gram(&self, xs: &[Vec<f64>]) -> linalg::Matrix {
-        linalg::Matrix::from_fn(xs.len(), xs.len(), |i, j| self.eval(&xs[i], &xs[j]))
+    /// Evaluates the covariance between two points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the points have different dimensions, or if an ARD kernel's lengthscale
+    /// count differs from their dimension.
+    pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
+        self.covariance(self.scaled_sq_dist(x, y))
+    }
+
+    /// Builds the Gram matrix `K[i][j] = k(xs[i], xs[j])`, every entry bit-identical to
+    /// [`eval`](Self::eval) on its pair.
+    ///
+    /// Only the lower triangle is computed and then mirrored, which is exact: both steps of
+    /// `eval` are bitwise symmetric in the two points. An isotropic kernel depends on its
+    /// inputs only through their squared distance, so it maps the pairwise squared distances,
+    /// computed in register tiles of 4 × 4 pairs, through its covariance. An ARD kernel
+    /// evaluates each pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`eval`](Self::eval).
+    pub fn gram(&self, xs: &[Vec<f64>]) -> Matrix {
+        match &self.lengthscales {
+            Lengthscales::Isotropic(_) => {
+                self.gram_from_squared_distances(&squared_distance_matrix(xs))
+            }
+            Lengthscales::Ard(_) => symmetric(xs.len(), |i, j| self.eval(&xs[i], &xs[j])),
+        }
+    }
+
+    /// The Gram matrix of an isotropic kernel over inputs whose pairwise squared distances
+    /// are `squared_distances` (from [`squared_distance_matrix`]): an `O(n²)` element-wise
+    /// map, bit-identical to [`gram`](Self::gram) over those inputs. A hyperparameter search
+    /// computes the distances once and maps them per lengthscale.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an ARD kernel.
+    pub(crate) fn gram_from_squared_distances(&self, squared_distances: &Matrix) -> Matrix {
+        let Lengthscales::Isotropic(l) = self.lengthscales else {
+            panic!("only an isotropic kernel is a function of the squared distance");
+        };
+        symmetric(squared_distances.rows(), |i, j| {
+            self.covariance(squared_distances[(i, j)] / (l * l))
+        })
     }
 
     /// Builds the cross-covariance vector between a query point and the training inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`eval`](Self::eval).
     pub fn cross(&self, x: &[f64], xs: &[Vec<f64>]) -> Vec<f64> {
         xs.iter().map(|xi| self.eval(x, xi)).collect()
     }
 
     /// Builds the cross-covariance matrix `K[i][j] = k(xs[i], queries[j])` between the
     /// training inputs (rows) and a block of query points (columns) as one row-major
-    /// allocation.
+    /// allocation, every entry bit-identical to [`eval`](Self::eval) on its pair.
     ///
-    /// This is the batched counterpart of [`cross`](Self::cross): the whole block is filled
-    /// with allocation-free inner loops (both the isotropic and the ARD distance paths work
-    /// on borrowed slices), ready to be handed to a blocked triangular solve.
-    pub fn cross_matrix(&self, xs: &[Vec<f64>], queries: &[Vec<f64>]) -> linalg::Matrix {
-        let mut data = Vec::with_capacity(xs.len() * queries.len());
-        for xi in xs {
-            for q in queries {
-                data.push(self.eval(xi, q));
+    /// This is the batched counterpart of [`cross`](Self::cross), ready to be handed to a
+    /// blocked triangular solve. An isotropic kernel computes the squared distances in
+    /// register tiles of 4 inputs × 4 queries and maps them through its covariance in
+    /// place; an ARD kernel evaluates each pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`eval`](Self::eval).
+    pub fn cross_matrix(&self, xs: &[Vec<f64>], queries: &[Vec<f64>]) -> Matrix {
+        match &self.lengthscales {
+            Lengthscales::Isotropic(l) => {
+                let mut k = Matrix::zeros(xs.len(), queries.len());
+                fill_squared_distances(xs, queries, false, &mut k);
+                for entry in k.as_mut_slice() {
+                    *entry = self.covariance(*entry / (l * l));
+                }
+                k
+            }
+            Lengthscales::Ard(_) => Matrix::from_fn(xs.len(), queries.len(), |i, j| {
+                self.eval(&xs[i], &queries[j])
+            }),
+        }
+    }
+}
+
+/// Inputs per register tile of the pair walker [`fill_squared_distances`].
+///
+/// Chosen by measurement at d = 501: `cross_matrix` over 300 inputs × 128 queries took
+/// 6–7.4 ms with 4 × 4 tiles against ~15 ms one pair at a time (one core of a shared 2-vCPU
+/// Xeon VM, default x86-64 target); 2 × 4, 3 × 4, 4 × 2, 4 × 8 and 8 × 4 tiles were slower
+/// or tied.
+const TILE_ROWS: usize = 4;
+/// Queries per register tile of [`fill_squared_distances`] (see [`TILE_ROWS`]).
+const TILE_COLS: usize = 4;
+
+/// Pairwise squared distances `‖xs[i] − xs[j]‖²` as a symmetric matrix, every entry
+/// bit-identical to [`vector::squared_distance`] on its pair. Only the lower triangle of
+/// tiles is computed; it is mirrored, which is exact because `(x − y)²` and `(y − x)²`
+/// round identically.
+///
+/// # Panics
+///
+/// Panics if the inputs differ in dimension.
+pub(crate) fn squared_distance_matrix(xs: &[Vec<f64>]) -> Matrix {
+    let mut squared_distances = Matrix::zeros(xs.len(), xs.len());
+    fill_squared_distances(xs, xs, true, &mut squared_distances);
+    squared_distances
+}
+
+/// The pair walker: writes [`vector::squared_distance`]`(xs[i], ys[j])` into `out[(i, j)]`
+/// for every pair, bit for bit.
+///
+/// Full `TILE_ROWS × TILE_COLS` blocks go through one [`vector::squared_distance_tile`];
+/// blocks on the ragged edges fall back to plain [`vector::squared_distance`]. With
+/// `mirror` (`ys` is `xs`), only blocks that reach the diagonal or lie below it are computed,
+/// and each entry is written to `out[(j, i)]` too. Nothing is allocated.
+fn fill_squared_distances(xs: &[Vec<f64>], ys: &[Vec<f64>], mirror: bool, out: &mut Matrix) {
+    for i0 in (0..xs.len()).step_by(TILE_ROWS) {
+        let rows = i0..(i0 + TILE_ROWS).min(xs.len());
+        let cols_end = if mirror { rows.end } else { ys.len() };
+        for j0 in (0..cols_end).step_by(TILE_COLS) {
+            let cols = j0..(j0 + TILE_COLS).min(cols_end);
+            let mut block = [[0.0; TILE_COLS]; TILE_ROWS];
+            if rows.len() == TILE_ROWS && cols.len() == TILE_COLS {
+                block = vector::squared_distance_tile(
+                    std::array::from_fn(|r| xs[i0 + r].as_slice()),
+                    std::array::from_fn(|c| ys[j0 + c].as_slice()),
+                );
+            } else {
+                for (i, block_row) in rows.clone().zip(&mut block) {
+                    for (j, entry) in cols.clone().zip(block_row) {
+                        *entry = vector::squared_distance(&xs[i], &ys[j]);
+                    }
+                }
+            }
+            for (i, block_row) in rows.clone().zip(&block) {
+                for (j, &entry) in cols.clone().zip(block_row) {
+                    out[(i, j)] = entry;
+                    if mirror {
+                        out[(j, i)] = entry;
+                    }
+                }
             }
         }
-        linalg::Matrix::from_vec(xs.len(), queries.len(), data)
-            .expect("cross_matrix dimensions are consistent by construction")
     }
+}
+
+/// The symmetric `n × n` matrix whose entry `(i, j)` with `j ≤ i` is `entry(i, j)`; the
+/// upper triangle mirrors it.
+fn symmetric(n: usize, entry: impl Fn(usize, usize) -> f64) -> Matrix {
+    let mut out = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let value = entry(i, j);
+            out[(i, j)] = value;
+            out[(j, i)] = value;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -310,14 +447,64 @@ mod tests {
         assert!(k.with_signal_variance(0.0).is_err());
     }
 
+    /// `n` deterministic, irregular points in `[-1, 1)^dim`; `salt` varies the set.
+    fn irregular_points(n: usize, dim: usize, salt: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                (0..dim)
+                    .map(|d| {
+                        let t = ((i * dim + d) * 7 + salt + 1) as f64 * 0.618_033_988_749_895;
+                        t.fract() * 2.0 - 1.0
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Point counts that hit full 4 × 4 tiles, ragged edges, or both.
+    const TILE_EDGE_SIZES: [usize; 6] = [1, 3, 4, 6, 8, 17];
+
+    /// Isotropic kernels of both families and an ARD kernel, all over 3-dimensional inputs.
+    fn three_dimensional_kernels() -> [Kernel; 3] {
+        [
+            Kernel::rbf(1.5, 0.7),
+            Kernel::matern52(0.8, 1.2),
+            Kernel::ard(KernelFamily::Matern52, 1.3, vec![0.5, 2.0, 0.9]).unwrap(),
+        ]
+    }
+
+    fn assert_gram_matches_eval(kernel: &Kernel, xs: &[Vec<f64>]) {
+        let g = kernel.gram(xs);
+        let n = xs.len();
+        assert_eq!(g.shape(), (n, n));
+        for i in 0..n {
+            assert_eq!(g[(i, i)], kernel.signal_variance());
+            for j in 0..n {
+                let want = kernel.eval(&xs[i], &xs[j]);
+                assert_eq!(g[(i, j)].to_bits(), want.to_bits(), "({i},{j}) of {n}");
+                assert_eq!(g[(i, j)].to_bits(), g[(j, i)].to_bits(), "({i},{j}) of {n}");
+            }
+        }
+    }
+
     #[test]
     fn gram_matrix_is_symmetric_with_signal_diagonal() {
-        let k = Kernel::rbf(1.5, 0.7);
-        let xs = vec![vec![0.0, 0.0], vec![1.0, 0.5], vec![-0.5, 2.0]];
-        let g = k.gram(&xs);
-        assert!(g.is_symmetric(1e-12));
-        for i in 0..3 {
-            assert!((g[(i, i)] - 1.5).abs() < 1e-12);
+        for kernel in three_dimensional_kernels() {
+            for n in TILE_EDGE_SIZES {
+                assert_gram_matches_eval(&kernel, &irregular_points(n, 3, n));
+            }
+        }
+        // The paper's dimension at the largest training set of a 300-iteration search.
+        assert_gram_matches_eval(&Kernel::matern52(1.0, 12.0), &irregular_points(300, 501, 0));
+    }
+
+    fn assert_cross_matrix_matches_cross(kernel: &Kernel, xs: &[Vec<f64>], queries: &[Vec<f64>]) {
+        let m = kernel.cross_matrix(xs, queries);
+        assert_eq!(m.shape(), (xs.len(), queries.len()));
+        for (j, q) in queries.iter().enumerate() {
+            for (i, ci) in kernel.cross(q, xs).iter().enumerate() {
+                assert_eq!(m[(i, j)].to_bits(), ci.to_bits(), "mismatch at ({i},{j})");
+            }
         }
     }
 
@@ -333,26 +520,36 @@ mod tests {
 
     #[test]
     fn cross_matrix_matches_per_point_cross() {
-        for kernel in [
-            Kernel::rbf(1.3, 0.8),
-            Kernel::ard(KernelFamily::Matern52, 1.0, vec![0.5, 2.0]).unwrap(),
-        ] {
-            let xs = vec![vec![0.0, 0.0], vec![1.0, 0.5], vec![-0.5, 2.0]];
-            let queries = vec![vec![0.2, 0.1], vec![1.5, -0.3]];
-            let m = kernel.cross_matrix(&xs, &queries);
-            assert_eq!(m.shape(), (3, 2));
-            for (j, q) in queries.iter().enumerate() {
-                let c = kernel.cross(q, &xs);
-                for (i, ci) in c.iter().enumerate() {
-                    assert_eq!(m[(i, j)], *ci, "mismatch at ({i},{j})");
+        for kernel in three_dimensional_kernels() {
+            for n in TILE_EDGE_SIZES {
+                for m in TILE_EDGE_SIZES {
+                    let xs = irregular_points(n, 3, 1);
+                    let queries = irregular_points(m, 3, 2);
+                    assert_cross_matrix_matches_cross(&kernel, &xs, &queries);
                 }
             }
         }
+        // The acquisition's block: 300 training inputs × 128 candidates at the paper's
+        // dimension.
+        assert_cross_matrix_matches_cross(
+            &Kernel::matern52(1.0, 12.0),
+            &irregular_points(300, 501, 3),
+            &irregular_points(128, 501, 4),
+        );
     }
 
     #[test]
     #[should_panic]
     fn eval_rejects_dimension_mismatch() {
         Kernel::rbf(1.0, 1.0).eval(&[0.0], &[0.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ARD kernel needs one lengthscale per input dimension")]
+    fn ard_eval_rejects_inputs_without_one_lengthscale_per_dimension() {
+        // With one lengthscale for two dimensions, the second dimension would drop out and
+        // these points 5 apart would look identical.
+        let k = Kernel::ard(KernelFamily::SquaredExponential, 1.0, vec![0.5]).unwrap();
+        k.eval(&[0.0, 0.0], &[0.0, 5.0]);
     }
 }

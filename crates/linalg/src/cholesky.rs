@@ -1,6 +1,27 @@
 //! Cholesky factorization of symmetric positive-definite matrices.
 
-use crate::{LinalgError, Matrix, Result};
+use crate::{vector, LinalgError, Matrix, Result};
+
+/// Rows and columns per register tile of [`Cholesky::new`].
+///
+/// Chosen by measurement: at n = 300, 4 × 4 tiles factor in ~1.3 ms against ~3.9 ms for one
+/// entry at a time (one core of a shared 2-vCPU Xeon VM, default x86-64 target); 2 × 2 and
+/// 8 × 8 tiles were slower.
+const TILE: usize = 4;
+
+/// Completes entry `(i, j)` of the factor from its finished chain `sum`: the pivot
+/// `√sum` on the diagonal, `sum / l[j][j]` below it.
+fn finish_entry(l: &mut Matrix, i: usize, j: usize, sum: f64) -> Result<()> {
+    if i == j {
+        if sum <= 0.0 || !sum.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { pivot: i });
+        }
+        l[(i, i)] = sum.sqrt();
+    } else {
+        l[(i, j)] = sum / l[(j, j)];
+    }
+    Ok(())
+}
 
 /// Lower-triangular Cholesky factor `L` of a symmetric positive-definite matrix `A = L Lᵀ`.
 ///
@@ -31,10 +52,18 @@ pub struct Cholesky {
 impl Cholesky {
     /// Factorizes a symmetric positive-definite matrix.
     ///
+    /// Each entry of the factor is the chain `a[i][j] − Σ_{k<j} l[i][k]·l[j][k]` in
+    /// ascending `k`, divided by the pivot `l[j][j]` below the diagonal or square-rooted on
+    /// it. The rows are walked in blocks of 4: each 4 × 4 tile of a block runs the
+    /// `k`-prefix its entries share as independent chains side by side, then finishes every
+    /// entry's remaining terms in order, so each entry is bit-identical to a
+    /// one-entry-at-a-time loop. Rows past the last full block take one chain per entry.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::NotSquare`] for non-square input and
-    /// [`LinalgError::NotPositiveDefinite`] if a pivot is non-positive.
+    /// [`LinalgError::NotPositiveDefinite`] naming the first row whose pivot is
+    /// non-positive or non-finite.
     pub fn new(a: &Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
@@ -46,21 +75,34 @@ impl Cholesky {
         if n == 0 {
             return Err(LinalgError::Empty);
         }
+        let subtract = |acc: f64, x: f64, y: f64| acc - x * y;
         let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: i });
+        let tiled_rows = n - n % TILE;
+        for i0 in (0..tiled_rows).step_by(TILE) {
+            // The tiles left of the diagonal block, then the diagonal block itself.
+            for j0 in (0..=i0).step_by(TILE) {
+                let prefix: [[f64; TILE]; TILE] = vector::fold_tile(
+                    j0,
+                    std::array::from_fn(|r| std::array::from_fn(|c| a[(i0 + r, j0 + c)])),
+                    std::array::from_fn(|r| l.row(i0 + r)),
+                    std::array::from_fn(|c| l.row(j0 + c)),
+                    subtract,
+                );
+                for (i, prefix_i) in (i0..).zip(prefix) {
+                    for (j, mut sum) in (j0..=i).zip(prefix_i) {
+                        for k in j0..j {
+                            sum -= l[(i, k)] * l[(j, k)];
+                        }
+                        finish_entry(&mut l, i, j, sum)?;
                     }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
                 }
+            }
+        }
+        // The rows past the last full block: one chain per entry.
+        for i in tiled_rows..n {
+            for j in 0..=i {
+                let [[sum]] = vector::fold_tile(j, [[a[(i, j)]]], [l.row(i)], [l.row(j)], subtract);
+                finish_entry(&mut l, i, j, sum)?;
             }
         }
         Ok(Cholesky { l })
@@ -389,8 +431,9 @@ impl Cholesky {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
-    /// Computes the inverse of `A` explicitly. Prefer the solve methods when possible; the
-    /// explicit inverse is only used by tests and diagnostic code.
+    /// Computes the inverse of `A` explicitly with one blocked solve against the identity.
+    /// Prefer the solve methods when a solve is all that is needed; `gp::RffSampler::new`
+    /// uses the explicit inverse to form its weight-posterior covariance `σ_n² A⁻¹`.
     ///
     /// # Errors
     ///
@@ -423,6 +466,79 @@ impl Cholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scalar row-order factorization that [`Cholesky::new`] tiles: one entry at a time,
+    /// each chain in ascending `k`. Every tiled factor and failing pivot must equal its own.
+    fn row_order_reference(a: &Matrix) -> Result<Matrix> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite { pivot: i });
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// `B Bᵀ` for an `n × rank` matrix `B` with irregular entries in `[-0.5, 0.5)`, plus
+    /// `shift` on the diagonal: positive definite for `shift > 0`, rank-deficient for
+    /// `shift = 0` and `rank < n`.
+    fn irregular_gram(n: usize, rank: usize, shift: f64) -> Matrix {
+        let b = Matrix::from_fn(n, rank, |i, k| {
+            ((i * rank + k + 1) as f64 * 0.618_033_988_749_895).fract() - 0.5
+        });
+        let mut a = b.mat_mul(&b.transpose()).unwrap();
+        a.add_diagonal(shift);
+        a
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn tiled_factor_equals_the_row_order_reference_bitwise() {
+        for n in (1..=9).chain([13, 150, 301]) {
+            let a = irregular_gram(n, n, 1.0 / n as f64);
+            let tiled = Cholesky::new(&a).unwrap();
+            let reference = row_order_reference(&a).unwrap();
+            assert_eq!(bits(tiled.factor()), bits(&reference), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn tiled_factor_fails_on_the_reference_pivot() {
+        for n in (1..=9).chain([13, 150]) {
+            // Rounding decides where a rank-deficient matrix fails, if it fails at all.
+            let deficient = irregular_gram(n, n / 2, 0.0);
+            let tiled = Cholesky::new(&deficient).map(|c| bits(c.factor()));
+            let reference = row_order_reference(&deficient).map(|l| bits(&l));
+            assert_eq!(tiled, reference, "n = {n}, rank {}", n / 2);
+            for pivot in [0, n / 2, n - 1] {
+                let mut negative = irregular_gram(n, n, 1.0);
+                negative[(pivot, pivot)] = -1.0;
+                let mut nan = irregular_gram(n, n, 1.0);
+                nan[(pivot, 0)] = f64::NAN;
+                nan[(0, pivot)] = f64::NAN;
+                for a in [negative, nan] {
+                    let expected = LinalgError::NotPositiveDefinite { pivot };
+                    assert_eq!(row_order_reference(&a).err(), Some(expected.clone()));
+                    assert_eq!(Cholesky::new(&a).err(), Some(expected), "n = {n}");
+                }
+            }
+        }
+    }
 
     fn spd3() -> Matrix {
         Matrix::from_rows(&[&[6.0, 2.0, 1.0], &[2.0, 5.0, 2.0], &[1.0, 2.0, 4.0]]).unwrap()

@@ -4,10 +4,10 @@
 //! control both operands, and a silent wrong-length dot product would be a far worse bug than
 //! a loud panic. Each function documents its panic condition.
 
-/// Seed of every dot-product sum. `-0.0` is the exact additive identity (`-0.0 + x` is `x`
-/// bit for bit, `+0.0` included), so a product chain sums as if unseeded and an all-`-0.0`
-/// chain keeps its sign. Spelled out because `Iterator::sum` for `f64` seeds with `-0.0`
-/// only on newer toolchains; older ones seed with `+0.0`.
+/// Seed of every dot-product and squared-distance sum. `-0.0` is the exact additive
+/// identity (`-0.0 + x` is `x` bit for bit, `+0.0` included), so a term chain sums as if
+/// unseeded and an all-`-0.0` chain keeps its sign. Spelled out because `Iterator::sum` for
+/// `f64` seeds with `-0.0` only on newer toolchains; older ones seed with `+0.0`.
 const DOT_SEED: f64 = -0.0;
 
 /// Dot product of two equal-length slices, summed in index order from `-0.0`.
@@ -48,20 +48,75 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// assert_eq!(tile, [[dot(&a0, &b0)], [dot(&a1, &b0)]]);
 /// ```
 pub fn dot_tile<const R: usize, const C: usize>(a: [&[f64]; R], b: [&[f64]; C]) -> [[f64; C]; R] {
-    let len = a.iter().chain(&b).next().map_or(0, |s| s.len());
-    assert!(
-        a.iter().chain(&b).all(|s| s.len() == len),
-        "dot_tile length mismatch"
-    );
+    let len = shared_len(&a, &b, "dot_tile length mismatch");
+    fold_tile(len, [[DOT_SEED; C]; R], a, b, |acc, x, y| acc + x * y)
+}
+
+/// Every squared distance `‖a[r] − b[c]‖²` of an `R × C` tile, each bit-identical to
+/// [`squared_distance`]`(a[r], b[c])`: the squared-distance counterpart of [`dot_tile`].
+///
+/// # Panics
+///
+/// Panics if the slices do not all have the same length.
+///
+/// # Examples
+///
+/// ```
+/// use linalg::vector::{squared_distance, squared_distance_tile};
+///
+/// let (a0, b0, b1) = ([1.0, 2.0], [3.0, 4.0], [0.5, -1.0]);
+/// let tile = squared_distance_tile([&a0[..]], [&b0[..], &b1[..]]);
+/// assert_eq!(tile, [[squared_distance(&a0, &b0), squared_distance(&a0, &b1)]]);
+/// ```
+pub fn squared_distance_tile<const R: usize, const C: usize>(
+    a: [&[f64]; R],
+    b: [&[f64]; C],
+) -> [[f64; C]; R] {
+    let len = shared_len(&a, &b, "squared_distance_tile length mismatch");
+    fold_tile(len, [[DOT_SEED; C]; R], a, b, |acc, x, y| {
+        acc + (x - y) * (x - y)
+    })
+}
+
+/// The length every slice of a tile shares.
+///
+/// # Panics
+///
+/// Panics with `message` if the slices differ in length.
+fn shared_len(a: &[&[f64]], b: &[&[f64]], message: &str) -> usize {
+    let len = a.iter().chain(b).next().map_or(0, |s| s.len());
+    assert!(a.iter().chain(b).all(|s| s.len() == len), "{message}");
+    len
+}
+
+/// The one tile loop of the crate: runs the `R·C` chains
+/// `acc[r][c] = step(acc[r][c], a[r][k], b[c][k])` for `k` in `0..len`, each in ascending
+/// `k` from its own seed, side by side.
+///
+/// Each chain takes exactly the steps a scalar loop over `k` would, so it is bit-identical
+/// to that loop; running the chains together lets their latencies overlap. [`dot_tile`],
+/// [`squared_distance_tile`] and the Cholesky factorization differ only in the seeds and
+/// `step` they pass. Only the first `len` entries of each slice are read.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than `len`.
+#[inline(always)]
+pub(crate) fn fold_tile<const R: usize, const C: usize>(
+    len: usize,
+    mut acc: [[f64; C]; R],
+    a: [&[f64]; R],
+    b: [&[f64]; C],
+    step: impl Fn(f64, f64, f64) -> f64,
+) -> [[f64; C]; R] {
     // Re-slicing to the shared length lets the compiler drop the per-element bounds checks.
     let a = a.map(|s| &s[..len]);
     let b = b.map(|s| &s[..len]);
-    let mut acc = [[DOT_SEED; C]; R];
     for k in 0..len {
         for (acc_r, a_r) in acc.iter_mut().zip(&a) {
             let x = a_r[k];
             for (acc_rc, b_c) in acc_r.iter_mut().zip(&b) {
-                *acc_rc += x * b_c[k];
+                *acc_rc = step(*acc_rc, x, b_c[k]);
             }
         }
     }
@@ -79,14 +134,17 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Squared Euclidean distance between two equal-length slices.
+/// Squared Euclidean distance between two equal-length slices, summed in index order from
+/// `-0.0` like [`dot`].
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "squared_distance length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    a.iter()
+        .zip(b)
+        .fold(DOT_SEED, |acc, (x, y)| acc + (x - y) * (x - y))
 }
 
 /// Euclidean distance between two equal-length slices.
@@ -250,6 +308,26 @@ mod tests {
             dot_tile([&[][..]], [&[][..]])[0][0].to_bits(),
             (-0.0f64).to_bits()
         );
+    }
+
+    #[test]
+    fn empty_squared_distances_are_negative_zero() {
+        // Every term is >= +0.0, so the seed only shows when there is no term.
+        assert_eq!(squared_distance(&[], &[]).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            squared_distance_tile([&[][..]], [&[][..], &[][..]])[0][1].to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(
+            squared_distance(&[-0.0], &[0.0]).to_bits(),
+            0.0f64.to_bits()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "squared_distance_tile length mismatch")]
+    fn squared_distance_tile_length_mismatch_panics() {
+        squared_distance_tile([&[1.0][..], &[1.0, 2.0][..]], [&[1.0][..]]);
     }
 
     #[test]

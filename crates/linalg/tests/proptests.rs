@@ -14,11 +14,11 @@ fn matrix_strategy(n: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(n, n, data).expect("length matches"))
 }
 
-/// Longest operand row the `dot_tile` property draws.
+/// Longest operand row the tile properties draw.
 const MAX_TILE_LEN: usize = 12;
 
 /// Strategy producing floats that are mostly ordinary and otherwise a signed zero, a
-/// subnormal, a huge value, ±∞ or NaN, so dot products can cancel to a signed zero,
+/// subnormal, a huge value, ±∞ or NaN, so tile sums can cancel to a signed zero,
 /// underflow, overflow or turn NaN.
 fn edge_float() -> impl Strategy<Value = f64> {
     (0usize..24, -100.0f64..100.0).prop_map(|(kind, x)| match kind {
@@ -33,25 +33,33 @@ fn edge_float() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Whether two dot products agree bit for bit. A NaN result only has to be NaN: Rust
-/// leaves the sign and payload of a NaN produced by arithmetic unspecified.
+/// Whether two sums agree bit for bit. A NaN result only has to be NaN: Rust leaves the
+/// sign and payload of a NaN produced by arithmetic unspecified.
 fn same_sum(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
-/// Checks every entry of an `R × C` tile over rows of `data` (each [`MAX_TILE_LEN`] long,
-/// truncated to `len`) against [`vector::dot`].
-fn assert_tile_matches_dot<const R: usize, const C: usize>(data: &[f64], len: usize) {
+/// An `R × C` tile kernel of `linalg::vector`.
+type Tile<const R: usize, const C: usize> = fn([&[f64]; R], [&[f64]; C]) -> [[f64; C]; R];
+
+/// Checks every entry of an `R × C` `tile` over rows of `data` (each [`MAX_TILE_LEN`] long,
+/// truncated to `len`) against the per-pair reference `pair`.
+fn assert_tile_matches<const R: usize, const C: usize>(
+    data: &[f64],
+    len: usize,
+    tile: Tile<R, C>,
+    pair: fn(&[f64], &[f64]) -> f64,
+) {
     let row = |i: usize| &data[i * MAX_TILE_LEN..i * MAX_TILE_LEN + len];
     let a: [&[f64]; R] = std::array::from_fn(row);
     let b: [&[f64]; C] = std::array::from_fn(|c| row(R + c));
-    let tile = vector::dot_tile(a, b);
+    let sums = tile(a, b);
     for (r, a_r) in a.iter().enumerate() {
         for (c, b_c) in b.iter().enumerate() {
-            let (got, want) = (tile[r][c], vector::dot(a_r, b_c));
+            let (got, want) = (sums[r][c], pair(a_r, b_c));
             assert!(
                 same_sum(got, want),
-                "{R}x{C} tile entry ({r}, {c}) at length {len}: {got:e} vs dot {want:e}"
+                "{R}x{C} tile entry ({r}, {c}) at length {len}: {got:e} vs {want:e}"
             );
         }
     }
@@ -190,8 +198,23 @@ proptest! {
         len in 0usize..=MAX_TILE_LEN,
         data in prop::collection::vec(edge_float(), 8 * MAX_TILE_LEN),
     ) {
-        assert_tile_matches_dot::<4, 4>(&data, len);
-        assert_tile_matches_dot::<3, 2>(&data, len);
-        assert_tile_matches_dot::<1, 1>(&data, len);
+        assert_tile_matches::<4, 4>(&data, len, vector::dot_tile, vector::dot);
+        assert_tile_matches::<3, 2>(&data, len, vector::dot_tile, vector::dot);
+        assert_tile_matches::<1, 1>(&data, len, vector::dot_tile, vector::dot);
+    }
+
+    #[test]
+    fn squared_distance_tile_entries_equal_squared_distance_bitwise(
+        len in 0usize..=MAX_TILE_LEN,
+        data in prop::collection::vec(edge_float(), 8 * MAX_TILE_LEN),
+    ) {
+        let (tile_4x4, tile_3x2, tile_1x1): (Tile<4, 4>, Tile<3, 2>, Tile<1, 1>) = (
+            vector::squared_distance_tile,
+            vector::squared_distance_tile,
+            vector::squared_distance_tile,
+        );
+        assert_tile_matches(&data, len, tile_4x4, vector::squared_distance);
+        assert_tile_matches(&data, len, tile_3x2, vector::squared_distance);
+        assert_tile_matches(&data, len, tile_1x1, vector::squared_distance);
     }
 }

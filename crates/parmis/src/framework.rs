@@ -744,7 +744,10 @@ impl Parmis {
         let refit = cache.is_none()
             || (iteration.saturating_sub(cfg.initial_samples)) % cfg.refit_hyperparameters_every
                 == 0;
-        let previous = cache.take();
+        // Each cached model is freed as soon as nothing reads it, rather than living on
+        // through the fits that replace it: a refit reads none of them, and an incremental
+        // round reads model j only until its successor exists.
+        let mut previous = cache.take().filter(|_| !refit).map(Vec::into_iter);
         let mut models = Vec::with_capacity(k);
 
         for j in 0..k {
@@ -764,7 +767,10 @@ impl Parmis {
                 let fitted = fit_with_hyperopt(xs.to_vec(), ys, &config)?;
                 models.push(fitted.model);
             } else {
-                let prev = &previous.as_ref().expect("cache present when not refitting")[j];
+                let prev = previous
+                    .as_mut()
+                    .and_then(Iterator::next)
+                    .expect("cache present when not refitting");
                 let n_prev = prev.len();
                 debug_assert!(n_prev <= xs.len(), "history only ever grows within a run");
                 // One call extends the factor by the new evaluations AND installs the

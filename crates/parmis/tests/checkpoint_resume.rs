@@ -4,9 +4,9 @@
 //! per-iteration trace-hash chain as the audit trail. The suite covers the synthetic
 //! test problem across (seed × interrupt point), a registry scenario on the real SoC
 //! evaluator, resume on top of the [`TraceReplay`] backend, cadence checkpoints, a
-//! committed checkpoint fixture that pins the on-disk format, a paper-shape search pinned
-//! by its final trace hash on both precision tiers, and the rejection paths for
-//! incompatible or tampered states.
+//! committed checkpoint fixture that pins the on-disk format, paper-shape searches pinned
+//! by their final trace hashes (on both precision tiers, and over several GP refit cycles),
+//! and the rejection paths for incompatible or tampered states.
 
 use parmis::acquisition::AcquisitionOptimizerConfig;
 use parmis::backend::{AnalyticSim, TraceReplay};
@@ -453,19 +453,60 @@ fn stored_checkpoint_fixture_resumes_to_the_pinned_trace_hash() {
     assert_outcomes_identical(&uninterrupted, &resumed, "stored fixture resume");
 }
 
-/// Final trace hashes of the paper-shape search below, one per precision tier, recorded
-/// before the RFF feature products were register-blocked.
+/// Final trace hashes of the paper-shape searches below: the front-sampling shape once per
+/// precision tier, recorded before the RFF feature products were register-blocked, and the
+/// refit-cycle shape, recorded before the GP fit was tiled.
 const PAPER_SHAPE_FINAL_HASH_EXACT: u64 = 0x6d2b_2c9a_5b67_e0ea;
 const PAPER_SHAPE_FINAL_HASH_FAST: u64 = 0x3665_80d6_395a_0317;
+const PAPER_SHAPE_REFIT_CYCLES_FINAL_HASH: u64 = 0xa399_b9e3_84ad_5bb4;
 
-/// The RFF front sampler at the paper's shape ends on the recorded trajectory on both
-/// precision tiers: θ ∈ ℝ⁵⁰¹ on `spectral`, and 150 features with a 40-point population, so
-/// neither the feature count nor the dimension is a multiple of a small tile.
+/// Searches at the paper's dimension end on their recorded trajectories: θ ∈ ℝ⁵⁰¹ on
+/// `spectral`. The front-sampling shape runs on both precision tiers with 150 features and a
+/// 40-point population, so neither the feature count nor the dimension is a multiple of a
+/// small tile. The refit-cycle shape refits the GP hyperparameters at n = 10, 20 and 30 with
+/// incremental rounds in between, so several hyperparameter searches, model hand-overs and
+/// cross-covariance blocks over 501-dimensional inputs feed the hash.
 #[test]
 fn paper_shape_search_ends_on_the_pinned_trace_hashes() {
-    for (precision, expected) in [
-        (Precision::SeedExact, PAPER_SHAPE_FINAL_HASH_EXACT),
-        (Precision::Fast, PAPER_SHAPE_FINAL_HASH_FAST),
+    let front_sampling = ParmisConfig {
+        max_iterations: 7,
+        initial_samples: 5,
+        sampling: ParetoSamplingConfig {
+            rff_features: 150,
+            nsga_population: 40,
+            nsga_generations: 2,
+        },
+        seed: 0x9a92_0c1e,
+        ..ParmisConfig::default()
+    };
+    let refit_cycles = ParmisConfig {
+        max_iterations: 40,
+        initial_samples: 10,
+        refit_hyperparameters_every: 10,
+        sampling: ParetoSamplingConfig {
+            rff_features: 20,
+            nsga_population: 8,
+            nsga_generations: 1,
+        },
+        seed: 0x9a92_0c1e,
+        ..ParmisConfig::default()
+    };
+    for (base, precision, expected) in [
+        (
+            &front_sampling,
+            Precision::SeedExact,
+            PAPER_SHAPE_FINAL_HASH_EXACT,
+        ),
+        (
+            &front_sampling,
+            Precision::Fast,
+            PAPER_SHAPE_FINAL_HASH_FAST,
+        ),
+        (
+            &refit_cycles,
+            Precision::SeedExact,
+            PAPER_SHAPE_REFIT_CYCLES_FINAL_HASH,
+        ),
     ] {
         let evaluator = SocEvaluator::builder()
             .benchmark(soc_sim::apps::Benchmark::Spectral)
@@ -474,23 +515,16 @@ fn paper_shape_search_ends_on_the_pinned_trace_hashes() {
             .unwrap();
         assert_eq!(evaluator.parameter_dim(), 501);
         let config = ParmisConfig {
-            max_iterations: 7,
-            initial_samples: 5,
-            sampling: ParetoSamplingConfig {
-                rff_features: 150,
-                nsga_population: 40,
-                nsga_generations: 2,
-            },
-            seed: 0x9a92_0c1e,
             precision,
-            ..ParmisConfig::default()
+            ..base.clone()
         };
-        let outcome = Parmis::new(config).run(&evaluator).unwrap();
-        assert_eq!(outcome.history.len(), 7);
+        let outcome = Parmis::new(config.clone()).run(&evaluator).unwrap();
+        assert_eq!(outcome.history.len(), config.max_iterations);
         assert_eq!(
             outcome.trace_hashes.last(),
             Some(&expected),
-            "{precision:?} trajectory moved"
+            "{precision:?} trajectory of the {}-iteration search moved",
+            config.max_iterations
         );
     }
 }
