@@ -88,12 +88,12 @@ pub enum ParmisError {
     /// An evaluation backend failed to carry out the policy→aggregates step.
     ///
     /// Structured variant of the backend contract ([`crate::backend::EvalBackend`]): `name`
-    /// identifies which backend failed (its stable kebab-case name, e.g. `trace-replay`)
-    /// and `source` carries the underlying simulator/trace error for matching or chaining.
+    /// identifies which backend failed (its stable kebab-case name, e.g. `fault-inject`)
+    /// and `source` carries the underlying simulator error for matching or chaining.
     Backend {
-        /// Stable name of the failing backend ([`crate::backend::BackendInfo::name`]).
+        /// Stable name of the failing backend ([`crate::backend::EvalBackend::name`]).
         name: String,
-        /// The underlying simulator or trace error.
+        /// The underlying simulator error.
         source: soc_sim::SocError,
     },
     /// A checkpoint or job-journal artifact could not be written, parsed, or verified, or
@@ -216,15 +216,15 @@ mod tests {
         assert!(e.to_string().contains("platform simulation"));
 
         let e = ParmisError::Backend {
-            name: "trace-replay".into(),
-            source: soc_sim::SocError::Trace {
-                reason: "no recording".into(),
+            name: "fault-inject".into(),
+            source: soc_sim::SocError::Fault {
+                reason: "injected failure at run 3".into(),
             },
         };
-        assert!(e.to_string().contains("`trace-replay`"));
-        assert!(e.to_string().contains("no recording"));
+        assert!(e.to_string().contains("`fault-inject`"));
+        assert!(e.to_string().contains("injected failure at run 3"));
         let source = Error::source(&e).expect("backend errors expose their source");
-        assert!(source.to_string().contains("invalid run trace"));
+        assert!(source.to_string().contains("evaluation fault"));
     }
 
     #[test]

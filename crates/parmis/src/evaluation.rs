@@ -15,7 +15,7 @@ use fastmath::Precision;
 use policy::drm_policy::{DrmPolicy, PolicyArchitecture};
 use soc_sim::apps::Benchmark;
 use soc_sim::platform::{DrmController, Platform, RunAggregates, RunSummary};
-use soc_sim::scenario::{BackendKind, Scenario, ScenarioConstraints};
+use soc_sim::scenario::{Scenario, ScenarioConstraints};
 use soc_sim::workload::Application;
 use soc_sim::{DecisionSpace, SocError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -379,7 +379,7 @@ impl SocEvaluator {
     ///     .benchmark(Benchmark::Qsort)
     ///     .objectives(Objective::TIME_ENERGY.to_vec())
     ///     .build()?;
-    /// assert_eq!(evaluator.backend().describe().name(), "analytic-sim");
+    /// assert_eq!(evaluator.backend().name(), "analytic-sim");
     /// # Ok(())
     /// # }
     /// ```
@@ -598,7 +598,7 @@ impl SocEvaluator {
                         .contained_panics
                         .fetch_add(1, Ordering::SeqCst);
                     ParmisError::Backend {
-                        name: self.backend.describe().name().to_string(),
+                        name: self.backend.name().to_string(),
                         source: SocError::Fault {
                             reason: format!(
                                 "backend panic contained: {}",
@@ -652,9 +652,8 @@ enum BackendRun {
 ///
 /// Defaults: Odroid-XU3-like platform, the paper's default policy architecture, run seed
 /// 17, the [`AnalyticSim`] backend, no constraints. Sources compose — e.g.
-/// [`scenario`](Self::scenario) sets platform/workload/constraints (and the scenario's
-/// pinned backend kind, if any) while [`backend`](Self::backend) still overrides the
-/// backend:
+/// [`scenario`](Self::scenario) sets platform, workload, constraints and precision tier
+/// while [`backend`](Self::backend) swaps the backend:
 ///
 /// ```
 /// use parmis::prelude::*;
@@ -668,7 +667,7 @@ enum BackendRun {
 ///     .backend(Arc::new(FaultInject::new(Arc::new(AnalyticSim::new()))))
 ///     .run_seed(42)
 ///     .build()?;
-/// assert_eq!(evaluator.backend().describe().name(), "fault-inject");
+/// assert_eq!(evaluator.backend().name(), "fault-inject");
 /// # Ok(())
 /// # }
 /// ```
@@ -680,10 +679,7 @@ pub struct EvaluatorBuilder {
     objectives: Vec<Objective>,
     constraints: Option<ScenarioConstraints>,
     run_seed: u64,
-    backend: Option<Arc<dyn EvalBackend>>,
-    /// The backend kind a scenario pins ([`Scenario::backend`]); [`backend`](Self::backend)
-    /// takes precedence.
-    backend_kind: Option<BackendKind>,
+    backend: Arc<dyn EvalBackend>,
     precision: Option<Precision>,
     retry: RetryPolicy,
     cancel: CancelToken,
@@ -706,8 +702,7 @@ impl EvaluatorBuilder {
             objectives: Vec::new(),
             constraints: None,
             run_seed: DEFAULT_RUN_SEED,
-            backend: None,
-            backend_kind: None,
+            backend: Arc::new(AnalyticSim::new()),
             precision: None,
             retry: RetryPolicy::default(),
             cancel: CancelToken::never(),
@@ -737,7 +732,7 @@ impl EvaluatorBuilder {
 
     /// Configures the builder from a [`Scenario`]: its platform preset, generated
     /// workload, [`ScenarioConstraints`], and — when the scenario pins one — its
-    /// [`Scenario::backend`] selection. A workload build failure is deferred and surfaces
+    /// [`Scenario::precision`] tier. A workload build failure is deferred and surfaces
     /// from [`build`](Self::build).
     pub fn scenario(mut self, scenario: &Scenario) -> Self {
         match scenario.application() {
@@ -745,9 +740,6 @@ impl EvaluatorBuilder {
                 self.platform = Some(scenario.platform());
                 self.applications.push(application);
                 self.constraints = Some(scenario.constraints);
-                if let Some(kind) = scenario.backend {
-                    self.backend_kind = Some(kind);
-                }
                 if let Some(precision) = scenario.precision {
                     self.precision = Some(precision);
                 }
@@ -794,11 +786,10 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Sets the evaluation backend instance. Takes precedence over a scenario-pinned
-    /// backend kind — this is how a [`crate::backend::TraceReplay`] loaded with fixtures is
-    /// supplied.
+    /// Sets the evaluation backend instance (default: [`AnalyticSim`]) — e.g. a
+    /// [`crate::backend::FaultInject`] for robustness drills.
     pub fn backend(mut self, backend: Arc<dyn EvalBackend>) -> Self {
-        self.backend = Some(backend);
+        self.backend = backend;
         self
     }
 
@@ -849,11 +840,6 @@ impl EvaluatorBuilder {
                     .into(),
             });
         }
-        let backend = match (self.backend, self.backend_kind) {
-            (Some(backend), _) => backend,
-            (None, Some(kind)) => crate::backend::default_backend_for(kind),
-            (None, None) => Arc::new(AnalyticSim::new()),
-        };
         let mut platform = self.platform.unwrap_or_else(Platform::odroid_xu3);
         if let Some(precision) = self.precision {
             platform = platform.with_precision(precision);
@@ -866,7 +852,7 @@ impl EvaluatorBuilder {
         );
         evaluator.constraints = self.constraints;
         evaluator.run_seed = self.run_seed;
-        evaluator.backend = backend;
+        evaluator.backend = self.backend;
         evaluator.retry = self.retry;
         evaluator.cancel = self.cancel;
         Ok(evaluator)
@@ -1294,34 +1280,24 @@ mod tests {
 
     #[test]
     fn builder_resolves_backend_sources_with_explicit_instance_winning() {
-        use crate::backend::TraceReplay;
+        use crate::backend::FaultInject;
 
         // With no backend source the evaluator runs on the analytic simulator.
         let plain = evaluator_for(Benchmark::Qsort, &Objective::TIME_ENERGY);
-        assert_eq!(plain.backend().describe().kind, BackendKind::AnalyticSim);
+        assert_eq!(plain.backend().name(), "analytic-sim");
 
-        // A scenario-pinned selection flows into the evaluator…
-        let mut scenario = soc_sim::scenario::by_name("odroid-pca-thermal").unwrap();
-        scenario.backend = Some(BackendKind::FaultInject);
-        let pinned = SocEvaluator::builder()
-            .scenario(&scenario)
-            .objectives(Objective::TIME_ENERGY.to_vec())
-            .build()
-            .unwrap();
-        assert_eq!(pinned.backend().describe().kind, BackendKind::FaultInject);
-        let theta = vec![0.2; pinned.parameter_dim()];
-        assert!(pinned.evaluate(&theta).is_ok());
-
-        // …but an explicit backend instance takes precedence.
+        // An explicit backend instance given together with a scenario is the one used, and
+        // it still evaluates.
+        let scenario = soc_sim::scenario::by_name("odroid-pca-thermal").unwrap();
         let explicit = SocEvaluator::builder()
             .scenario(&scenario)
             .objectives(Objective::TIME_ENERGY.to_vec())
-            .backend(std::sync::Arc::new(TraceReplay::new(
-                soc_sim::trace::TraceStore::new(),
-            )))
+            .backend(Arc::new(FaultInject::new(Arc::new(AnalyticSim::new()))))
             .build()
             .unwrap();
-        assert_eq!(explicit.backend().describe().kind, BackendKind::TraceReplay);
+        assert_eq!(explicit.backend().name(), "fault-inject");
+        let theta = vec![0.2; explicit.parameter_dim()];
+        assert!(explicit.evaluate(&theta).is_ok());
     }
 
     #[test]

@@ -23,21 +23,21 @@
 //! # Batched, parallel evaluation
 //!
 //! Step 3/4 can select the **top-q** acquisition candidates per iteration instead of the
-//! argmax ([`ParmisConfig::batch_size`]) and evaluate them as one batch. Batches flow through
-//! [`evaluation::PolicyEvaluator::evaluate_batch`]; wrap any evaluator in a
+//! argmax ([`framework::ParmisConfig::batch_size`]) and evaluate them as one batch. Batches
+//! flow through [`evaluation::PolicyEvaluator::evaluate_batch`]; wrap any evaluator in a
 //! [`evaluation::ParallelEvaluator`] — or call [`framework::Parmis::run_parallel`] — to shard
-//! the batch across a scoped thread pool ([`ParmisConfig::num_workers`]). All random streams
-//! derive from `(seed, iteration, slot)` and batch results merge in slot order, so the Pareto
-//! front is bit-identical for any worker count.
+//! the batch across a scoped thread pool ([`framework::ParmisConfig::num_workers`]). All
+//! random streams derive from `(seed, iteration, slot)` and batch results merge in slot
+//! order, so the Pareto front is bit-identical for any worker count.
 //!
 //! # Evaluation backends
 //!
 //! The policy→aggregates step lives behind the small object-safe
-//! [`backend::EvalBackend`] trait. Three implementations ship: the streaming analytic
-//! simulator ([`backend::AnalyticSim`], the default and bit-identity reference, with a
-//! fixture-recording mode), recorded-trace replay ([`backend::TraceReplay`]) and a
-//! deterministic fault-injection decorator ([`backend::FaultInject`]). Evaluators are
-//! assembled with [`evaluation::SocEvaluator::builder`], their only constructor.
+//! [`backend::EvalBackend`] trait. Two implementations ship: the streaming analytic
+//! simulator ([`backend::AnalyticSim`], the default and bit-identity reference) and a
+//! deterministic fault-injection decorator ([`backend::FaultInject`]) for robustness
+//! drills. Evaluators are assembled with [`evaluation::SocEvaluator::builder`], their only
+//! constructor; [`evaluation::EvaluatorBuilder::backend`] swaps the backend.
 //!
 //! # Robustness: checkpoint/resume, trace hashes, fault tolerance
 //!
@@ -115,9 +115,7 @@ pub type Result<T> = std::result::Result<T, ParmisError>;
 /// Deliberately excludes the crate-level [`Result`] alias so a glob import never shadows
 /// `std::result::Result`.
 pub mod prelude {
-    pub use crate::backend::{
-        AnalyticSim, BackendInfo, EvalBackend, EvalContext, FaultInject, FaultKind, TraceReplay,
-    };
+    pub use crate::backend::{AnalyticSim, EvalBackend, EvalContext, FaultInject, FaultKind};
     pub use crate::cancel::{CancelReason, CancelSource, CancelToken};
     pub use crate::checkpoint::SearchState;
     pub use crate::evaluation::{
@@ -135,6 +133,5 @@ pub mod prelude {
     pub use crate::ParmisError;
     pub use fastmath::Precision;
     pub use soc_sim::apps::Benchmark;
-    pub use soc_sim::scenario::{BackendKind, Scenario};
-    pub use soc_sim::trace::{RunTrace, TraceStore};
+    pub use soc_sim::scenario::Scenario;
 }

@@ -121,8 +121,8 @@ impl ParetoFrontSampler {
     ///
     /// # Errors
     ///
-    /// Returns [`ParmisError::InvalidConfig`](crate::ParmisError::InvalidConfig) for an
-    /// empty model set and propagates RFF construction failures.
+    /// Returns [`ParmisError::InvalidConfig`] for an empty model set and propagates RFF
+    /// construction failures.
     pub fn new(
         models: &[GaussianProcess],
         parameter_bound: f64,

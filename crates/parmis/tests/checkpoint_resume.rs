@@ -3,13 +3,12 @@
 //! segments — must produce an outcome bit-identical to the uninterrupted run, with the
 //! per-iteration trace-hash chain as the audit trail. The suite covers the synthetic
 //! test problem across (seed × interrupt point), a registry scenario on the real SoC
-//! evaluator, resume on top of the [`TraceReplay`] backend, cadence checkpoints, a
-//! committed checkpoint fixture that pins the on-disk format, paper-shape searches pinned
-//! by their final trace hashes (on both precision tiers, and over several GP refit cycles),
-//! and the rejection paths for incompatible or tampered states.
+//! evaluator, cadence checkpoints, a committed checkpoint fixture that pins the on-disk
+//! format, paper-shape searches pinned by their final trace hashes (on both precision
+//! tiers, and over several GP refit cycles), and the rejection paths for incompatible or
+//! tampered states.
 
 use parmis::acquisition::AcquisitionOptimizerConfig;
-use parmis::backend::{AnalyticSim, TraceReplay};
 use parmis::cancel::{CancelReason, CancelSource};
 use parmis::checkpoint::{config_digest, SearchState};
 use parmis::evaluation::{PolicyEvaluator, SocEvaluator};
@@ -20,7 +19,6 @@ use parmis::prelude::Precision;
 use parmis::{ParmisError, Result};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Cheap synthetic evaluator (Schaffer-like trade-off over 3 parameters) so the full
 /// suspend/resume machinery can be property-tested without the SoC simulator.
@@ -273,38 +271,6 @@ fn registry_scenario_resumes_bit_identically() {
         &resumed,
         &format!("scenario {}", scenario.name),
     );
-}
-
-/// Resume composes with the backend seam: a search riding on recorded-trace replay
-/// fixtures suspends and resumes exactly like the live simulator.
-#[test]
-fn resume_on_trace_replay_fixtures_is_bit_identical() {
-    // Record fixtures by running the search once on the recording simulator. Replay is a
-    // function of (application, run seed) only, so one full pass records every trace the
-    // replayed searches will request.
-    let (recording, _) = AnalyticSim::recording();
-    let recorder = Arc::new(recording);
-    let live = SocEvaluator::builder()
-        .benchmark(soc_sim::apps::Benchmark::Qsort)
-        .objectives(Objective::TIME_ENERGY.to_vec())
-        .backend(recorder.clone())
-        .build()
-        .unwrap();
-    let config = tiny_config(23, 9);
-    Parmis::new(config.clone()).run(&live).unwrap();
-
-    let store = recorder.snapshot_traces().unwrap();
-    let replayed = SocEvaluator::builder()
-        .benchmark(soc_sim::apps::Benchmark::Qsort)
-        .objectives(Objective::TIME_ENERGY.to_vec())
-        .backend(Arc::new(TraceReplay::new(store)))
-        .build()
-        .unwrap();
-
-    let uninterrupted = Parmis::new(config.clone()).run(&replayed).unwrap();
-    let (resumed, segments) = run_segmented(&config, 4, &replayed);
-    assert!(segments >= 2);
-    assert_outcomes_identical(&uninterrupted, &resumed, "trace-replay resume");
 }
 
 /// Cadence checkpoints are valid resume points: every state handed to the sink passes

@@ -30,11 +30,6 @@ pub enum SocError {
         /// Human-readable description of what was wrong.
         reason: String,
     },
-    /// A recorded run trace could not be parsed, or a replay found no matching recording.
-    Trace {
-        /// Human-readable description of what was wrong.
-        reason: String,
-    },
     /// A fault was injected into (or contained at) the evaluation seam: a scheduled
     /// failure from a fault-injection backend, or a worker panic caught and converted
     /// into a structured error.
@@ -62,7 +57,6 @@ impl fmt::Display for SocError {
                 write!(f, "invalid parameter {name} = {value}")
             }
             SocError::Scenario { reason } => write!(f, "invalid scenario: {reason}"),
-            SocError::Trace { reason } => write!(f, "invalid run trace: {reason}"),
             SocError::Fault { reason } => write!(f, "evaluation fault: {reason}"),
             SocError::Cancelled { reason } => write!(f, "run cancelled [{reason}]"),
         }

@@ -61,7 +61,6 @@ pub mod platform;
 pub mod power;
 pub mod scenario;
 pub mod thermal;
-pub mod trace;
 pub mod workload;
 
 pub use config::{DecisionSpace, DrmDecision};
@@ -73,9 +72,8 @@ pub use platform::{
     CancelEpochs, CollectEpochs, DiscardEpochs, DrmController, EpochResult, EpochSink, Platform,
     RunAggregates, RunSummary, SocSpec, TransitionModel,
 };
-pub use scenario::{BackendKind, Scenario};
+pub use scenario::Scenario;
 pub use thermal::{PerClusterThermal, ThermalModel, ThermalState};
-pub use trace::{RunTrace, TraceStore};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, SocError>;
@@ -106,9 +104,6 @@ mod thread_safety {
         assert_worker_shareable::<DecisionTable>();
         assert_worker_shareable::<EpochResult>();
         assert_worker_shareable::<Scenario>();
-        assert_worker_shareable::<BackendKind>();
-        assert_worker_shareable::<RunTrace>();
-        assert_worker_shareable::<TraceStore>();
         assert_worker_shareable::<scenario::WorkloadSpec>();
         assert_worker_shareable::<scenario::ScenarioConstraints>();
         assert_worker_shareable::<ThermalModel>();

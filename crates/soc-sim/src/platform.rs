@@ -459,10 +459,6 @@ pub struct RunAggregates {
     pub energy_j: f64,
     /// Total dynamic instructions executed.
     pub instructions: f64,
-    /// Big-cluster rail energy in joules (`Σ big_power · epoch time`).
-    pub big_rail_energy_j: f64,
-    /// Little-cluster rail energy in joules.
-    pub little_rail_energy_j: f64,
     /// Average power in watts.
     pub average_power_w: f64,
     /// Performance-per-watt in giga-instructions per joule.
@@ -725,8 +721,6 @@ impl Platform {
         let mut total_time = 0.0;
         let mut total_energy = 0.0;
         let mut total_instructions = 0.0;
-        let mut big_rail_energy = 0.0;
-        let mut little_rail_energy = 0.0;
         let thermal = *self.spec.thermal_model();
         let transition = *self.spec.transition_model();
         let mut thermal_state = thermal.initial_state();
@@ -835,8 +829,6 @@ impl Platform {
             total_time += result.time_s;
             total_energy += result.energy_j;
             total_instructions += phase.instructions;
-            big_rail_energy += result.big_power_w * result.time_s;
-            little_rail_energy += result.little_power_w * result.time_s;
             thermal_state = thermal.advance(
                 &thermal_state,
                 result.big_power_w,
@@ -871,8 +863,6 @@ impl Platform {
             execution_time_s: total_time,
             energy_j: total_energy,
             instructions: total_instructions,
-            big_rail_energy_j: big_rail_energy,
-            little_rail_energy_j: little_rail_energy,
             average_power_w,
             ppw,
             peak_temperature_c,

@@ -84,54 +84,6 @@ impl std::fmt::Display for PlatformPreset {
     }
 }
 
-/// Which evaluation backend a scenario (and the `parmis` evaluator built from it) should
-/// route policy runs through.
-///
-/// The backend implementations live in the `parmis` crate (`parmis::backend`); this enum is
-/// the serializable *selection* that travels with scenario JSON. It is optional in
-/// [`Scenario`] — absent means "the consumer's default" (the analytic simulator) — so
-/// scenario files written before the backend axis existed still parse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BackendKind {
-    /// The analytic streaming simulator (`DecisionTable` + `EpochSink` engine).
-    AnalyticSim,
-    /// Replay of recorded epoch-stream fixtures ([`crate::trace::TraceStore`]).
-    TraceReplay,
-    /// Deterministic fault-injection decorator layered over another backend (robustness
-    /// drills; selecting it by kind wraps the consumer's default backend with a benign
-    /// schedule unless the consumer configures one explicitly).
-    FaultInject,
-}
-
-impl BackendKind {
-    /// Every backend kind, in declaration order.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::AnalyticSim,
-        BackendKind::TraceReplay,
-        BackendKind::FaultInject,
-    ];
-
-    /// Stable kebab-case name used in reports and scenario files.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendKind::AnalyticSim => "analytic-sim",
-            BackendKind::TraceReplay => "trace-replay",
-            BackendKind::FaultInject => "fault-inject",
-        }
-    }
-
-    /// Looks a kind up by its [`name`](Self::name).
-    pub fn from_name(name: &str) -> Option<BackendKind> {
-        BackendKind::ALL.iter().copied().find(|k| k.name() == name)
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Which generator a [`WorkloadSpec`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WorkloadKind {
@@ -457,9 +409,6 @@ pub struct Scenario {
     pub workload: WorkloadSpec,
     /// Which limits apply.
     pub constraints: ScenarioConstraints,
-    /// Which evaluation backend runs this scenario's policies (`None` = consumer default,
-    /// the analytic simulator). Optional so pre-backend scenario JSON still parses.
-    pub backend: Option<BackendKind>,
     /// Which math tier this scenario's platform runs on (`None` = consumer default,
     /// [`Precision::SeedExact`]). Optional so pre-precision scenario JSON still parses.
     pub precision: Option<Precision>,
@@ -513,7 +462,6 @@ pub fn registry() -> Vec<Scenario> {
         platform,
         workload,
         constraints,
-        backend: None,
         precision: None,
     };
     vec![
@@ -686,41 +634,21 @@ mod tests {
 
     #[test]
     fn backend_selection_round_trips_and_legacy_json_stays_parseable() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        assert_eq!(BackendKind::from_name("nope"), None);
         for tier in Precision::ALL {
             assert_eq!(Precision::from_name(tier.name()), Some(tier));
             assert_eq!(tier.to_string(), tier.name());
         }
         assert_eq!(Precision::from_name("exactish"), None);
 
-        // The registry default pins neither optional axis; every (backend, precision)
-        // combination — pinned or absent — survives the JSON round trip.
+        // The registry default pins no precision tier; pinned or absent, the tier survives
+        // the JSON round trip.
         let pristine = by_name("odroid-qsort-baseline").unwrap();
-        assert_eq!(pristine.backend, None);
         assert_eq!(pristine.precision, None);
-        let backends = [
-            None,
-            Some(BackendKind::TraceReplay),
-            Some(BackendKind::AnalyticSim),
-        ];
-        let precisions = [None, Some(Precision::SeedExact), Some(Precision::Fast)];
-        for backend in backends {
-            for precision in precisions {
-                let mut s = pristine.clone();
-                s.backend = backend;
-                s.precision = precision;
-                let back = Scenario::from_json(&s.to_json()).unwrap();
-                assert_eq!(back.backend, backend);
-                assert_eq!(back.precision, precision);
-                assert_eq!(
-                    back, s,
-                    "round trip for backend {backend:?} / {precision:?}"
-                );
-            }
+        for precision in [None, Some(Precision::SeedExact), Some(Precision::Fast)] {
+            let mut s = pristine.clone();
+            s.precision = precision;
+            let back = Scenario::from_json(&s.to_json()).unwrap();
+            assert_eq!(back, s, "round trip for {precision:?}");
         }
 
         // A pinned precision reaches the scenario's platform; absent means SeedExact.
@@ -729,29 +657,34 @@ mod tests {
         fast.precision = Some(Precision::Fast);
         assert_eq!(fast.platform().precision(), Precision::Fast);
 
-        // Scenario files written before these axes existed still parse, as None: strip
-        // the `backend` key (pre-PR 6 files), the `precision` key (pre-fast-tier files),
-        // and both at once (pre-PR 6 files again), and re-parse each variant.
-        let strip = |keys: &[&str]| {
-            let mut value = serde_json::from_str_value(&pristine.to_json()).unwrap();
-            if let serde::Value::Object(fields) = &mut value {
-                let before = fields.len();
-                fields.retain(|(k, _)| !keys.contains(&k.as_str()));
-                assert_eq!(fields.len(), before - keys.len());
-            }
-            value
+        // Files written before the precision axis existed have no `precision` key and
+        // parse as unpinned.
+        let mut legacy = serde_json::from_str_value(&pristine.to_json()).unwrap();
+        let serde::Value::Object(fields) = &mut legacy else {
+            panic!("scenario JSON is an object");
         };
-        for missing in [
-            &["backend"][..],
-            &["precision"][..],
-            &["backend", "precision"][..],
+        let before = fields.len();
+        fields.retain(|(k, _)| k != "precision");
+        assert_eq!(fields.len(), before - 1);
+        let legacy = <Scenario as serde::Deserialize>::from_json_value(&legacy)
+            .unwrap_or_else(|e| panic!("legacy JSON without `precision` must parse: {e}"));
+        assert_eq!(legacy, pristine);
+
+        // Files written while a scenario could pin an evaluation backend carry a `backend`
+        // key. Unknown keys are ignored, so a file with any backend selection it ever held
+        // (or README's kebab-case spelling) parses back to the scenario it was written from.
+        let json = pristine.to_json();
+        for backend in [
+            "null",
+            "\"AnalyticSim\"",
+            "\"TraceReplay\"",
+            "\"FaultInject\"",
+            "\"trace-replay\"",
         ] {
-            let value = strip(missing);
-            let legacy = <Scenario as serde::Deserialize>::from_json_value(&value)
-                .unwrap_or_else(|e| panic!("legacy JSON without {missing:?} must parse: {e}"));
-            assert_eq!(legacy, pristine, "legacy JSON without {missing:?}");
-            assert_eq!(legacy.backend, None);
-            assert_eq!(legacy.precision, None);
+            let pinned = format!("{{\"backend\": {backend},{}", &json[1..]);
+            let back = Scenario::from_json(&pinned)
+                .unwrap_or_else(|e| panic!("JSON with backend {backend} must parse: {e}"));
+            assert_eq!(back, pristine, "JSON with backend {backend}");
         }
     }
 

@@ -1,8 +1,8 @@
 //! Shared numeric-comparison helpers for the accuracy test suites.
 //!
-//! The fast-math tier ([`fastmath`] and its call sites in `gp` / `soc-sim`) promises
-//! *bounded* error against the seed-exact scalar paths rather than bit-identity. Those
-//! bounds are contracts, so the tests that enforce them need comparison helpers that
+//! The fast-math tier (the `fastmath` crate and its call sites in `gp` / `soc-sim`)
+//! promises *bounded* error against the seed-exact scalar paths rather than bit-identity.
+//! Those bounds are contracts, so the tests that enforce them need comparison helpers that
 //! (a) speak the same units the contracts are written in — ULPs for kernel-level
 //! comparisons against libm, absolute/relative error for end-to-end trajectories — and
 //! (b) report the *worst* offender over a sweep, not just the first failure, so a bound
