@@ -14,7 +14,8 @@
 //!
 //! The binary also asserts, via a counting global allocator, that a warm engine's
 //! allocation count does **not** grow with the generation count — the "zero per-generation
-//! heap allocation" contract of the flat rewrite.
+//! heap allocation" contract of the flat rewrite — and that one warm `eval_batch_into` at
+//! the paper's 150 features × 40 points × 501 dimensions allocates nothing.
 //!
 //! `cargo bench -p bench --bench bench_acq` for the timed report; `-- --test` (CI smoke
 //! mode) runs every routine once, untimed, and skips the JSON emission.
@@ -25,7 +26,8 @@ use bench::seedpath_acq::{
 };
 use criterion::Criterion;
 use fastmath::Precision;
-use gp::RffSampler;
+use gp::kernel::Kernel;
+use gp::{GaussianProcess, RffSampler};
 use moo::nsga2::{Nsga2, Nsga2Config, Nsga2Engine};
 use parmis::pareto_sampling::{AcquisitionScratch, ParetoFrontSampler, ParetoSamplingConfig};
 use serde::Serialize;
@@ -138,6 +140,38 @@ fn assert_allocations_stay_flat() {
         "a warm engine solve must be entirely allocation-free, saw {allocs_30}"
     );
     println!("allocation flatness: {allocs_3}@3gen == {allocs_30}@30gen == 0 ok");
+}
+
+/// The same contract at the paper's shape, where the feature products are nearly all of
+/// the work (the rows above run at dimension 3): one warm `eval_batch_into` of a
+/// 150-feature sample over 40 points in θ ∈ ℝ⁵⁰¹, on whichever kernel copy
+/// `linalg::RowPanels::dots` picks for this CPU, allocates nothing on either tier.
+fn assert_paper_shape_eval_allocates_nothing() {
+    let dim = 501;
+    let point = |i: usize| -> Vec<f64> {
+        (0..dim)
+            .map(|d| ((i * 7919 + d * 104_729) % 1000) as f64 / 1000.0 - 0.5)
+            .collect()
+    };
+    let xs: Vec<Vec<f64>> = (0..12).map(point).collect();
+    let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<f64>().sin()).collect();
+    let model = GaussianProcess::fit(xs, ys, Kernel::matern52(1.0, 3.0), 1e-3).expect("valid fit");
+    let points: Vec<f64> = (100..140).flat_map(point).collect();
+    let mut out = vec![0.0; 40];
+    for precision in [Precision::SeedExact, Precision::Fast] {
+        let f = RffSampler::new(&model, 150, 5)
+            .expect("valid sampler")
+            .with_precision(precision)
+            .sample(9)
+            .expect("valid draw");
+        f.eval_batch_into(&points, &mut out);
+        let allocs = allocations_during(|| f.eval_batch_into(&points, &mut out));
+        assert_eq!(
+            allocs, 0,
+            "a warm {precision:?} eval_batch_into at 150 × 40 × 501 must not allocate, saw {allocs}"
+        );
+    }
+    println!("paper-shape eval_batch_into: 0 allocations on both tiers ok");
 }
 
 fn bench_front_sample(c: &mut Criterion, rows: &mut Vec<AcqBenchRow>) {
@@ -311,6 +345,7 @@ fn main() {
         "flat-buffer batched acquisition engine vs the seed per-point sampling loop",
     );
     assert_allocations_stay_flat();
+    assert_paper_shape_eval_allocates_nothing();
 
     let mut rows = Vec::new();
     bench_front_sample(&mut criterion, &mut rows);

@@ -18,25 +18,27 @@
 //! [`PosteriorSample::eval_batch_into`] answers a row-major block of query points in one
 //! pass: the feature products `frequencies × Xᵀ` followed by a `cos`/weight sweep. At the
 //! paper's shape (θ ∈ ℝ⁵⁰¹, 150 features, 40 points) the products are nearly all of the
-//! work, ~1000 flops per feature and point against one `cos`. A private walker computes
-//! them in register tiles of 4 features × 4 points with [`vector::dot_tile`]: 16
-//! independent sums run side by side instead of one add-latency-bound chain at a time,
-//! and each row is read once per tile. Blocks on the ragged edges use plain
-//! [`vector::dot`]. Every tile entry is summed in the same order as `dot`, and every point
-//! takes its features in ascending order, so batched answers are **bit-identical** to the
-//! per-point [`PosteriorSample::eval`]. The training-set feature matrix Φ inside
-//! [`RffSampler::new`] goes through the same walker. Sampler and sample share the
-//! frequency matrix and phases through `Arc`, and [`RffSampler::sample_with`] reuses a
-//! caller-provided [`WeightScratch`] across draws, so a warm acquisition loop draws and
-//! evaluates sample functions without reallocating its feature machinery. Regenerate the
-//! measured per-point-vs-batched ratios with
+//! work, ~1000 flops per feature and point against one `cos`.
+//!
+//! [`RffSampler::new`] therefore stores the frequencies only once, as [`RowPanels`]: `k`-major
+//! panels of 8 features, drawn in the same RNG order as a row-major matrix. One step of
+//! [`RowPanels::dots`] updates 8 features × 4 points, 32 independent sums, on AVX2 when the
+//! CPU has it (checked at run time). Every sum runs in the same order as [`vector::dot`]
+//! over the frequency row as drawn, and every point takes its features in ascending order,
+//! so batched answers are **bit-identical** to the per-point [`PosteriorSample::eval`],
+//! which runs the same kernel on a one-point tile, on either instruction set. The
+//! training-set feature matrix Φ inside [`RffSampler::new`] goes through the same kernel.
+//! Sampler and sample share the panels and phases through `Arc`, and
+//! [`RffSampler::sample_with`] reuses a caller-provided [`WeightScratch`] across draws, so
+//! a warm acquisition loop draws and evaluates sample functions without reallocating its
+//! feature machinery. Regenerate the measured per-point-vs-batched ratios with
 //! `PARMIS_RESULTS_DIR=results cargo bench -p bench --bench bench_acq` (writes
 //! `BENCH_acq.json`).
 
-use crate::kernel::KernelFamily;
+use crate::kernel::{Kernel, KernelFamily};
 use crate::{GaussianProcess, GpError, Result};
 use fastmath::Precision;
-use linalg::{vector, Cholesky, Matrix};
+use linalg::{vector, Cholesky, Matrix, RowPanels};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{ChiSquared, Distribution, StandardNormal};
@@ -64,7 +66,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct RffSampler {
     /// Random feature frequencies, one row per feature (shared with every drawn sample).
-    frequencies: Arc<Matrix>,
+    frequencies: Arc<RowPanels>,
     /// Random phase offsets, one per feature (shared with every drawn sample).
     phases: Arc<Vec<f64>>,
     /// Feature scaling √(2σ²/M).
@@ -75,8 +77,6 @@ pub struct RffSampler {
     weight_cov_chol: Cholesky,
     /// Constant added back to every prediction (training-target mean).
     offset: f64,
-    /// Input dimensionality.
-    dim: usize,
     /// Which math tier drawn samples evaluate on (construction and weight draws are
     /// tier-independent; only the cosine in `eval`/`eval_batch_into` differs).
     precision: Precision,
@@ -84,16 +84,15 @@ pub struct RffSampler {
 
 /// A single deterministic function drawn from the GP posterior.
 ///
-/// The frequency matrix and phases are shared with the originating [`RffSampler`] (and
-/// its sibling samples) through `Arc`; only the weight vector is owned per sample.
+/// The frequencies and phases are shared with the originating [`RffSampler`] (and its
+/// sibling samples) through `Arc`; only the weight vector is owned per sample.
 #[derive(Debug, Clone)]
 pub struct PosteriorSample {
-    frequencies: Arc<Matrix>,
+    frequencies: Arc<RowPanels>,
     phases: Arc<Vec<f64>>,
     feature_scale: f64,
     weights: Vec<f64>,
     offset: f64,
-    dim: usize,
     precision: Precision,
 }
 
@@ -128,24 +127,8 @@ impl RffSampler {
         let kernel = gp.kernel();
         let m = num_features;
 
-        // Draw spectral frequencies for the kernel family, scaled by the ARD lengthscales.
-        let mut frequencies = Matrix::zeros(m, dim);
-        for i in 0..m {
-            // Matérn-5/2 spectral density is a multivariate Student-t with ν = 5 degrees of
-            // freedom: w = z / sqrt(u / ν) with z ~ N(0, 1/ℓ²), u ~ χ²(ν).
-            let t_scale = match kernel.family() {
-                KernelFamily::SquaredExponential => 1.0,
-                KernelFamily::Matern52 => {
-                    let chi: ChiSquared = ChiSquared::new(5.0).expect("valid degrees of freedom");
-                    let u = chi.sample(&mut rng);
-                    (5.0 / u).sqrt()
-                }
-            };
-            for d in 0..dim {
-                let z: f64 = StandardNormal.sample(&mut rng);
-                frequencies[(i, d)] = t_scale * z / kernel.lengthscale(d);
-            }
-        }
+        let frequencies =
+            RowPanels::from_rows(m, dim, |_, row| draw_frequencies(kernel, &mut rng, row));
         let phases: Vec<f64> = (0..m)
             .map(|_| rng.gen_range(0.0..(2.0 * std::f64::consts::PI)))
             .collect();
@@ -155,12 +138,15 @@ impl RffSampler {
         let xs = gp.training_inputs();
         let n = xs.len();
         let mut phi = Matrix::zeros(n, m);
-        let point = |i: usize| xs[i].as_slice();
-        feature_products(&frequencies, n, point, |j, first, projections| {
-            for (i, wx) in (first..).zip(projections) {
-                phi[(i, j)] = feature_scale * (*wx + phases[j]).cos();
-            }
-        });
+        frequencies.dots(
+            n,
+            |i| &xs[i],
+            |j, first, projections| {
+                for (i, wx) in (first..).zip(projections) {
+                    phi[(i, j)] = feature_scale * (*wx + phases[j]).cos();
+                }
+            },
+        );
 
         // Weight posterior: A = ΦᵀΦ + σ_n² I, mean = A⁻¹ Φᵀ y_c, cov = σ_n² A⁻¹.
         let noise = gp.noise_variance().max(1e-8);
@@ -189,7 +175,6 @@ impl RffSampler {
             weight_mean,
             weight_cov_chol,
             offset: gp.target_mean(),
-            dim,
             precision: Precision::SeedExact,
         })
     }
@@ -217,7 +202,7 @@ impl RffSampler {
 
     /// Input dimensionality of sampled functions.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.frequencies.row_len()
     }
 
     /// Draws one posterior function sample. Different seeds give independent samples;
@@ -256,7 +241,6 @@ impl RffSampler {
             feature_scale: self.feature_scale,
             weights,
             offset: self.offset,
-            dim: self.dim,
             precision: self.precision,
         })
     }
@@ -264,13 +248,15 @@ impl RffSampler {
     /// Evaluates the posterior *mean* of the RFF approximation at `x` (useful for testing the
     /// fidelity of the approximation against the exact GP).
     pub fn approximate_mean(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.dim, "query dimension mismatch");
-        let m = self.num_features();
+        assert_eq!(x.len(), self.dim(), "query dimension mismatch");
         let mut acc = 0.0;
-        for j in 0..m {
-            acc += feature(&self.frequencies, &self.phases, self.feature_scale, j, x)
-                * self.weight_mean[j];
-        }
+        self.frequencies.dots(
+            1,
+            |_| x,
+            |j, _, wx| {
+                acc += (self.feature_scale * (wx[0] + self.phases[j]).cos()) * self.weight_mean[j];
+            },
+        );
         acc + self.offset
     }
 }
@@ -278,32 +264,18 @@ impl RffSampler {
 impl PosteriorSample {
     /// Evaluates the sampled function at `x`.
     ///
+    /// Runs the batched kernel on a one-point tile, so the result is bit-identical to the
+    /// same point's entry from [`eval_batch_into`](Self::eval_batch_into).
+    ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the training dimensionality.
     pub fn eval(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.dim, "query dimension mismatch");
+        assert_eq!(x.len(), self.dim(), "query dimension mismatch");
         crate::stats::record_rff_point_eval();
-        let m = self.weights.len();
-        let mut acc = 0.0;
-        match self.precision {
-            Precision::SeedExact => {
-                for j in 0..m {
-                    acc += feature(&self.frequencies, &self.phases, self.feature_scale, j, x)
-                        * self.weights[j];
-                }
-            }
-            Precision::Fast => {
-                // Same feature order as the exact path; the cosine and the coefficient
-                // association ((scale·w)·cos instead of (scale·cos)·w) match the fast
-                // batch path exactly, so eval ≡ eval_batch_into stays bit-true per tier.
-                for j in 0..m {
-                    let arg = vector::dot(self.frequencies.row(j), x) + self.phases[j];
-                    acc += (self.feature_scale * self.weights[j]) * fastmath::fast_cos(arg);
-                }
-            }
-        }
-        acc + self.offset
+        let mut out = [0.0];
+        self.eval_points(|_| x, &mut out);
+        out[0]
     }
 
     /// The math tier this sample evaluates on.
@@ -314,38 +286,45 @@ impl PosteriorSample {
     /// Evaluates the sampled function at a whole row-major block of query points at once,
     /// writing one value per point into `out` (`points.len() == out.len() * dim`).
     ///
-    /// One `frequencies × Xᵀ` product in 4 × 4 register tiles ([`vector::dot_tile`], plain
-    /// [`vector::dot`] on the ragged edges), each projection folded straight into its
-    /// point's sum. Per point the operation order matches [`eval`](Self::eval) exactly, so
-    /// results are bit-identical; the pass allocates nothing.
+    /// One `frequencies × Xᵀ` product through [`RowPanels::dots`], each projection folded
+    /// straight into its point's sum. Per point the operation order matches
+    /// [`eval`](Self::eval) exactly, so results are bit-identical; the pass allocates
+    /// nothing.
     ///
     /// # Panics
     ///
     /// Panics if `points.len() != out.len() * dim`.
     pub fn eval_batch_into(&self, points: &[f64], out: &mut [f64]) {
-        let count = out.len();
+        let dim = self.dim();
         assert_eq!(
             points.len(),
-            count * self.dim,
+            out.len() * dim,
             "query block dimension mismatch"
         );
         crate::stats::record_rff_feature_matrix_product();
+        self.eval_points(|p| &points[p * dim..(p + 1) * dim], out);
+    }
+
+    /// Writes the sampled function's value at `point(p)` into `out[p]` for every `p`: the
+    /// features' terms summed per point in ascending feature order from `0.0`, then the
+    /// offset.
+    fn eval_points<'a>(&self, point: impl Fn(usize) -> &'a [f64], out: &mut [f64]) {
         out.fill(0.0);
-        let dim = self.dim;
-        let point = |p: usize| &points[p * dim..(p + 1) * dim];
         match self.precision {
             Precision::SeedExact => {
-                feature_products(&self.frequencies, count, point, |j, first, projections| {
-                    let (phase, weight) = (self.phases[j], self.weights[j]);
-                    for (out_p, wx) in out[first..].iter_mut().zip(projections) {
-                        *out_p += (self.feature_scale * (*wx + phase).cos()) * weight;
-                    }
-                });
+                self.frequencies
+                    .dots(out.len(), point, |j, first, projections| {
+                        let (phase, weight) = (self.phases[j], self.weights[j]);
+                        for (out_p, wx) in out[first..].iter_mut().zip(projections) {
+                            *out_p += (self.feature_scale * (*wx + phase).cos()) * weight;
+                        }
+                    });
             }
             Precision::Fast => {
                 // The projections buffer becomes the cosine arguments in place, so the
-                // fast tier stays as allocation-free as the exact one.
-                feature_products(&self.frequencies, count, point, |j, first, args| {
+                // fast tier stays as allocation-free as the exact one. The coefficient
+                // association ((scale·w)·cos instead of (scale·cos)·w) is the fast tier's.
+                self.frequencies.dots(out.len(), point, |j, first, args| {
                     for arg in args.iter_mut() {
                         *arg += self.phases[j];
                     }
@@ -361,64 +340,26 @@ impl PosteriorSample {
 
     /// Input dimensionality of the sample.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.frequencies.row_len()
     }
 }
 
-/// Evaluates the `j`-th random feature at `x`.
-fn feature(frequencies: &Matrix, phases: &[f64], scale: f64, j: usize, x: &[f64]) -> f64 {
-    let row = frequencies.row(j);
-    scale * (vector::dot(row, x) + phases[j]).cos()
-}
-
-/// Feature rows per register tile of [`feature_products`].
-///
-/// Chosen by measurement on the paper's 150 features × 40 points × 501 dimensions: one
-/// `eval_batch_into` took ~0.7 ms with 4 × 4 tiles against ~2.6 ms with one `dot` per pair
-/// (one core of a shared 2-vCPU Xeon VM, default x86-64 target). 3 × 4, 2 × 8, 4 × 8 and
-/// 8 × 4 tiles ran within noise of 4 × 4; 2 × 4, 4 × 2 and 1 × 8 were slower.
-const TILE_FEATURES: usize = 4;
-/// Query points per register tile of [`feature_products`] (see [`TILE_FEATURES`]).
-const TILE_POINTS: usize = 4;
-
-/// Walks the projections `w_j·x_p` of every random feature `j` (row `j` of `frequencies`)
-/// onto each of `count` query points `point(p)`, each bit-identical to
-/// `vector::dot(frequencies.row(j), point(p))`.
-///
-/// Calls `visit(j, first, projections)` with feature `j`'s projections onto the points
-/// `first..first + projections.len()` (at most [`TILE_POINTS`] of them; the buffer is
-/// scratch the visitor may overwrite). Every point sees its features in ascending order,
-/// so a visitor that accumulates per point sums in the same order as a per-point loop.
-/// Full `TILE_FEATURES × TILE_POINTS` blocks go through one [`vector::dot_tile`]; blocks on
-/// the ragged edges fall back to plain [`vector::dot`]. Nothing is allocated.
-fn feature_products<'a>(
-    frequencies: &Matrix,
-    count: usize,
-    point: impl Fn(usize) -> &'a [f64],
-    mut visit: impl FnMut(usize, usize, &mut [f64]),
-) {
-    let m = frequencies.rows();
-    for j0 in (0..m).step_by(TILE_FEATURES) {
-        let features = j0..(j0 + TILE_FEATURES).min(m);
-        for p0 in (0..count).step_by(TILE_POINTS) {
-            let points = p0..(p0 + TILE_POINTS).min(count);
-            let mut block = [[0.0; TILE_POINTS]; TILE_FEATURES];
-            if features.len() == TILE_FEATURES && points.len() == TILE_POINTS {
-                block = vector::dot_tile(
-                    std::array::from_fn(|r| frequencies.row(j0 + r)),
-                    std::array::from_fn(|c| point(p0 + c)),
-                );
-            } else {
-                for (j, projections) in features.clone().zip(&mut block) {
-                    for (p, wx) in points.clone().zip(projections) {
-                        *wx = vector::dot(frequencies.row(j), point(p));
-                    }
-                }
-            }
-            for (j, projections) in features.clone().zip(&mut block) {
-                visit(j, p0, &mut projections[..points.len()]);
-            }
+/// Draws one feature's spectral frequencies for `kernel` into `row`, scaled by the ARD
+/// lengthscales.
+fn draw_frequencies(kernel: &Kernel, rng: &mut StdRng, row: &mut [f64]) {
+    // Matérn-5/2 spectral density is a multivariate Student-t with ν = 5 degrees of
+    // freedom: w = z / sqrt(u / ν) with z ~ N(0, 1/ℓ²), u ~ χ²(ν).
+    let t_scale = match kernel.family() {
+        KernelFamily::SquaredExponential => 1.0,
+        KernelFamily::Matern52 => {
+            let chi: ChiSquared = ChiSquared::new(5.0).expect("valid degrees of freedom");
+            let u = chi.sample(rng);
+            (5.0 / u).sqrt()
         }
+    };
+    for (d, w) in row.iter_mut().enumerate() {
+        let z: f64 = StandardNormal.sample(rng);
+        *w = t_scale * z / kernel.lengthscale(d);
     }
 }
 
@@ -557,23 +498,64 @@ mod tests {
         f.eval(&[1.0, 2.0]);
     }
 
-    /// Checks `eval_batch_into` against per-point `eval` bit for bit on `precision`: on a
-    /// 2-D GP for feature and point counts below, equal to, off and on a multiple of the
-    /// 4 × 4 tile (every ragged-edge combination), and at the paper's shape of 150 features
-    /// × 40 points × 501 dimensions.
+    /// The frequency rows `RffSampler::new(gp, features, seed)` draws, unpacked.
+    fn drawn_rows(gp: &GaussianProcess, features: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..features)
+            .map(|_| {
+                let mut row = vec![0.0; gp.dim()];
+                draw_frequencies(gp.kernel(), &mut rng, &mut row);
+                row
+            })
+            .collect()
+    }
+
+    /// Checks `eval_batch_into` and per-point `eval` bit for bit on `precision` against a
+    /// reference that takes `vector::dot` over the frequency rows as drawn, so the packing
+    /// and the kernel are both checked: on a 2-D GP for feature counts below, on and past
+    /// one and two 8-lane panels and point counts on every remainder of a 4-point tile, and
+    /// at the paper's shape of 150 features × 40 points × 501 dimensions.
     fn assert_batch_matches_per_point(precision: Precision) {
-        fn check(f: &PosteriorSample, queries: &[Vec<f64>]) {
+        fn check(
+            gp: &GaussianProcess,
+            features: usize,
+            seed: u64,
+            precision: Precision,
+            queries: &[Vec<f64>],
+        ) {
+            let sampler = RffSampler::new(gp, features, seed)
+                .unwrap()
+                .with_precision(precision);
+            let f = sampler.sample(4).unwrap();
+            assert_eq!(f.precision(), precision);
+            let rows = drawn_rows(gp, features, seed);
+            let reference = |x: &[f64]| {
+                let mut acc = 0.0;
+                for (j, row) in rows.iter().enumerate() {
+                    let arg = vector::dot(row, x) + f.phases[j];
+                    acc += match precision {
+                        Precision::SeedExact => (f.feature_scale * arg.cos()) * f.weights[j],
+                        Precision::Fast => {
+                            (f.feature_scale * f.weights[j]) * fastmath::fast_cos(arg)
+                        }
+                    };
+                }
+                acc + f.offset
+            };
             let flat: Vec<f64> = queries.iter().flatten().copied().collect();
             let mut batched = vec![0.0; queries.len()];
             f.eval_batch_into(&flat, &mut batched);
             for (q, b) in queries.iter().zip(&batched) {
+                let want = reference(q).to_bits();
+                let context = format!(
+                    "{precision:?}, {features} features, {} points",
+                    queries.len()
+                );
+                assert_eq!(b.to_bits(), want, "batched eval diverged: {context}");
                 assert_eq!(
                     f.eval(q).to_bits(),
-                    b.to_bits(),
-                    "{:?} batched eval diverged with {} features, {} points",
-                    f.precision,
-                    f.weights.len(),
-                    queries.len()
+                    want,
+                    "per-point eval diverged: {context}"
                 );
             }
         }
@@ -589,17 +571,12 @@ mod tests {
         let ys = vec![0.0, 1.3, 1.2, 2.0, 1.0, 0.5];
         for kernel in [Kernel::rbf(1.0, 0.8), Kernel::matern52(1.2, 0.9)] {
             let gp = GaussianProcess::fit(xs.clone(), ys.clone(), kernel, 1e-4).unwrap();
-            for features in [1, 3, 4, 7, 120] {
-                let sampler = RffSampler::new(&gp, features, 31)
-                    .unwrap()
-                    .with_precision(precision);
-                let f = sampler.sample(4).unwrap();
-                assert_eq!(f.precision(), precision);
-                for count in [1, 3, 4, 6, 8, 17] {
+            for features in [1, 7, 8, 9, 16, 17] {
+                for count in [1, 2, 3, 4, 5, 8, 17] {
                     let queries: Vec<Vec<f64>> = (0..count)
                         .map(|i| vec![-1.0 + 0.17 * i as f64, 2.0 - 0.21 * i as f64])
                         .collect();
-                    check(&f, &queries);
+                    check(&gp, features, 31, precision, &queries);
                 }
             }
         }
@@ -613,11 +590,8 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..12).map(point).collect();
         let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<f64>().sin()).collect();
         let gp = GaussianProcess::fit(xs, ys, Kernel::matern52(1.0, 3.0), 1e-3).unwrap();
-        let sampler = RffSampler::new(&gp, 150, 5)
-            .unwrap()
-            .with_precision(precision);
         let queries: Vec<Vec<f64>> = (100..140).map(point).collect();
-        check(&sampler.sample(9).unwrap(), &queries);
+        check(&gp, 150, 5, precision, &queries);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! * [`Cholesky`] — lower-triangular factorization of symmetric positive-definite matrices,
 //!   with solves, log-determinant and sampling support.
 //! * [`vector`] — free functions over `&[f64]` slices (dot products, norms, axpy, …).
+//! * [`RowPanels`] — matrix rows packed for SIMD dot products against many points, with a
+//!   kernel that runs on AVX2 where the CPU has it.
 //!
 //! # Examples
 //!
@@ -26,17 +28,21 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// One item opts out: the call into the AVX2 copy of the `RowPanels` kernel.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 #![warn(missing_docs)]
 
 mod cholesky;
 mod error;
 mod matrix;
+mod panels;
 pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
+pub use panels::RowPanels;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

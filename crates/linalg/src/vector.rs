@@ -8,7 +8,7 @@
 /// identity (`-0.0 + x` is `x` bit for bit, `+0.0` included), so a term chain sums as if
 /// unseeded and an all-`-0.0` chain keeps its sign. Spelled out because `Iterator::sum` for
 /// `f64` seeds with `-0.0` only on newer toolchains; older ones seed with `+0.0`.
-const DOT_SEED: f64 = -0.0;
+pub(crate) const DOT_SEED: f64 = -0.0;
 
 /// Dot product of two equal-length slices, summed in index order from `-0.0`.
 ///
@@ -26,34 +26,13 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).fold(DOT_SEED, |acc, (x, y)| acc + x * y)
 }
 
-/// Every dot product `a[r] · b[c]` of an `R × C` tile, each bit-identical to
-/// [`dot`]`(a[r], b[c])`.
-///
-/// Each entry is its own in-order sum from the same seed as [`dot`]; the tile only runs
-/// its `R·C` independent chains side by side, so the adds overlap instead of each waiting
-/// on the previous one. Every operand row is read once per tile rather than once per
-/// product, and nothing is allocated.
-///
-/// # Panics
-///
-/// Panics if the slices do not all have the same length.
-///
-/// # Examples
-///
-/// ```
-/// use linalg::vector::{dot, dot_tile};
-///
-/// let (a0, a1, b0) = ([1.0, 2.0], [0.5, -1.0], [3.0, 4.0]);
-/// let tile = dot_tile([&a0[..], &a1[..]], [&b0[..]]);
-/// assert_eq!(tile, [[dot(&a0, &b0)], [dot(&a1, &b0)]]);
-/// ```
-pub fn dot_tile<const R: usize, const C: usize>(a: [&[f64]; R], b: [&[f64]; C]) -> [[f64; C]; R] {
-    let len = shared_len(&a, &b, "dot_tile length mismatch");
-    fold_tile(len, [[DOT_SEED; C]; R], a, b, |acc, x, y| acc + x * y)
-}
-
 /// Every squared distance `‖a[r] − b[c]‖²` of an `R × C` tile, each bit-identical to
-/// [`squared_distance`]`(a[r], b[c])`: the squared-distance counterpart of [`dot_tile`].
+/// [`squared_distance`]`(a[r], b[c])`.
+///
+/// Each entry is its own in-order sum from the same seed as [`squared_distance`]; the tile
+/// only runs its `R·C` independent chains side by side, so the adds overlap instead of each
+/// waiting on the previous one. Every operand row is read once per tile rather than once
+/// per pair, and nothing is allocated.
 ///
 /// # Panics
 ///
@@ -94,7 +73,7 @@ fn shared_len(a: &[&[f64]], b: &[&[f64]], message: &str) -> usize {
 /// `k` from its own seed, side by side.
 ///
 /// Each chain takes exactly the steps a scalar loop over `k` would, so it is bit-identical
-/// to that loop; running the chains together lets their latencies overlap. [`dot_tile`],
+/// to that loop; running the chains together lets their latencies overlap.
 /// [`squared_distance_tile`] and the Cholesky factorization differ only in the seeds and
 /// `step` they pass. Only the first `len` entries of each slice are read.
 ///
@@ -226,37 +205,6 @@ pub fn min(a: &[f64]) -> f64 {
     a.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
-/// Index of the maximum element, or `None` for an empty slice.
-///
-/// Ties resolve to the first maximal index; NaN entries are never selected unless all
-/// entries are NaN, in which case index 0 is returned.
-pub fn argmax(a: &[f64]) -> Option<usize> {
-    if a.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, v) in a.iter().enumerate().skip(1) {
-        if *v > a[best] || a[best].is_nan() {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
-/// Index of the minimum element, or `None` for an empty slice.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    if a.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, v) in a.iter().enumerate().skip(1) {
-        if *v < a[best] || a[best].is_nan() {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
 /// Clamps every element of `a` into `[lo, hi]`, returning a new vector.
 ///
 /// # Panics
@@ -301,12 +249,27 @@ mod tests {
         let (a, b) = ([-0.0, 0.0, 3.0], [1.0, -2.0, -0.0]);
         assert_eq!(dot(&a, &b).to_bits(), (-0.0f64).to_bits());
         assert_eq!(dot(&[], &[]).to_bits(), (-0.0f64).to_bits());
-        let tile = dot_tile([&a[..], &b[..]], [&b[..], &a[..]]);
-        assert_eq!(tile[0][0].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(tile[1][1].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(
-            dot_tile([&[][..]], [&[][..]])[0][0].to_bits(),
-            (-0.0f64).to_bits()
+        // The packed kernel seeds every lane the same way: row a with point b, row b with
+        // point a, and an empty row with an empty point.
+        let rows = [a, b];
+        let panels = crate::RowPanels::from_rows(2, 3, |r, row| row.copy_from_slice(&rows[r]));
+        let mut sums = [[f64::NAN; 2]; 2];
+        panels.dots(
+            2,
+            |p| &rows[1 - p][..],
+            |r, first, products| {
+                sums[r][first..first + products.len()].copy_from_slice(products);
+            },
+        );
+        assert_eq!(sums[0][0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(sums[1][1].to_bits(), (-0.0f64).to_bits());
+        let empty = crate::RowPanels::from_rows(1, 0, |_, _| {});
+        empty.dots(
+            1,
+            |_| &[],
+            |_, _, sums| {
+                assert_eq!(sums[0].to_bits(), (-0.0f64).to_bits());
+            },
         );
     }
 
@@ -328,27 +291,6 @@ mod tests {
     #[should_panic(expected = "squared_distance_tile length mismatch")]
     fn squared_distance_tile_length_mismatch_panics() {
         squared_distance_tile([&[1.0][..], &[1.0, 2.0][..]], [&[1.0][..]]);
-    }
-
-    #[test]
-    fn dot_tile_matches_dot_per_entry() {
-        let rows: Vec<Vec<f64>> = (0..3)
-            .map(|r| (0..7).map(|k| (r * 7 + k) as f64 * 0.37 - 2.0).collect())
-            .collect();
-        let tile = dot_tile([&rows[0][..], &rows[1][..]], [&rows[2][..], &rows[0][..]]);
-        for (r, a) in [&rows[0], &rows[1]].into_iter().enumerate() {
-            for (c, b) in [&rows[2], &rows[0]].into_iter().enumerate() {
-                assert_eq!(tile[r][c].to_bits(), dot(a, b).to_bits());
-            }
-        }
-        let empty: [[f64; 0]; 0] = dot_tile([], []);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "dot_tile length mismatch")]
-    fn dot_tile_length_mismatch_panics() {
-        dot_tile([&[1.0][..]], [&[1.0, 2.0][..], &[1.0][..]]);
     }
 
     #[test]
@@ -375,14 +317,6 @@ mod tests {
         assert_eq!(max(&[1.0, 5.0, 3.0]), 5.0);
         assert_eq!(min(&[1.0, 5.0, 3.0]), 1.0);
         assert_eq!(max(&[]), f64::NEG_INFINITY);
-        assert_eq!(argmax(&[1.0, 5.0, 3.0]), Some(1));
-        assert_eq!(argmin(&[1.0, 5.0, 3.0]), Some(0));
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
-        // Ties prefer the first index.
-        assert_eq!(argmax(&[2.0, 2.0]), Some(0));
-        // NaN entries are skipped over.
-        assert_eq!(argmax(&[f64::NAN, 1.0]), Some(1));
     }
 
     #[test]

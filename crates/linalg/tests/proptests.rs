@@ -1,6 +1,6 @@
 //! Property-based tests for the dense linear-algebra kernels.
 
-use linalg::{vector, Cholesky, Matrix};
+use linalg::{vector, Cholesky, Matrix, RowPanels};
 use proptest::prelude::*;
 
 /// Strategy producing small vectors of well-behaved floats.
@@ -16,9 +16,13 @@ fn matrix_strategy(n: usize) -> impl Strategy<Value = Matrix> {
 
 /// Longest operand row the tile properties draw.
 const MAX_TILE_LEN: usize = 12;
+/// Most rows the packed-panel property draws: two panels of 8 and one more.
+const MAX_PANEL_ROWS: usize = 17;
+/// Most points the packed-panel property draws: two kernel tiles of 4 and one more.
+const MAX_PANEL_POINTS: usize = 9;
 
 /// Strategy producing floats that are mostly ordinary and otherwise a signed zero, a
-/// subnormal, a huge value, ±∞ or NaN, so tile sums can cancel to a signed zero,
+/// subnormal, a huge value, ±∞ or NaN, so tile and panel sums can cancel to a signed zero,
 /// underflow, overflow or turn NaN.
 fn edge_float() -> impl Strategy<Value = f64> {
     (0usize..24, -100.0f64..100.0).prop_map(|(kind, x)| match kind {
@@ -194,13 +198,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn dot_tile_entries_equal_dot_bitwise(
+    fn row_panel_dots_equal_dot_bitwise(
+        rows in 0usize..=MAX_PANEL_ROWS,
+        count in 0usize..=MAX_PANEL_POINTS,
         len in 0usize..=MAX_TILE_LEN,
-        data in prop::collection::vec(edge_float(), 8 * MAX_TILE_LEN),
+        data in prop::collection::vec(
+            edge_float(),
+            (MAX_PANEL_ROWS + MAX_PANEL_POINTS) * MAX_TILE_LEN,
+        ),
     ) {
-        assert_tile_matches::<4, 4>(&data, len, vector::dot_tile, vector::dot);
-        assert_tile_matches::<3, 2>(&data, len, vector::dot_tile, vector::dot);
-        assert_tile_matches::<1, 1>(&data, len, vector::dot_tile, vector::dot);
+        // Rows across two panel edges and points across two tile edges, each row or point
+        // the first `len` entries of its own stretch of `data`.
+        let row = |i: usize| &data[i * MAX_TILE_LEN..i * MAX_TILE_LEN + len];
+        let point = |p: usize| row(MAX_PANEL_ROWS + p);
+        let panels = RowPanels::from_rows(rows, len, |r, out| out.copy_from_slice(row(r)));
+        let mut seen = 0;
+        panels.dots(count, point, |r, first, sums| {
+            for (p, got) in (first..).zip(sums.iter()) {
+                let want = vector::dot(row(r), point(p));
+                assert!(
+                    same_sum(*got, want),
+                    "row {r} of {rows}, point {p} of {count}, length {len}: {got:e} vs {want:e}"
+                );
+                seen += 1;
+            }
+        });
+        prop_assert_eq!(seen, rows * count);
     }
 
     #[test]
