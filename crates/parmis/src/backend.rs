@@ -27,7 +27,7 @@ use crate::{ParmisError, Result};
 use soc_sim::platform::{CancelEpochs, DiscardEpochs, Platform, RunAggregates};
 use soc_sim::workload::Application;
 use soc_sim::SocError;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Everything a backend needs to carry out one policy run, borrowed from the evaluator.
@@ -82,8 +82,8 @@ fn backend_error(name: &'static str, source: SocError) -> ParmisError {
 
 /// Drives one streaming application run, honoring [`EvalContext::cancel`]: with a token
 /// present the [`DiscardEpochs`] sink is wrapped in a [`CancelEpochs`] decorator that polls
-/// the token every [`CANCEL_EPOCH_STRIDE`] epochs (and beats its heartbeat, so the stall
-/// monitor sees in-run progress); without one the plain runner is invoked with zero
+/// the token every [`CANCEL_EPOCH_STRIDE`] epochs (and beats its heartbeat, so a stall
+/// window sees in-run progress); without one the plain runner is invoked with zero
 /// overhead. Both paths fold bit-identical aggregates — the wrapper never touches epochs.
 fn run_streaming(
     ctx: &EvalContext<'_>,
@@ -159,12 +159,9 @@ pub enum FaultKind {
     /// The run panics inside the backend — this is the drill for worker panic containment
     /// (the parallel evaluator must convert it into a structured error, not abort).
     Panic,
-    /// The run stalls for the given number of microseconds, then delegates normally. A
-    /// latency fault must never change results, only (virtual or real) wall-clock time.
-    /// By default the stall is **charged to a deterministic virtual-clock ledger**
-    /// ([`FaultInject::charged_latency_micros`]) instead of sleeping, so latency drills
-    /// do not slow the test suite down; [`FaultInject::with_real_latency`] opts into
-    /// actually sleeping for stall-detector drills that need elapsed time.
+    /// The run sleeps for the given number of microseconds, then delegates normally. A
+    /// latency fault must never change results, only wall-clock time; stall-detection
+    /// drills use a long one to hang a worker.
     LatencySpike {
         /// Stall duration in microseconds.
         micros: u64,
@@ -193,11 +190,6 @@ pub struct FaultInject {
     seed: u64,
     error_rate: f64,
     runs: AtomicUsize,
-    /// Virtual-clock ledger of latency-spike stalls (mirrors the retry policy's backoff
-    /// ledger): total microseconds charged instead of slept.
-    charged_latency_micros: AtomicU64,
-    /// When `true`, latency spikes actually sleep (stall-detector drills only).
-    real_latency: bool,
 }
 
 impl FaultInject {
@@ -209,8 +201,6 @@ impl FaultInject {
             seed: 0,
             error_rate: 0.0,
             runs: AtomicUsize::new(0),
-            charged_latency_micros: AtomicU64::new(0),
-            real_latency: false,
         }
     }
 
@@ -231,25 +221,9 @@ impl FaultInject {
         self
     }
 
-    /// Makes latency spikes actually block the worker thread instead of charging the
-    /// virtual-clock ledger. Only stall-detection drills (which measure real elapsed
-    /// time) should want this; everything else gets the same determinism for free from
-    /// the ledger.
-    #[must_use]
-    pub fn with_real_latency(mut self) -> Self {
-        self.real_latency = true;
-        self
-    }
-
     /// Number of `run` calls made so far (injected faults included).
     pub fn runs(&self) -> usize {
         self.runs.load(Ordering::SeqCst)
-    }
-
-    /// Total latency-spike microseconds charged to the virtual-clock ledger so far
-    /// (always 0 with [`with_real_latency`](Self::with_real_latency)).
-    pub fn charged_latency_micros(&self) -> u64 {
-        self.charged_latency_micros.load(Ordering::SeqCst)
     }
 
     /// Uniform `[0, 1)` draw for run `n`: splitmix64 finalizer over `seed ^ f(n)`.
@@ -287,12 +261,7 @@ impl EvalBackend for FaultInject {
             )),
             Some(FaultKind::Panic) => panic!("injected panic at run {n} (fault-injection drill)"),
             Some(FaultKind::LatencySpike { micros }) => {
-                if self.real_latency {
-                    std::thread::sleep(std::time::Duration::from_micros(micros));
-                } else {
-                    self.charged_latency_micros
-                        .fetch_add(micros, Ordering::SeqCst);
-                }
+                std::thread::sleep(std::time::Duration::from_micros(micros));
                 self.inner.run(ctx, buffers)
             }
             None => self.inner.run(ctx, buffers),
@@ -340,8 +309,8 @@ mod tests {
             .fault_on(2, FaultKind::LatencySpike { micros: 50 });
         assert_eq!(faulty.name(), "fault-inject");
 
-        // Run 0 is clean, run 1 errors structurally, run 2 stalls (charged to the
-        // virtual-clock ledger, not slept) but returns the same aggregates bit for bit.
+        // Run 0 is clean, run 1 errors structurally, run 2 sleeps but returns the same
+        // aggregates bit for bit.
         assert_eq!(faulty.run(&ctx, &mut buffers).unwrap(), baseline);
         let err = faulty.run(&ctx, &mut buffers).unwrap_err();
         match err {
@@ -354,19 +323,15 @@ mod tests {
             }
             other => panic!("expected Backend error, got {other:?}"),
         }
-        assert_eq!(faulty.charged_latency_micros(), 0);
         assert_eq!(faulty.run(&ctx, &mut buffers).unwrap(), baseline);
         assert_eq!(faulty.runs(), 3);
-        assert_eq!(faulty.charged_latency_micros(), 50);
 
-        // Opting into real latency leaves the ledger untouched and actually blocks.
+        // A latency spike actually blocks.
         let sleeper = FaultInject::new(Arc::new(AnalyticSim::new()))
-            .fault_on(0, FaultKind::LatencySpike { micros: 2_000 })
-            .with_real_latency();
+            .fault_on(0, FaultKind::LatencySpike { micros: 2_000 });
         let started = std::time::Instant::now();
         assert_eq!(sleeper.run(&ctx, &mut buffers).unwrap(), baseline);
         assert!(started.elapsed() >= std::time::Duration::from_micros(2_000));
-        assert_eq!(sleeper.charged_latency_micros(), 0);
 
         // The seeded random schedule is a pure function of (seed, run index): two
         // instances with the same seed fail the same runs.
@@ -400,7 +365,7 @@ mod tests {
         let baseline = AnalyticSim::new().run(&plain, &mut buffers).unwrap();
 
         // An untripped token changes nothing: same aggregates bit for bit, and the probe
-        // beats the heartbeat so the stall monitor sees in-run progress.
+        // beats the heartbeat so a stall window sees in-run progress.
         let source = CancelSource::new();
         let token = source.token();
         let watched = EvalContext {

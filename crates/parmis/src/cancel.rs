@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! CancelSource (drain root: User | Signal | fleet Deadline)
-//! └── CancelSource (per-wave child: Stall, per-job Deadline)
+//! └── CancelSource (per-slot child: stall window, segment watchdog Deadline)
 //!     └── CancelToken ── Parmis::segment        (checked per iteration round)
 //!         ├── ParallelEvaluator                 (checked between batch slots)
 //!         └── CancelEpochs sink (soc-sim)       (checked every N simulator epochs)
@@ -13,16 +13,20 @@
 //!
 //! A [`CancelSource`] is the writer end: it latches the first [`CancelReason`] it is given
 //! and never un-cancels. A [`CancelToken`] is the cheap, cloneable reader end handed to
-//! execution layers; [`CancelToken::cancelled`] also folds in two passive triggers — a
-//! wall-clock deadline ([`CancelSource::with_deadline`]) and process signals
-//! ([`CancelSource::cancel_on_signals`]) — latching them into `Deadline` / `Signal` so the
-//! observed reason is stable. Cancellation of an ancestor surfaces in every descendant as
+//! execution layers; [`CancelToken::cancelled`] also folds in the passive triggers — a
+//! wall-clock deadline ([`CancelSource::with_deadline`]), process signals
+//! ([`CancelSource::cancel_on_signals`]) and, on the job supervisor's slot scopes, a stall
+//! window — latching them into `Deadline` / `Signal` / `Stall` so the observed reason is
+//! stable. Cancellation of an ancestor surfaces in every descendant as
 //! [`CancelReason::Parent`].
 //!
 //! Tokens also carry a heartbeat counter ([`CancelToken::beat`]), bumped by every
-//! execution layer as it makes progress and propagated up the ancestor chain; the job
-//! supervisor's stall monitor watches it to raise [`CancelReason::Stall`] on a worker that
-//! has stopped moving.
+//! execution layer as it makes progress and propagated up the ancestor chain. A scope with
+//! a stall window also records when its last beat arrived and raises
+//! [`CancelReason::Stall`] once the window passes without one.
+//!
+//! This module is the only part of the runtime that reads the clock: deadlines and stall
+//! windows are the passive triggers above, checked whenever a token is.
 //!
 //! **Determinism contract:** cancellation decides *when* a search suspends, never *what*
 //! it computes. Every layer checks its token only at a deterministic boundary (iteration
@@ -31,7 +35,7 @@
 //! uninterrupted one.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::error::{CheckpointFault, ParmisError};
@@ -46,7 +50,8 @@ pub enum CancelReason {
     User,
     /// A wall-clock deadline budget expired.
     Deadline,
-    /// A supervisor-side monitor decided the worker stopped making progress.
+    /// A scope's stall window passed without a heartbeat: the worker stopped making
+    /// progress.
     Stall,
     /// SIGTERM or SIGINT was delivered to the process.
     Signal,
@@ -102,6 +107,8 @@ struct Inner {
     heartbeats: AtomicU64,
     /// Passive trigger: latch `Deadline` once this instant passes.
     deadline: Option<Instant>,
+    /// Passive trigger: latch `Stall` once the window passes without a beat.
+    stall: Option<StallWindow>,
     /// Passive trigger: latch `Signal` once the registered flag flips.
     signal: OnceLock<Arc<AtomicBool>>,
     /// Cancellation of any ancestor surfaces here as `Parent`.
@@ -109,11 +116,16 @@ struct Inner {
 }
 
 impl Inner {
-    fn fresh(deadline: Option<Instant>, parent: Option<CancelToken>) -> Arc<Inner> {
+    fn fresh(
+        deadline: Option<Instant>,
+        stall: Option<StallWindow>,
+        parent: Option<CancelToken>,
+    ) -> Arc<Inner> {
         Arc::new(Inner {
             reason: AtomicU8::new(0),
             heartbeats: AtomicU64::new(0),
             deadline,
+            stall,
             signal: OnceLock::new(),
             parent,
         })
@@ -147,7 +159,58 @@ impl Inner {
                 return Some(self.latch(CancelReason::Parent));
             }
         }
+        // Checked last, so a stall never hides any other cause.
+        if self.stall.as_ref().is_some_and(StallWindow::stalled) {
+            return Some(self.latch(CancelReason::Stall));
+        }
         None
+    }
+}
+
+/// `budget` from now, or `None` (a deadline that never expires) when that instant lies
+/// past what [`Instant`] can represent.
+fn deadline_after(budget: Duration) -> Option<Instant> {
+    Instant::now().checked_add(budget)
+}
+
+/// The stall trigger of a [`CancelSource::child_with_stall_window`] scope.
+#[derive(Debug)]
+struct StallWindow {
+    window: Duration,
+    /// When the last beat arrived (the scope's creation until the first one).
+    last_beat: Mutex<Instant>,
+    /// Set by a beat that arrived `window` or more after its predecessor, so a slow round
+    /// that ends in a beat still trips at the next check.
+    missed: AtomicBool,
+}
+
+impl StallWindow {
+    fn new(window: Duration) -> StallWindow {
+        StallWindow {
+            window,
+            last_beat: Mutex::new(Instant::now()),
+            missed: AtomicBool::new(false),
+        }
+    }
+
+    /// A poisoned lock still guards a valid instant: every update is one assignment.
+    fn lock_last_beat(&self) -> MutexGuard<'_, Instant> {
+        self.last_beat
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn beat(&self) {
+        let mut last = self.lock_last_beat();
+        let now = Instant::now();
+        if now.saturating_duration_since(*last) >= self.window {
+            self.missed.store(true, Ordering::SeqCst);
+        }
+        *last = now;
+    }
+
+    fn stalled(&self) -> bool {
+        self.missed.load(Ordering::SeqCst) || self.lock_last_beat().elapsed() >= self.window
     }
 }
 
@@ -161,15 +224,16 @@ impl CancelSource {
     /// A fresh, uncancelled root source with no deadline.
     pub fn new() -> CancelSource {
         CancelSource {
-            inner: Inner::fresh(None, None),
+            inner: Inner::fresh(None, None, None),
         }
     }
 
     /// A root source whose tokens latch [`CancelReason::Deadline`] once `budget` of
-    /// wall-clock time has elapsed from now.
+    /// wall-clock time has elapsed from now. A budget too large to represent as an
+    /// [`Instant`] never expires.
     pub fn with_deadline(budget: Duration) -> CancelSource {
         CancelSource {
-            inner: Inner::fresh(Some(Instant::now() + budget), None),
+            inner: Inner::fresh(deadline_after(budget), None, None),
         }
     }
 
@@ -177,14 +241,25 @@ impl CancelSource {
     /// [`CancelReason::Parent`]), but cancelling the child leaves `self` untouched.
     pub fn child(&self) -> CancelSource {
         CancelSource {
-            inner: Inner::fresh(None, Some(self.token())),
+            inner: Inner::fresh(None, None, Some(self.token())),
         }
     }
 
-    /// A child source with its own wall-clock deadline on top of the parent link.
+    /// A child source with its own wall-clock deadline on top of the parent link. A
+    /// budget too large to represent as an [`Instant`] never expires.
     pub fn child_with_deadline(&self, budget: Duration) -> CancelSource {
         CancelSource {
-            inner: Inner::fresh(Some(Instant::now() + budget), Some(self.token())),
+            inner: Inner::fresh(deadline_after(budget), None, Some(self.token())),
+        }
+    }
+
+    /// A child source that latches [`CancelReason::Stall`] once `window` of wall-clock
+    /// time passes without a [beat](CancelToken::beat) — counted from its creation until
+    /// the first beat. A beat that ends a gap of `window` or more still trips at the next
+    /// check. Every other cause takes precedence over a stall.
+    pub(crate) fn child_with_stall_window(&self, window: Duration) -> CancelSource {
+        CancelSource {
+            inner: Inner::fresh(None, Some(StallWindow::new(window)), Some(self.token())),
         }
     }
 
@@ -270,7 +345,7 @@ impl CancelToken {
     }
 
     /// The cancellation reason, if this scope (or any ancestor, or a passive
-    /// deadline/signal trigger) has been cancelled. The first observation latches, so
+    /// deadline/signal/stall trigger) has been cancelled. The first observation latches, so
     /// repeated calls return the same reason.
     pub fn cancelled(&self) -> Option<CancelReason> {
         self.inner.as_ref().and_then(|inner| inner.cancelled())
@@ -282,12 +357,15 @@ impl CancelToken {
     }
 
     /// Records one unit of forward progress on this scope and every ancestor. Execution
-    /// layers call this as they complete work; the supervisor's stall monitor watches the
-    /// counter move.
+    /// layers call this as they complete work; a scope with a stall window also records
+    /// when the beat arrived (scopes without one read no clock).
     pub fn beat(&self) {
         let mut cursor = self.inner.clone();
         while let Some(inner) = cursor {
             inner.heartbeats.fetch_add(1, Ordering::SeqCst);
+            if let Some(stall) = &inner.stall {
+                stall.beat();
+            }
             cursor = inner
                 .parent
                 .as_ref()
@@ -333,6 +411,65 @@ mod tests {
     fn unexpired_deadline_does_not_cancel() {
         let source = CancelSource::with_deadline(Duration::from_secs(3600));
         assert!(!source.token().is_cancelled());
+    }
+
+    #[test]
+    fn a_root_deadline_past_the_clock_range_never_expires() {
+        let source = CancelSource::with_deadline(Duration::MAX);
+        assert!(!source.token().is_cancelled());
+        assert!(source.cancelled().is_none());
+    }
+
+    #[test]
+    fn a_child_deadline_past_the_clock_range_never_expires() {
+        let child = CancelSource::new().child_with_deadline(Duration::MAX);
+        assert!(!child.token().is_cancelled());
+        assert!(child.cancelled().is_none());
+    }
+
+    #[test]
+    fn a_zero_stall_window_latches_stall_at_the_first_check() {
+        let scope = CancelSource::new().child_with_stall_window(Duration::ZERO);
+        assert_eq!(scope.token().cancelled(), Some(CancelReason::Stall));
+        // Latched: an explicit cancel afterwards cannot overwrite it.
+        scope.cancel(CancelReason::User);
+        assert_eq!(scope.cancelled(), Some(CancelReason::Stall));
+    }
+
+    #[test]
+    fn a_long_stall_window_never_trips_however_often_it_beats_or_is_polled() {
+        let root = CancelSource::new();
+        let scope = root.child_with_stall_window(Duration::from_secs(3600));
+        let token = scope.token();
+        for _ in 0..1000 {
+            token.beat();
+            assert!(!token.is_cancelled());
+        }
+        assert_eq!(scope.heartbeats(), 1000);
+        assert_eq!(root.heartbeats(), 1000);
+        assert!(root.cancelled().is_none());
+    }
+
+    #[test]
+    fn stall_never_overrides_another_cause() {
+        let root = CancelSource::new();
+        let child = root.child_with_stall_window(Duration::ZERO);
+        root.cancel(CancelReason::Signal);
+        assert_eq!(child.cancelled(), Some(CancelReason::Parent));
+
+        let explicit = CancelSource::new().child_with_stall_window(Duration::ZERO);
+        explicit.cancel(CancelReason::Deadline);
+        assert_eq!(explicit.token().cancelled(), Some(CancelReason::Deadline));
+    }
+
+    #[test]
+    fn a_beat_that_ends_a_long_gap_trips_the_next_check() {
+        let scope = CancelSource::new().child_with_stall_window(Duration::from_millis(20));
+        let token = scope.token();
+        std::thread::sleep(Duration::from_millis(40));
+        // The beat resets the window, but the gap it ended is recorded.
+        token.beat();
+        assert_eq!(token.cancelled(), Some(CancelReason::Stall));
     }
 
     #[test]

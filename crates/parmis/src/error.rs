@@ -33,9 +33,6 @@ pub enum CheckpointFault {
     Incompatible,
     /// A state could not be serialized for persistence.
     Serialize,
-    /// A supervised segment exceeded its watchdog budget and was suspended at the next
-    /// checkpoint boundary (the job supervisor's internal suspension signal).
-    Watchdog,
 }
 
 impl CheckpointFault {
@@ -50,7 +47,6 @@ impl CheckpointFault {
             CheckpointFault::Invariant => "invariant",
             CheckpointFault::Incompatible => "incompatible",
             CheckpointFault::Serialize => "serialize",
-            CheckpointFault::Watchdog => "watchdog",
         }
     }
 }
@@ -238,7 +234,6 @@ mod tests {
             CheckpointFault::Invariant,
             CheckpointFault::Incompatible,
             CheckpointFault::Serialize,
-            CheckpointFault::Watchdog,
         ];
         let mut names: Vec<&str> = faults.iter().map(|f| f.name()).collect();
         names.sort_unstable();

@@ -19,7 +19,7 @@ use soc_sim::scenario::{Scenario, ScenarioConstraints};
 use soc_sim::workload::Application;
 use soc_sim::{DecisionSpace, SocError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default measurement-noise seed for evaluation runs.
@@ -141,7 +141,7 @@ impl<E: PolicyEvaluator + Sync> ParallelEvaluator<E> {
     /// Attaches a cancellation token checked at the batch-dispatch boundary: before each
     /// worker's chunk starts, a tripped token aborts the whole batch with
     /// [`ParmisError::Cancelled`] instead of evaluating it. Each completed chunk also
-    /// [beats](CancelToken::beat) the token so the supervisor's stall monitor sees
+    /// [beats](CancelToken::beat) the token, so a stall window on its scope sees
     /// batch-level progress. Chunking and result order are unaffected — a cancelled batch
     /// is simply recomputed identically on resume.
     #[must_use]
@@ -252,21 +252,17 @@ pub enum DegradeMode {
     },
 }
 
-/// Bounded-retry policy for the evaluation seam, with deterministic backoff accounting.
+/// Bounded-retry policy for the evaluation seam.
 ///
 /// Each failed backend run (structured error *or* contained panic) is retried up to
-/// [`max_retries`](Self::max_retries) times; attempt `i` charges `backoff_base_micros <<
-/// i` to the shared [`RetryStats`] ledger **without sleeping** — the backoff schedule is
-/// an accounting quantity (reproducible in tests and reports, summable across workers),
-/// not a wall-clock delay, so retry behavior never depends on timing. When every attempt
-/// is exhausted, [`degrade`](Self::degrade) decides between fail-fast and
-/// skip-with-penalty.
+/// [`max_retries`](Self::max_retries) times, immediately: nothing waits between
+/// attempts, so retry behavior never depends on timing. The shared [`RetryStats`] count
+/// what happened. When every attempt is exhausted, [`degrade`](Self::degrade) decides
+/// between fail-fast and skip-with-penalty.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retries after the first failed attempt (`0` = single attempt, the default).
     pub max_retries: usize,
-    /// Base of the exponential backoff ledger: attempt `i` charges `base << i` µs.
-    pub backoff_base_micros: u64,
     /// What to do once retries are exhausted.
     pub degrade: DegradeMode,
 }
@@ -275,7 +271,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 0,
-            backoff_base_micros: 100,
             degrade: DegradeMode::FailFast,
         }
     }
@@ -296,16 +291,9 @@ impl RetryPolicy {
         self.degrade = DegradeMode::SkipWithPenalty { penalty };
         self
     }
-
-    /// Overrides the backoff ledger base.
-    #[must_use]
-    pub fn backoff_base_micros(mut self, micros: u64) -> Self {
-        self.backoff_base_micros = micros;
-        self
-    }
 }
 
-/// Shared fault-handling ledger of an evaluator (clones of the evaluator share one).
+/// Shared fault-handling counters of an evaluator (clones of the evaluator share one).
 ///
 /// All counters are atomics: workers update them concurrently, totals are exact.
 #[derive(Debug, Default)]
@@ -313,7 +301,6 @@ pub struct RetryStats {
     retries: AtomicUsize,
     degraded_runs: AtomicUsize,
     contained_panics: AtomicUsize,
-    backoff_micros: AtomicU64,
 }
 
 impl RetryStats {
@@ -330,11 +317,6 @@ impl RetryStats {
     /// Backend panics caught and converted into structured errors.
     pub fn contained_panics(&self) -> usize {
         self.contained_panics.load(Ordering::SeqCst)
-    }
-
-    /// Total simulated backoff charged by the deterministic accounting, in microseconds.
-    pub fn backoff_micros(&self) -> u64 {
-        self.backoff_micros.load(Ordering::SeqCst)
     }
 }
 
@@ -421,8 +403,8 @@ impl SocEvaluator {
         self.retry
     }
 
-    /// The shared fault-handling ledger (clones of this evaluator update the same one, so
-    /// parallel workers aggregate into a single set of totals).
+    /// The shared fault-handling counters (clones of this evaluator update the same ones,
+    /// so parallel workers aggregate into a single set of totals).
     pub fn retry_stats(&self) -> Arc<RetryStats> {
         self.retry_stats.clone()
     }
@@ -507,10 +489,9 @@ impl SocEvaluator {
     ///
     /// Fault handling: every backend run goes through the evaluator's [`RetryPolicy`] —
     /// a panicking backend is contained (`catch_unwind`) and converted into a structured
-    /// [`ParmisError::Backend`] carrying [`SocError::Fault`], failures are retried with
-    /// deterministic backoff accounting, and on exhaustion the policy either fails fast
-    /// or degrades the whole θ to the configured penalty vector
-    /// ([`DegradeMode::SkipWithPenalty`]).
+    /// [`ParmisError::Backend`] carrying [`SocError::Fault`], failures are retried, and on
+    /// exhaustion the policy either fails fast or degrades the whole θ to the configured
+    /// penalty vector ([`DegradeMode::SkipWithPenalty`]).
     ///
     /// # Errors
     ///
@@ -579,9 +560,8 @@ impl SocEvaluator {
     }
 
     /// One backend run under the evaluator's [`RetryPolicy`]: panics contained into
-    /// structured errors, failures retried with deterministic backoff accounting, and on
-    /// exhaustion either the last error (fail-fast) or a degradation marker
-    /// (skip-with-penalty).
+    /// structured errors, failures retried, and on exhaustion either the last error
+    /// (fail-fast) or a degradation marker (skip-with-penalty).
     fn run_backend_with_retries(
         &self,
         ctx: &EvalContext<'_>,
@@ -615,11 +595,6 @@ impl SocEvaluator {
                 return Err(error);
             }
             if attempt < self.retry.max_retries {
-                // Deterministic backoff *accounting*: attempt i charges base << i to the
-                // ledger. Nothing sleeps — retry behavior never depends on wall clock.
-                self.retry_stats
-                    .backoff_micros
-                    .fetch_add(self.retry.backoff_base_micros << attempt, Ordering::SeqCst);
                 self.retry_stats.retries.fetch_add(1, Ordering::SeqCst);
                 attempt += 1;
                 continue;
@@ -802,8 +777,8 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Sets the fault-handling policy applied around every backend run: retries with
-    /// deterministic backoff accounting, then fail-fast or skip-with-penalty.
+    /// Sets the fault-handling policy applied around every backend run: retries, then
+    /// fail-fast or skip-with-penalty.
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -1146,8 +1121,8 @@ mod tests {
     #[test]
     fn cancellation_bypasses_retries_and_penalty_degradation() {
         use crate::cancel::{CancelReason, CancelSource};
-        // A tripped token must abort immediately: no retries charged to the ledger, no
-        // degradation to the penalty vector — even under the most forgiving policy.
+        // A tripped token must abort immediately: no retries, no degradation to the
+        // penalty vector — even under the most forgiving policy.
         let source = CancelSource::new();
         source.cancel(CancelReason::Deadline);
         let eval = SocEvaluator::builder()
@@ -1163,7 +1138,6 @@ mod tests {
         let stats = eval.retry_stats();
         assert_eq!(stats.retries(), 0);
         assert_eq!(stats.degraded_runs(), 0);
-        assert_eq!(stats.backoff_micros(), 0);
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub enum StopReason {
     /// an iteration boundary.
     FuelExhausted,
     /// The segment was cooperatively cancelled at an iteration boundary — by an explicit
-    /// request, a wall-clock deadline, a stall monitor, a process signal, or an ancestor
+    /// request, a wall-clock deadline, a stall window, a process signal, or an ancestor
     /// scope (see [`CancelReason`]).
     Cancelled(CancelReason),
 }
@@ -547,8 +547,8 @@ impl Parmis {
             iteration += evaluated;
             segment_evaluations += evaluated;
             evals_since_checkpoint += evaluated;
-            // One heartbeat per completed round: the supervisor's stall monitor watches
-            // this counter move (evaluators additionally beat per batch slot).
+            // One heartbeat per completed round: a stall window on the token's scope
+            // restarts here (evaluators additionally beat per batch slot).
             self.cancel.beat();
 
             // Cadence checkpoint: hand a durable snapshot to the sink at the round

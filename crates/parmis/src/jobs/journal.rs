@@ -26,8 +26,9 @@ use crate::error::CheckpointFault;
 use crate::{ParmisError, Result};
 use serde::{Deserialize, Serialize};
 
-/// Journal document layout version.
-pub const JOURNAL_FORMAT_VERSION: u32 = 1;
+/// Journal document layout version. A journal of another version fails verification, so
+/// the supervisor quarantines it and rebuilds the job table from the checkpoints.
+pub const JOURNAL_FORMAT_VERSION: u32 = 2;
 
 /// File name of the journal inside a store root.
 pub const JOURNAL_FILE: &str = "journal.json";
@@ -128,10 +129,6 @@ pub struct JobEntry {
     pub evaluations: usize,
     /// Restart attempts consumed since the last successful segment.
     pub attempts: usize,
-    /// Cumulative restart backoff charged to this job, in microseconds. Deterministic
-    /// accounting (`base << attempt` per retry, like
-    /// [`crate::evaluation::RetryPolicy`]), never slept.
-    pub backoff_micros: u64,
     /// Sequence number of the newest durable checkpoint, if any.
     pub checkpoint_seq: Option<u64>,
     /// Last link of the trace-hash chain at the newest checkpoint (or at completion).
@@ -154,7 +151,6 @@ impl JobEntry {
             segments: 0,
             evaluations: 0,
             attempts: 0,
-            backoff_micros: 0,
             checkpoint_seq: None,
             last_trace_hash: None,
             outcome_digest: None,
@@ -189,7 +185,6 @@ impl JobEntry {
         h = fold(h, self.segments as u64);
         h = fold(h, self.evaluations as u64);
         h = fold(h, self.attempts as u64);
-        h = fold(h, self.backoff_micros);
         h = fold(h, self.checkpoint_seq.map(|s| s + 1).unwrap_or(0));
         h = fold(h, self.last_trace_hash.unwrap_or(0));
         h = fold(h, self.outcome_digest.unwrap_or(0));
@@ -402,7 +397,11 @@ mod tests {
         let err = JobJournal::from_json(&json[..json.len() / 2]).unwrap_err();
         assert_eq!(err.checkpoint_fault(), Some(CheckpointFault::Parse));
 
-        let bumped = json.replace("\"format_version\": 1", "\"format_version\": 9");
+        let bumped = json.replace(
+            &format!("\"format_version\": {JOURNAL_FORMAT_VERSION}"),
+            "\"format_version\": 9",
+        );
+        assert_ne!(bumped, json);
         let err = JobJournal::from_json(&bumped).unwrap_err();
         assert_eq!(
             err.checkpoint_fault(),

@@ -25,9 +25,8 @@
 //!   [`parallel_map`](crate::parallel::parallel_map) pool, and journaled in slot
 //!   order. A per-segment watchdog (fuel plus wall-clock budget) **suspends and
 //!   reschedules** an over-budget segment at its next checkpoint boundary rather than
-//!   killing it; faulted segments are retried under a bounded restart policy with a
-//!   deterministic backoff ledger (mirroring
-//!   [`RetryPolicy`](crate::evaluation::RetryPolicy)) before the job is marked
+//!   killing it, by cancelling the segment's scope after a cadence save; faulted
+//!   segments are retried under a bounded restart policy before the job is marked
 //!   `Failed`. On startup, [`JobSupervisor::open`] scans the directory, verifies every
 //!   journal entry and checkpoint digest, and resumes every interrupted job
 //!   bit-identically — the per-iteration trace-hash chain is re-audited before any new

@@ -139,6 +139,7 @@ pub struct LoadOutcome {
 ///   quarantine/
 ///     <file>                       # corrupt artifacts, moved aside verbatim
 ///     <file>.reason.txt            # fault class + detail
+///     <file>.1, <file>.1.reason.txt  # a later artifact of the same name, and so on
 /// ```
 #[derive(Debug)]
 pub struct CheckpointStore {
@@ -314,17 +315,26 @@ impl CheckpointStore {
     }
 
     /// Moves the artifact at `path` (inside the store root) into `quarantine/` and
-    /// writes a `.reason.txt` side-car describing why.
+    /// writes a `.reason.txt` side-car describing why. Names repeat (once the newest
+    /// generation is quarantined, the next save reuses its number; the journal always has
+    /// one name), so an artifact whose name is already taken goes to the first free
+    /// `<name>.<n>`: earlier evidence is never overwritten.
     ///
     /// # Errors
     ///
     /// Returns [`ParmisError::Checkpoint`] with [`CheckpointFault::Io`] if the move
     /// fails.
     pub fn quarantine(&self, path: &Path, reason: &str) -> Result<()> {
-        let name = file_name_of(path);
-        let dest = self.quarantine_dir().join(&name);
-        fs::rename(path, &dest).map_err(|e| io_err("quarantine", path, &e))?;
-        let sidecar = self.quarantine_dir().join(format!("{name}.reason.txt"));
+        let dir = self.quarantine_dir();
+        let base = file_name_of(path);
+        let mut name = base.clone();
+        let mut n = 0;
+        while dir.join(&name).exists() {
+            n += 1;
+            name = format!("{base}.{n}");
+        }
+        fs::rename(path, dir.join(&name)).map_err(|e| io_err("quarantine", path, &e))?;
+        let sidecar = dir.join(format!("{name}.reason.txt"));
         // Best-effort side-car: losing the reason must not fail the recovery path.
         let _ = fs::write(&sidecar, reason.as_bytes());
         Ok(())
@@ -526,6 +536,37 @@ mod tests {
             .join(format!("{}.reason.txt", quarantined[0]));
         let reason = fs::read_to_string(sidecar).unwrap();
         assert!(reason.contains("[parse]"), "side-car was: {reason}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repeated_quarantine_of_one_name_keeps_every_artifact_and_reason() {
+        let dir = temp_dir("requarantine");
+        let store = CheckpointStore::open(&dir, 4).unwrap();
+        let state = crate::jobs::testutil::tiny_state(5);
+        // Twice: generations 1-3 saved, the newest (3) corrupted and quarantined by the
+        // load. The next save numbers from the newest survivor, so it is 3 again.
+        let mut quarantined_names = Vec::new();
+        for round in 0..2 {
+            while store.generations("job").unwrap().len() < 3 {
+                store.save("job", &state).unwrap();
+            }
+            let (seq, newest) = store.generations("job").unwrap().pop().unwrap();
+            assert_eq!(seq, 3);
+            fs::write(&newest, format!("{{torn write {round}")).unwrap();
+            let outcome = store.load_latest("job").unwrap();
+            assert_eq!(outcome.state.expect("older generations survive").0, 2);
+            quarantined_names.push(outcome.quarantined[0].file.clone());
+        }
+        assert_eq!(quarantined_names[0], quarantined_names[1]);
+        let files = store.quarantined_files().unwrap();
+        assert_eq!(files.len(), 2, "{files:?}");
+        for (file, round) in files.iter().zip(0..) {
+            let artifact = fs::read_to_string(store.quarantine_dir().join(file)).unwrap();
+            assert_eq!(artifact, format!("{{torn write {round}"));
+            let sidecar = store.quarantine_dir().join(format!("{file}.reason.txt"));
+            assert!(fs::read_to_string(sidecar).unwrap().contains("[parse]"));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

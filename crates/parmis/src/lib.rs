@@ -47,7 +47,7 @@
 //! continues **bit-identically** — verified by a per-iteration trace-hash chain
 //! ([`checkpoint::hash_chain`]) recorded in every checkpoint and outcome. The evaluation
 //! seam is fault-tolerant: backend panics are contained into structured errors, failures
-//! are retried under a deterministic [`evaluation::RetryPolicy`], and exhausted retries
+//! are retried under a bounded [`evaluation::RetryPolicy`], and exhausted retries
 //! either fail fast or degrade the candidate to a penalty vector
 //! ([`evaluation::DegradeMode`]). [`backend::FaultInject`] drills all of it with seeded
 //! failure schedules. For whole fleets, the [`jobs`] module adds a crash-safe
@@ -61,10 +61,10 @@
 //! hierarchical [`cancel::CancelSource`]/[`cancel::CancelToken`] pair: searches wired with
 //! [`framework::Parmis::with_cancel_token`] suspend at the next deterministic boundary
 //! with a reason-carrying [`framework::StopReason`], wall-clock budgets
-//! ([`cancel::CancelSource::with_deadline`], the supervisor's per-job and fleet
-//! deadlines) convert expiry into a suspend-at-checkpoint rather than a kill, a
-//! supervisor-side monitor raises `Stall` on workers whose heartbeat stops moving, and
-//! SIGTERM/SIGINT drain the whole fleet gracefully
+//! ([`cancel::CancelSource::with_deadline`], the supervisor's segment watchdog and fleet
+//! deadline) convert expiry into a suspend-at-checkpoint rather than a kill, a
+//! supervisor slot scope latches `Stall` once its worker's heartbeat stops for a window,
+//! and SIGTERM/SIGINT drain the whole fleet gracefully
 //! ([`jobs::JobSupervisor::request_drain`]). Timing only decides *when* a trajectory
 //! suspends — resumed runs stay bit-identical.
 //!

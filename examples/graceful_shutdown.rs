@@ -10,7 +10,7 @@
 //!
 //! 1. A [`CancelSource`] trips mid-search (here from the evaluator itself, so the demo is
 //!    deterministic; in production the trigger is a Ctrl-C handler, a deadline, or a stall
-//!    monitor). The search suspends at the next iteration boundary with
+//!    window). The search suspends at the next iteration boundary with
 //!    [`StopReason::Cancelled`], hands back a serializable [`SearchState`], and resuming
 //!    it reproduces the uninterrupted trace-hash chain link for link.
 //! 2. A supervised fleet drains mid-run: [`JobSupervisor::drain_source`] is cancelled
