@@ -14,8 +14,9 @@
 //!
 //! The binary also asserts, via a counting global allocator, that a warm engine's
 //! allocation count does **not** grow with the generation count — the "zero per-generation
-//! heap allocation" contract of the flat rewrite — and that one warm `eval_batch_into` at
-//! the paper's 150 features × 40 points × 501 dimensions allocates nothing.
+//! heap allocation" contract of the flat rewrite — that one warm `eval_batch_into` at
+//! the paper's 150 features × 40 points × 501 dimensions allocates nothing, and that one
+//! warm-scratch `sample_with` at that shape allocates only the returned weight vector.
 //!
 //! `cargo bench -p bench --bench bench_acq` for the timed report; `-- --test` (CI smoke
 //! mode) runs every routine once, untimed, and skips the JSON emission.
@@ -27,7 +28,7 @@ use bench::seedpath_acq::{
 use criterion::Criterion;
 use fastmath::Precision;
 use gp::kernel::Kernel;
-use gp::{GaussianProcess, RffSampler};
+use gp::{GaussianProcess, RffSampler, WeightScratch};
 use moo::nsga2::{Nsga2, Nsga2Config, Nsga2Engine};
 use parmis::pareto_sampling::{AcquisitionScratch, ParetoFrontSampler, ParetoSamplingConfig};
 use serde::Serialize;
@@ -108,7 +109,6 @@ fn assert_allocations_stay_flat() {
                 population_size: config.nsga_population,
                 generations,
                 seed: 99,
-                ..Default::default()
             },
         )
         .expect("valid problem");
@@ -147,16 +147,8 @@ fn assert_allocations_stay_flat() {
 /// 150-feature sample over 40 points in θ ∈ ℝ⁵⁰¹, on whichever kernel copy
 /// `linalg::RowPanels::dots` picks for this CPU, allocates nothing on either tier.
 fn assert_paper_shape_eval_allocates_nothing() {
-    let dim = 501;
-    let point = |i: usize| -> Vec<f64> {
-        (0..dim)
-            .map(|d| ((i * 7919 + d * 104_729) % 1000) as f64 / 1000.0 - 0.5)
-            .collect()
-    };
-    let xs: Vec<Vec<f64>> = (0..12).map(point).collect();
-    let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<f64>().sin()).collect();
-    let model = GaussianProcess::fit(xs, ys, Kernel::matern52(1.0, 3.0), 1e-3).expect("valid fit");
-    let points: Vec<f64> = (100..140).flat_map(point).collect();
+    let model = paper_shape_model();
+    let points: Vec<f64> = (100..140).flat_map(paper_shape_point).collect();
     let mut out = vec![0.0; 40];
     for precision in [Precision::SeedExact, Precision::Fast] {
         let f = RffSampler::new(&model, 150, 5)
@@ -172,6 +164,42 @@ fn assert_paper_shape_eval_allocates_nothing() {
         );
     }
     println!("paper-shape eval_batch_into: 0 allocations on both tiers ok");
+}
+
+/// `WeightScratch`'s contract at the same shape: once the scratch is warm, a 150-feature
+/// `sample_with` allocates exactly once, for the weight vector the returned sample owns.
+fn assert_warm_weight_draw_allocates_once() {
+    let model = paper_shape_model();
+    for precision in [Precision::SeedExact, Precision::Fast] {
+        let sampler = RffSampler::new(&model, 150, 5)
+            .expect("valid sampler")
+            .with_precision(precision);
+        let mut scratch = WeightScratch::default();
+        sampler.sample_with(8, &mut scratch).expect("valid draw");
+        let allocs = allocations_during(|| {
+            drop(sampler.sample_with(9, &mut scratch).expect("valid draw"));
+        });
+        assert_eq!(
+            allocs, 1,
+            "a warm-scratch {precision:?} sample_with at 150 features must allocate only the \
+             weight vector, saw {allocs} allocations"
+        );
+    }
+    println!("paper-shape warm sample_with: 1 allocation on both tiers ok");
+}
+
+/// Query point `i` in θ ∈ ℝ⁵⁰¹ for the paper-shape allocation checks.
+fn paper_shape_point(i: usize) -> Vec<f64> {
+    (0..501)
+        .map(|d| ((i * 7919 + d * 104_729) % 1000) as f64 / 1000.0 - 0.5)
+        .collect()
+}
+
+/// A Matérn-5/2 model over 12 points in θ ∈ ℝ⁵⁰¹.
+fn paper_shape_model() -> GaussianProcess {
+    let xs: Vec<Vec<f64>> = (0..12).map(paper_shape_point).collect();
+    let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<f64>().sin()).collect();
+    GaussianProcess::fit(xs, ys, Kernel::matern52(1.0, 3.0), 1e-3).expect("valid fit")
 }
 
 fn bench_front_sample(c: &mut Criterion, rows: &mut Vec<AcqBenchRow>) {
@@ -346,6 +374,7 @@ fn main() {
     );
     assert_allocations_stay_flat();
     assert_paper_shape_eval_allocates_nothing();
+    assert_warm_weight_draw_allocates_once();
 
     let mut rows = Vec::new();
     bench_front_sample(&mut criterion, &mut rows);

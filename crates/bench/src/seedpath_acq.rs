@@ -16,7 +16,9 @@
 
 use gp::{GaussianProcess, PosteriorSample, RffSampler};
 use moo::dominance::{crowding_distance, fast_non_dominated_sort};
-use moo::nsga2::{FlatPopulation, Nsga2Config, Population};
+use moo::nsga2::{
+    FlatPopulation, Nsga2Config, Population, CROSSOVER_ETA, CROSSOVER_PROBABILITY, MUTATION_ETA,
+};
 use parmis::pareto_sampling::ParetoSamplingConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,7 +40,7 @@ pub fn nsga2_run_seed<F: FnMut(&[f64]) -> Vec<f64>>(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let dim = lower.len();
     let pop_size = config.population_size;
-    let mutation_p = config.mutation_probability.unwrap_or(1.0 / dim as f64);
+    let mutation_p = 1.0 / dim as f64;
 
     let mut decisions: Vec<Vec<f64>> = (0..pop_size)
         .map(|_| {
@@ -76,16 +78,10 @@ pub fn nsga2_run_seed<F: FnMut(&[f64]) -> Vec<f64>>(
         while offspring.len() < pop_size {
             let p1 = tournament_seed(&mut rng, &ranks, &crowding);
             let p2 = tournament_seed(&mut rng, &ranks, &crowding);
-            let (mut c1, mut c2) = crossover_seed(
-                &mut rng,
-                config,
-                lower,
-                upper,
-                &decisions[p1],
-                &decisions[p2],
-            );
-            mutate_seed(&mut rng, config, lower, upper, &mut c1, mutation_p);
-            mutate_seed(&mut rng, config, lower, upper, &mut c2, mutation_p);
+            let (mut c1, mut c2) =
+                crossover_seed(&mut rng, lower, upper, &decisions[p1], &decisions[p2]);
+            mutate_seed(&mut rng, lower, upper, &mut c1, mutation_p);
+            mutate_seed(&mut rng, lower, upper, &mut c2, mutation_p);
             offspring.push(c1);
             if offspring.len() < pop_size {
                 offspring.push(c2);
@@ -124,7 +120,6 @@ pub fn nsga2_run_seed<F: FnMut(&[f64]) -> Vec<f64>>(
 /// The seed SBX crossover: allocates both children per mating pair.
 fn crossover_seed(
     rng: &mut StdRng,
-    config: &Nsga2Config,
     lower: &[f64],
     upper: &[f64],
     p1: &[f64],
@@ -132,10 +127,10 @@ fn crossover_seed(
 ) -> (Vec<f64>, Vec<f64>) {
     let mut c1 = p1.to_vec();
     let mut c2 = p2.to_vec();
-    if rng.gen::<f64>() > config.crossover_probability {
+    if rng.gen::<f64>() > CROSSOVER_PROBABILITY {
         return (c1, c2);
     }
-    let eta = config.crossover_eta;
+    let eta = CROSSOVER_ETA;
     for d in 0..p1.len() {
         if rng.gen::<f64>() > 0.5 {
             continue;
@@ -159,15 +154,8 @@ fn crossover_seed(
 }
 
 /// The seed polynomial mutation.
-fn mutate_seed(
-    rng: &mut StdRng,
-    config: &Nsga2Config,
-    lower: &[f64],
-    upper: &[f64],
-    x: &mut [f64],
-    probability: f64,
-) {
-    let eta = config.mutation_eta;
+fn mutate_seed(rng: &mut StdRng, lower: &[f64], upper: &[f64], x: &mut [f64], probability: f64) {
+    let eta = MUTATION_ETA;
     for (d, xd) in x.iter_mut().enumerate() {
         if rng.gen::<f64>() > probability {
             continue;
@@ -267,7 +255,6 @@ pub fn probe_machinery_problem() -> (Vec<f64>, Vec<f64>, Nsga2Config) {
             population_size: probe_sampling_config().nsga_population,
             generations: probe_sampling_config().nsga_generations,
             seed: 21,
-            ..Default::default()
         },
     )
 }
@@ -350,7 +337,6 @@ pub fn sample_front_seed(
         population_size: config.nsga_population.max(4) & !1,
         generations: config.nsga_generations.max(1),
         seed: sample_seed ^ 0xD1CE,
-        ..Default::default()
     };
     let lower = vec![-parameter_bound; dim];
     let upper = vec![parameter_bound; dim];

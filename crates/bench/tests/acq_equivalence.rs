@@ -70,7 +70,6 @@ proptest! {
             population_size: 2 * pop_half,
             generations,
             seed,
-            ..Default::default()
         };
         let lower = vec![-2.0; dim];
         let upper = vec![2.0; dim];

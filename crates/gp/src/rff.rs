@@ -8,9 +8,11 @@
 //!    `φ(x) = √(2σ²/M) · cos(Wx + b)` where the rows of `W` are drawn from the kernel's
 //!    spectral density and `b ~ U[0, 2π)`.
 //! 2. The GP becomes Bayesian linear regression over `φ`; its weight posterior is Gaussian
-//!    with mean `A⁻¹Φᵀy` and covariance `σ_n²A⁻¹` where `A = ΦᵀΦ + σ_n²I`.
-//! 3. A single weight draw `w` yields a deterministic, cheap-to-evaluate sample function
-//!    `f̃(x) = φ(x)ᵀw`.
+//!    with mean `μ = A⁻¹Φᵀy` and covariance `σ_n²A⁻¹` where `A = ΦᵀΦ + σ_n²I`.
+//! 3. With `A = LLᵀ` factored once for the mean, a weight draw is `w = μ + σ_n·L⁻ᵀz` for
+//!    standard-normal `z`: `Cov(L⁻ᵀz) = (LLᵀ)⁻¹ = A⁻¹`, so the draw has the posterior
+//!    covariance without inverting `A` or factoring it twice. Each draw yields a
+//!    deterministic, cheap-to-evaluate sample function `f̃(x) = φ(x)ᵀw`.
 //!
 //! # Batched evaluation
 //!
@@ -71,10 +73,12 @@ pub struct RffSampler {
     phases: Arc<Vec<f64>>,
     /// Feature scaling √(2σ²/M).
     feature_scale: f64,
-    /// Posterior mean of the feature weights.
+    /// Posterior mean `μ` of the feature weights.
     weight_mean: Vec<f64>,
-    /// Cholesky factor of the weight posterior covariance.
-    weight_cov_chol: Cholesky,
+    /// Cholesky factor `L` of the weight precision `A = ΦᵀΦ + σ_n²I`.
+    chol_a: Cholesky,
+    /// Noise standard deviation `σ_n`, the scale of a draw's `L⁻ᵀz` term.
+    noise_std: f64,
     /// Constant added back to every prediction (training-target mean).
     offset: f64,
     /// Which math tier drawn samples evaluate on (construction and weight draws are
@@ -98,14 +102,14 @@ pub struct PosteriorSample {
 
 /// Reusable buffers for the weight draw inside [`RffSampler::sample_with`].
 ///
-/// Holds the iid standard-normal vector and its correlated image under the posterior
-/// covariance factor; both retain capacity across draws, so a warm scratch makes each
-/// sample's only allocation the weight vector the returned [`PosteriorSample`] owns.
+/// Holds the iid standard-normal vector `z` and its correlated image `L⁻ᵀz`; both retain
+/// capacity across draws, so a warm scratch makes each sample's only allocation the weight
+/// vector the returned [`PosteriorSample`] owns.
 #[derive(Debug, Clone, Default)]
 pub struct WeightScratch {
     /// iid standard-normal draws, one per feature.
     z: Vec<f64>,
-    /// `L z` where `L` is the weight-covariance Cholesky factor.
+    /// `L⁻ᵀz` where `L` is the Cholesky factor of the weight precision `A`.
     correlated: Vec<f64>,
 }
 
@@ -148,7 +152,7 @@ impl RffSampler {
             },
         );
 
-        // Weight posterior: A = ΦᵀΦ + σ_n² I, mean = A⁻¹ Φᵀ y_c, cov = σ_n² A⁻¹.
+        // Weight posterior: A = ΦᵀΦ + σ_n² I = L Lᵀ, mean = A⁻¹ Φᵀ y_c, cov = σ_n² A⁻¹.
         let noise = gp.noise_variance().max(1e-8);
         let phi_t = phi.transpose();
         let mut a = phi_t.mat_mul(&phi)?;
@@ -163,17 +167,13 @@ impl RffSampler {
         let phi_t_y = phi_t.mat_vec(&y_centred)?;
         let weight_mean = chol_a.solve_vec(&phi_t_y)?;
 
-        // Covariance σ_n² A⁻¹; factor it for sampling.
-        let a_inv = chol_a.inverse()?;
-        let cov = a_inv.scale(noise);
-        let weight_cov_chol = Cholesky::new_with_jitter(&cov, 1e-12, 12)?;
-
         Ok(RffSampler {
             frequencies: Arc::new(frequencies),
             phases: Arc::new(phases),
             feature_scale,
             weight_mean,
-            weight_cov_chol,
+            chol_a,
+            noise_std: noise.sqrt(),
             offset: gp.target_mean(),
             precision: Precision::SeedExact,
         })
@@ -232,9 +232,10 @@ impl RffSampler {
             let z: f64 = StandardNormal.sample(&mut rng);
             z
         }));
-        self.weight_cov_chol
-            .factor_mul_vec_into(&scratch.z, &mut scratch.correlated)?;
-        let weights = vector::add(&self.weight_mean, &scratch.correlated);
+        self.chol_a
+            .solve_upper_into(&scratch.z, &mut scratch.correlated)?;
+        let mut weights = self.weight_mean.clone();
+        vector::axpy(self.noise_std, &scratch.correlated, &mut weights);
         Ok(PosteriorSample {
             frequencies: Arc::clone(&self.frequencies),
             phases: Arc::clone(&self.phases),

@@ -27,7 +27,7 @@ fn finish_entry(l: &mut Matrix, i: usize, j: usize, sum: f64) -> Result<()> {
 ///
 /// The factorization is the workhorse of Gaussian-process regression: it provides linear
 /// solves against the kernel matrix, the log-determinant needed by the marginal likelihood,
-/// and correlated Gaussian sampling (`L z` for standard-normal `z`).
+/// and correlated Gaussian sampling (`L⁻ᵀz` for standard-normal `z` has covariance `A⁻¹`).
 ///
 /// # Examples
 ///
@@ -375,91 +375,9 @@ impl Cholesky {
         Ok(out)
     }
 
-    /// Solves `Lᵀ X = Y` for a whole right-hand-side block in place (row-major blocked
-    /// backward substitution).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `Y.rows() != n`.
-    pub fn solve_upper_matrix_in_place(&self, y: &mut Matrix) -> Result<()> {
-        let n = self.dim();
-        if y.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("matrix with {n} rows"),
-                found: format!("matrix with {} rows", y.rows()),
-            });
-        }
-        let m = y.cols();
-        if m == 0 {
-            return Ok(());
-        }
-        let data = y.as_mut_slice();
-        for i in (0..n).rev() {
-            let (head, tail) = data.split_at_mut((i + 1) * m);
-            let row_i = &mut head[i * m..];
-            for (below, row_k) in tail.chunks_exact(m).enumerate() {
-                let l_ki = self.l[(i + 1 + below, i)];
-                for (xi, xk) in row_i.iter_mut().zip(row_k) {
-                    *xi -= l_ki * xk;
-                }
-            }
-            let pivot = self.l[(i, i)];
-            for xi in row_i.iter_mut() {
-                *xi /= pivot;
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves `A X = B` where `A = L Lᵀ` with one blocked forward and one blocked backward
-    /// substitution over the whole right-hand-side block (cache-contiguous, no per-column
-    /// allocation). Each column of the result is bit-identical to
-    /// [`solve_vec`](Self::solve_vec) on that column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `B.rows() != n`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let mut out = b.clone();
-        self.solve_lower_matrix_in_place(&mut out)?;
-        self.solve_upper_matrix_in_place(&mut out)?;
-        Ok(out)
-    }
-
     /// Log-determinant of `A`, computed as `2 Σ log L_ii`.
     pub fn log_determinant(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
-    /// Computes the inverse of `A` explicitly with one blocked solve against the identity.
-    /// Prefer the solve methods when a solve is all that is needed; `gp::RffSampler::new`
-    /// uses the explicit inverse to form its weight-posterior covariance `σ_n² A⁻¹`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors (which cannot occur for a well-formed factor).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
-    /// Multiplies the factor by a vector: returns `L v`, the standard way to turn iid
-    /// standard-normal draws into draws from `N(0, A)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `v.len() != n`.
-    pub fn factor_mul_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        self.l.mat_vec(v)
-    }
-
-    /// [`factor_mul_vec`](Self::factor_mul_vec) into a reused buffer (resized to `n`):
-    /// the allocation-free form used by scratch-reusing posterior samplers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `v.len() != n`.
-    pub fn factor_mul_vec_into(&self, v: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        self.l.mat_vec_into(v, out)
     }
 }
 
@@ -566,15 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_matrix_gives_inverse() {
-        let a = spd3();
-        let chol = Cholesky::new(&a).unwrap();
-        let inv = chol.inverse().unwrap();
-        let prod = a.mat_mul(&inv).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
-    }
-
-    #[test]
     fn log_determinant_matches_known_value() {
         // det of diag(2, 3, 4) is 24.
         let a = Matrix::from_rows(&[&[2.0, 0.0, 0.0], &[0.0, 3.0, 0.0], &[0.0, 0.0, 4.0]]).unwrap();
@@ -624,7 +533,9 @@ mod tests {
         assert!(chol.solve_vec(&[1.0, 2.0]).is_err());
         assert!(chol.solve_lower(&[1.0]).is_err());
         assert!(chol.solve_upper(&[1.0]).is_err());
-        assert!(chol.solve_matrix(&Matrix::zeros(2, 2)).is_err());
+        assert!(chol
+            .solve_lower_matrix_in_place(&mut Matrix::zeros(2, 2))
+            .is_err());
     }
 
     fn spd4() -> Matrix {
@@ -679,18 +590,14 @@ mod tests {
         let chol = Cholesky::new(&a).unwrap();
         let b = Matrix::from_fn(4, 5, |i, j| (i as f64 - 1.3) * (j as f64 + 0.7));
         let lower = chol.solve_lower_matrix(&b).unwrap();
-        let full = chol.solve_matrix(&b).unwrap();
         for j in 0..5 {
-            let col = b.col(j);
-            let y = chol.solve_lower(&col).unwrap();
-            let x = chol.solve_vec(&col).unwrap();
+            let y = chol.solve_lower(&b.col(j)).unwrap();
             for i in 0..4 {
                 assert_eq!(
                     lower[(i, j)],
                     y[i],
                     "solve_lower_matrix diverged at ({i},{j})"
                 );
-                assert_eq!(full[(i, j)], x[i], "solve_matrix diverged at ({i},{j})");
             }
         }
     }
@@ -699,7 +606,6 @@ mod tests {
     fn blocked_solves_accept_zero_column_rhs() {
         let chol = Cholesky::new(&spd3()).unwrap();
         let empty = Matrix::zeros(3, 0);
-        assert_eq!(chol.solve_matrix(&empty).unwrap().shape(), (3, 0));
         assert_eq!(chol.solve_lower_matrix(&empty).unwrap().shape(), (3, 0));
     }
 
@@ -715,14 +621,5 @@ mod tests {
         chol.solve_vec_into(&b, &mut buf).unwrap();
         assert_eq!(buf, chol.solve_vec(&b).unwrap());
         assert!(chol.solve_vec_into(&[1.0], &mut buf).is_err());
-    }
-
-    #[test]
-    fn factor_mul_vec_matches_manual_product() {
-        let chol = Cholesky::new(&spd3()).unwrap();
-        let v = vec![1.0, 2.0, 3.0];
-        let lv = chol.factor_mul_vec(&v).unwrap();
-        let manual = chol.factor().mat_vec(&v).unwrap();
-        assert_eq!(lv, manual);
     }
 }

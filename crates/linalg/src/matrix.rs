@@ -291,28 +291,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix-vector product `self * v` into a reused buffer (resized to `rows`).
-    ///
-    /// Bit-identical to [`mat_vec`](Self::mat_vec) without the per-call allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `v.len() != cols`.
-    pub fn mat_vec_into(&self, v: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        if v.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("vector of length {}", self.cols),
-                found: format!("vector of length {}", v.len()),
-            });
-        }
-        out.clear();
-        out.resize(self.rows, 0.0);
-        for (i, out_i) in out.iter_mut().enumerate() {
-            *out_i = crate::vector::dot(self.row(i), v);
-        }
-        Ok(())
-    }
-
     /// Matrix-matrix product `self * other`.
     ///
     /// # Errors

@@ -35,21 +35,22 @@ use crate::dominance::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Configuration of an NSGA-II run.
+/// Probability of applying SBX crossover to a mating pair.
+pub const CROSSOVER_PROBABILITY: f64 = 0.9;
+/// SBX distribution index (larger values produce children closer to the parents).
+pub const CROSSOVER_ETA: f64 = 15.0;
+/// Polynomial-mutation distribution index. Each gene mutates with probability
+/// `1 / dimension`.
+pub const MUTATION_ETA: f64 = 20.0;
+
+/// Configuration of an NSGA-II run. The variation operators use the fixed
+/// [`CROSSOVER_PROBABILITY`], [`CROSSOVER_ETA`] and [`MUTATION_ETA`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Nsga2Config {
     /// Population size (kept constant across generations). Must be even and >= 4.
     pub population_size: usize,
     /// Number of generations to evolve.
     pub generations: usize,
-    /// Probability of applying SBX crossover to a mating pair.
-    pub crossover_probability: f64,
-    /// SBX distribution index (larger values produce children closer to the parents).
-    pub crossover_eta: f64,
-    /// Per-gene probability of polynomial mutation. `None` selects `1 / dimension`.
-    pub mutation_probability: Option<f64>,
-    /// Polynomial-mutation distribution index.
-    pub mutation_eta: f64,
     /// RNG seed so runs are reproducible.
     pub seed: u64,
 }
@@ -59,10 +60,6 @@ impl Default for Nsga2Config {
         Nsga2Config {
             population_size: 80,
             generations: 60,
-            crossover_probability: 0.9,
-            crossover_eta: 15.0,
-            mutation_probability: None,
-            mutation_eta: 20.0,
             seed: 0x5eed_5eed,
         }
     }
@@ -134,7 +131,7 @@ impl Nsga2 {
     ///
     /// Returns a descriptive error string if the bounds are empty, of mismatched length,
     /// inverted (`lower[d] > upper[d]`), or if the configuration is invalid (odd/small
-    /// population, zero generations, probabilities outside `[0, 1]`).
+    /// population, zero generations).
     pub fn new(lower: Vec<f64>, upper: Vec<f64>, config: Nsga2Config) -> Result<Self, String> {
         if lower.is_empty() {
             return Err("decision space must have at least one dimension".into());
@@ -154,14 +151,6 @@ impl Nsga2 {
         }
         if config.generations == 0 {
             return Err("generations must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&config.crossover_probability) {
-            return Err("crossover_probability must lie in [0, 1]".into());
-        }
-        if let Some(p) = config.mutation_probability {
-            if !(0.0..=1.0).contains(&p) {
-                return Err("mutation_probability must lie in [0, 1]".into());
-            }
         }
         Ok(Nsga2 {
             lower,
@@ -256,10 +245,10 @@ impl Nsga2 {
     ) {
         c1.copy_from_slice(p1);
         c2.copy_from_slice(p2);
-        if rng.gen::<f64>() > self.config.crossover_probability {
+        if rng.gen::<f64>() > CROSSOVER_PROBABILITY {
             return;
         }
-        let eta = self.config.crossover_eta;
+        let eta = CROSSOVER_ETA;
         for d in 0..p1.len() {
             if rng.gen::<f64>() > 0.5 {
                 continue;
@@ -281,10 +270,11 @@ impl Nsga2 {
         }
     }
 
-    /// Polynomial mutation. Degenerate (pinned) dimensions have zero span, so the mutated
-    /// coordinate is unchanged.
-    fn mutate(&self, rng: &mut StdRng, x: &mut [f64], probability: f64) {
-        let eta = self.config.mutation_eta;
+    /// Polynomial mutation, each gene with probability `1 / dimension`. Degenerate
+    /// (pinned) dimensions have zero span, so the mutated coordinate is unchanged.
+    fn mutate(&self, rng: &mut StdRng, x: &mut [f64]) {
+        let probability = 1.0 / x.len() as f64;
+        let eta = MUTATION_ETA;
         for (d, xd) in x.iter_mut().enumerate() {
             if rng.gen::<f64>() > probability {
                 continue;
@@ -518,10 +508,6 @@ impl Nsga2Engine {
         let pop = self.pop_size;
         let dim = self.dim;
         let k = self.num_obj;
-        let mutation_p = problem
-            .config
-            .mutation_probability
-            .unwrap_or(1.0 / dim as f64);
 
         for _gen in 0..problem.config.generations {
             crate::stats::record_generation();
@@ -559,8 +545,8 @@ impl Nsga2Engine {
                         c1,
                         c2,
                     );
-                    problem.mutate(rng, c1, mutation_p);
-                    problem.mutate(rng, c2, mutation_p);
+                    problem.mutate(rng, c1);
+                    problem.mutate(rng, c2);
                     produced += 2;
                 }
             }
@@ -635,7 +621,6 @@ mod tests {
             population_size: 40,
             generations: 40,
             seed,
-            ..Default::default()
         }
     }
 
@@ -662,16 +647,6 @@ mod tests {
             ..Default::default()
         };
         assert!(Nsga2::new(vec![0.0], vec![1.0], bad_gen).is_err());
-        let bad_cx = Nsga2Config {
-            crossover_probability: 1.5,
-            ..Default::default()
-        };
-        assert!(Nsga2::new(vec![0.0], vec![1.0], bad_cx).is_err());
-        let bad_mut = Nsga2Config {
-            mutation_probability: Some(-0.1),
-            ..Default::default()
-        };
-        assert!(Nsga2::new(vec![0.0], vec![1.0], bad_mut).is_err());
     }
 
     #[test]

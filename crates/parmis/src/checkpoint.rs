@@ -179,9 +179,10 @@ pub struct SearchState {
     pub phv_trace: Vec<f64>,
     /// Per-iteration trace-hash chain ([`hash_chain`]), re-verified on resume.
     pub trace_hashes: Vec<u64>,
-    /// Iteration index at which each completed model-guided round began. Used to replay
-    /// the exact model-fitting call sequence (last hyperopt refit, then each incremental
-    /// extension) so the resumed GP cache is bit-identical to the uninterrupted one.
+    /// Iteration index at which each completed model-guided round began, strictly
+    /// increasing within `1..history.len()` (checked on load). Used to replay the exact
+    /// model-fitting call sequence (last hyperopt refit, then each incremental extension)
+    /// so the resumed GP cache is bit-identical to the uninterrupted one.
     pub round_starts: Vec<usize>,
     /// Digest over the snapshot itself, recomputed and checked on load.
     pub state_digest: u64,
@@ -400,6 +401,18 @@ impl SearchState {
                 "PHV trace contains non-finite values",
             ));
         }
+        // A round's start is recorded before its evaluations and states are captured only
+        // between rounds, so every start indexes a record and the starts strictly increase.
+        let starts_in_range = self.round_starts.iter().all(|&b| (1..n).contains(&b));
+        if !starts_in_range || self.round_starts.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(checkpoint_error(
+                CheckpointFault::Invariant,
+                format!(
+                    "round starts {:?} are not strictly increasing within 1..{n}",
+                    self.round_starts
+                ),
+            ));
+        }
         let rng = self.rng_words()?;
         if hash_chain(&self.history, &rng) != self.trace_hashes {
             return Err(checkpoint_error(
@@ -479,6 +492,10 @@ mod tests {
     }
 
     fn toy_state() -> SearchState {
+        toy_state_with_round_starts(&[2, 3])
+    }
+
+    fn toy_state_with_round_starts(round_starts: &[usize]) -> SearchState {
         let config = ParmisConfig::default();
         let history: Vec<IterationRecord> = (0..4).map(|i| record(i, i as f64 * 0.1)).collect();
         let mut front = ParetoFront::new(2);
@@ -495,7 +512,7 @@ mod tests {
             1,
             rng,
             &hashes,
-            &[2, 3],
+            round_starts,
             vec![0.0, 0.1, 0.2, 0.3],
         )
     }
@@ -603,6 +620,20 @@ mod tests {
             SearchState::from_json("{"),
             Err(ParmisError::Checkpoint { .. })
         ));
+    }
+
+    #[test]
+    fn round_starts_out_of_range_or_not_increasing_are_rejected() {
+        // Both states carry a valid digest, so only the round-start invariant can fail.
+        for starts in [[2, 4], [3, 2]] {
+            let json = toy_state_with_round_starts(&starts).to_json().unwrap();
+            let err = SearchState::from_json(&json).unwrap_err();
+            assert_eq!(
+                err.checkpoint_fault(),
+                Some(CheckpointFault::Invariant),
+                "{starts:?}: {err}"
+            );
+        }
     }
 
     #[test]

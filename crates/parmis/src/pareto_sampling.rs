@@ -216,7 +216,6 @@ impl ParetoFrontSampler {
             population_size: self.config.nsga_population.max(4) & !1,
             generations: self.config.nsga_generations.max(1),
             seed: sample_seed ^ 0xD1CE,
-            ..Default::default()
         };
         let solver = Nsga2::new(self.lower.clone(), self.upper.clone(), nsga_config)
             .expect("bounds and configuration are valid by construction");

@@ -382,7 +382,7 @@ fn fuel_suspends_a_segment_and_never_a_plain_run() {
 const DEFAULT_CONFIG_DIGEST: u64 = 0xb009_d269_f2d1_7aca;
 
 /// Final trace hash of the uninterrupted `tiny_config(7, 11)` search.
-const TINY_SEARCH_FINAL_HASH: u64 = 0x90d2_122a_822e_42f2;
+const TINY_SEARCH_FINAL_HASH: u64 = 0x1217_047d_afcf_065a;
 
 /// A checkpoint written by an earlier build still loads, verifies and resumes to the
 /// recorded trajectory: the fixture is the fuel-6 suspension of `tiny_config(7, 11)`.
@@ -420,11 +420,11 @@ fn stored_checkpoint_fixture_resumes_to_the_pinned_trace_hash() {
 }
 
 /// Final trace hashes of the paper-shape searches below: the front-sampling shape once per
-/// precision tier, recorded before the RFF feature products were register-blocked, and the
-/// refit-cycle shape, recorded before the GP fit was tiled.
-const PAPER_SHAPE_FINAL_HASH_EXACT: u64 = 0x6d2b_2c9a_5b67_e0ea;
-const PAPER_SHAPE_FINAL_HASH_FAST: u64 = 0x3665_80d6_395a_0317;
-const PAPER_SHAPE_REFIT_CYCLES_FINAL_HASH: u64 = 0xa399_b9e3_84ad_5bb4;
+/// precision tier and the refit-cycle shape, recorded when RFF weight draws became
+/// `μ + σ_n·L⁻ᵀz`.
+const PAPER_SHAPE_FINAL_HASH_EXACT: u64 = 0x082e_4115_09fd_8812;
+const PAPER_SHAPE_FINAL_HASH_FAST: u64 = 0x4cfb_8e78_05dc_0222;
+const PAPER_SHAPE_REFIT_CYCLES_FINAL_HASH: u64 = 0x171c_130e_b446_2896;
 
 /// Searches at the paper's dimension end on their recorded trajectories: θ ∈ ℝ⁵⁰¹ on
 /// `spectral`. The front-sampling shape runs on both precision tiers with 150 features and a
