@@ -5,7 +5,7 @@
 //! cargo run --release -p bench --bin fig2_convergence [-- --quick | --iterations N]
 //! ```
 
-use bench::harness::{run_parmis, ExperimentBudget};
+use bench::harness::{run_parmis, ExperimentArgs};
 use bench::report::{print_header, print_series, write_json};
 use parmis::objective::Objective;
 use serde::Serialize;
@@ -19,7 +19,7 @@ struct ConvergenceSeries {
 }
 
 fn main() {
-    let budget = ExperimentBudget::from_args();
+    let budget = ExperimentArgs::from_args().budget;
     print_header(
         "Figure 2",
         "PaRMIS convergence: PHV of the uncovered Pareto front vs. iterations (execution time, energy)",

@@ -5,7 +5,7 @@
 //! cargo run --release -p bench --bin fig3_app_pareto [-- --quick | --iterations N]
 //! ```
 
-use bench::harness::{collect_method_fronts, phv_with_common_reference, ExperimentBudget};
+use bench::harness::{collect_method_fronts, phv_with_common_reference, ExperimentArgs};
 use bench::report::{fmt, print_header, print_table, write_json};
 use moo::dominance::dominates;
 use parmis::objective::Objective;
@@ -20,7 +20,7 @@ struct FigureData {
 }
 
 fn main() {
-    let budget = ExperimentBudget::from_args();
+    let budget = ExperimentArgs::from_args().budget;
     print_header(
         "Figure 3",
         "Application-specific Pareto fronts (execution time [s] vs energy [J]) for Qsort and PCA",

@@ -8,28 +8,15 @@
 //! cargo run --release -p bench --bin fig4_phv_comparison [-- --quick | --iterations N | --apps qsort,pca]
 //! ```
 
-use bench::harness::{collect_method_fronts, phv_summary, ExperimentBudget};
+use bench::harness::{collect_method_fronts, phv_summary, ExperimentArgs};
 use bench::report::{fmt, print_header, print_run_context, print_table, write_json};
 use parmis::objective::Objective;
-use soc_sim::apps::Benchmark;
-
-/// Parses `--apps name,name,...`; defaults to the full 12-benchmark suite.
-fn benchmarks_from_args() -> Vec<Benchmark> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--apps") {
-        if let Some(list) = args.get(pos + 1) {
-            let parsed: Vec<Benchmark> = list.split(',').filter_map(Benchmark::from_name).collect();
-            if !parsed.is_empty() {
-                return parsed;
-            }
-        }
-    }
-    Benchmark::ALL.to_vec()
-}
 
 fn main() {
-    let budget = ExperimentBudget::from_args();
-    let benchmarks = benchmarks_from_args();
+    let ExperimentArgs {
+        budget,
+        apps: benchmarks,
+    } = ExperimentArgs::from_args();
     print_header(
         "Figure 4",
         "Normalized PHV of RL and IL w.r.t. PaRMIS, application-specific (execution time, energy)",

@@ -9,12 +9,11 @@
 //! cargo run --release -p bench --bin fig5_global_vs_app [-- --quick | --iterations N | --apps a,b]
 //! ```
 
-use bench::harness::{front_of, run_global_parmis, run_parmis, ExperimentBudget};
+use bench::harness::{front_of, run_global_parmis, run_parmis, ExperimentArgs};
 use bench::report::{fmt, print_header, print_table, write_json};
 use moo::hypervolume::{common_reference_point, hypervolume, normalized};
 use parmis::objective::Objective;
 use serde::Serialize;
-use soc_sim::apps::Benchmark;
 
 #[derive(Serialize)]
 struct GlobalVsApp {
@@ -24,22 +23,11 @@ struct GlobalVsApp {
     normalized_global: f64,
 }
 
-fn benchmarks_from_args() -> Vec<Benchmark> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--apps") {
-        if let Some(list) = args.get(pos + 1) {
-            let parsed: Vec<Benchmark> = list.split(',').filter_map(Benchmark::from_name).collect();
-            if !parsed.is_empty() {
-                return parsed;
-            }
-        }
-    }
-    Benchmark::ALL.to_vec()
-}
-
 fn main() {
-    let budget = ExperimentBudget::from_args();
-    let benchmarks = benchmarks_from_args();
+    let ExperimentArgs {
+        budget,
+        apps: benchmarks,
+    } = ExperimentArgs::from_args();
     let objectives = Objective::TIME_ENERGY;
     print_header(
         "Figure 5",

@@ -9,7 +9,7 @@
 //! cargo run --release -p bench --bin fig6_ppw_pareto [-- --quick | --iterations N]
 //! ```
 
-use bench::harness::{collect_method_fronts, phv_with_common_reference, ExperimentBudget};
+use bench::harness::{collect_method_fronts, phv_with_common_reference, ExperimentArgs};
 use bench::report::{fmt, print_header, print_table, write_json};
 use parmis::objective::{reporting_vector, Objective};
 use serde::Serialize;
@@ -23,7 +23,7 @@ struct FigureData {
 }
 
 fn main() {
-    let budget = ExperimentBudget::from_args();
+    let budget = ExperimentArgs::from_args().budget;
     print_header(
         "Figure 6",
         "Application-specific Pareto fronts for PPW vs execution time (Basicmath, Dijkstra)",

@@ -20,7 +20,8 @@ use soc_sim::scenario::{self, Scenario};
 ///
 /// The figure binaries default to a "standard" budget that reproduces the paper's qualitative
 /// results in minutes on a laptop; `--quick` (or `PARMIS_QUICK=1`) shrinks everything for
-/// smoke tests and `--iterations N` overrides the PaRMIS evaluation budget.
+/// smoke tests and `--iterations N` overrides the PaRMIS evaluation budget (see
+/// [`ExperimentArgs`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentBudget {
     /// PaRMIS evaluation budget (the paper runs up to 500, converging by ~300).
@@ -66,36 +67,6 @@ impl ExperimentBudget {
             threads: 0,
             parmis_batch: 1,
         }
-    }
-
-    /// Parses the budget from command-line arguments (`--quick`, `--iterations N`,
-    /// `--threads N`, `--batch N`) and the `PARMIS_QUICK` environment variable.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let quick_env = std::env::var("PARMIS_QUICK")
-            .map(|v| v != "0")
-            .unwrap_or(false);
-        let mut budget = if quick_env || args.iter().any(|a| a == "--quick") {
-            ExperimentBudget::quick()
-        } else {
-            ExperimentBudget::standard()
-        };
-        let flag = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|pos| args.get(pos + 1))
-                .and_then(|v| v.parse::<usize>().ok())
-        };
-        if let Some(n) = flag("--iterations") {
-            budget.parmis_iterations = n.max(5);
-        }
-        if let Some(n) = flag("--threads") {
-            budget.threads = n;
-        }
-        if let Some(n) = flag("--batch") {
-            budget.parmis_batch = n.max(1);
-        }
-        budget
     }
 
     /// The worker count actually used after resolving the "all CPUs" sentinel.
@@ -162,6 +133,100 @@ impl ExperimentBudget {
     }
 }
 
+/// What a figure binary was asked to run, parsed from its command line.
+///
+/// Flags, each spelled `--flag value` or `--flag=value`:
+///
+/// * `--quick` (or `PARMIS_QUICK` set to anything but `0`) starts from
+///   [`ExperimentBudget::quick`] instead of [`ExperimentBudget::standard`];
+/// * `--iterations N` sets the PaRMIS evaluation budget (at least 5);
+/// * `--threads N` sets the worker threads (`0` = one per CPU);
+/// * `--batch N` sets the candidates per PaRMIS iteration (at least 1);
+/// * `--apps a,b` selects applications by their lowercase names (figures 4, 5 and 7).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExperimentArgs {
+    /// The compute budget.
+    pub budget: ExperimentBudget,
+    /// The applications `--apps` named, in order; the full suite without the flag.
+    pub apps: Vec<Benchmark>,
+}
+
+impl ExperimentArgs {
+    /// Parses the process arguments and `PARMIS_QUICK`. On a bad argument it prints
+    /// `error: …` and exits with status 2 before anything runs.
+    pub fn from_args() -> Self {
+        let quick_env = std::env::var("PARMIS_QUICK").is_ok_and(|v| v != "0");
+        Self::from_arg_list(std::env::args().skip(1), quick_env).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`from_args`](Self::from_args) over an explicit argument list (testable core);
+    /// `quick_env` stands for `PARMIS_QUICK`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message for a flag without its value, a value that is not
+    /// a non-negative integer, an unknown application name (the message lists the valid
+    /// ones) or an unrecognized argument, so a typo cannot silently run another experiment.
+    pub fn from_arg_list(
+        args: impl IntoIterator<Item = String>,
+        quick_env: bool,
+    ) -> Result<Self, String> {
+        let args: Vec<String> = args.into_iter().collect();
+        let mut budget = if quick_env || args.iter().any(|a| a == "--quick") {
+            ExperimentBudget::quick()
+        } else {
+            ExperimentBudget::standard()
+        };
+        let mut apps = Benchmark::ALL.to_vec();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--quick" {
+                continue;
+            }
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value)),
+                None => (arg.as_str(), None),
+            };
+            if !matches!(flag, "--iterations" | "--threads" | "--batch" | "--apps") {
+                return Err(format!(
+                    "unrecognized argument `{arg}`; expected --quick, --iterations N, \
+                     --threads N, --batch N or --apps a,b"
+                ));
+            }
+            let value = inline
+                .or_else(|| args.next().map(String::as_str))
+                .ok_or_else(|| format!("{flag} requires a value"))?;
+            let count = || {
+                value
+                    .parse::<usize>()
+                    .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))
+            };
+            match flag {
+                "--iterations" => budget.parmis_iterations = count()?.max(5),
+                "--threads" => budget.threads = count()?,
+                "--batch" => budget.parmis_batch = count()?.max(1),
+                _ => apps = parse_apps(value)?,
+            }
+        }
+        Ok(ExperimentArgs { budget, apps })
+    }
+}
+
+/// Parses a comma-separated list of application names.
+fn parse_apps(list: &str) -> Result<Vec<Benchmark>, String> {
+    list.split(',')
+        .map(|name| {
+            Benchmark::from_name(name).ok_or_else(|| {
+                let valid: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
+                format!("unknown app `{name}`; valid names: {}", valid.join(", "))
+            })
+        })
+        .collect()
+}
+
 /// A named Pareto front (or single point set) produced by one method on one benchmark.
 #[derive(Debug, Clone, Serialize)]
 pub struct MethodFront {
@@ -183,7 +248,7 @@ pub struct PhvSummary {
     /// PHV of IL normalized by the PaRMIS PHV.
     pub il_normalized: f64,
     /// Worker threads the experiment ran with (results are thread-count invariant; the
-    /// column exists so BENCH_*.json speedup comparisons know what produced each number).
+    /// column records the machine shape behind a run's wall-clock time).
     pub threads: usize,
 }
 
@@ -470,6 +535,48 @@ mod tests {
         assert_eq!(sweep.weight_count, 3);
         assert_eq!(sweep.rl.episodes, 4);
         assert_eq!(sweep.num_workers, quick.threads);
+    }
+
+    fn parse(args: &[&str]) -> Result<ExperimentArgs, String> {
+        ExperimentArgs::from_arg_list(args.iter().map(|s| s.to_string()), false)
+    }
+
+    #[test]
+    fn experiment_args_parse_both_spellings_and_reject_typos() {
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(defaults.budget, ExperimentBudget::standard());
+        assert_eq!(defaults.apps, Benchmark::ALL.to_vec());
+        let apps = parse(&["--apps", "sha,qsort"]).unwrap().apps;
+        assert_eq!(apps, vec![Benchmark::Sha, Benchmark::Qsort]);
+        assert_eq!(parse(&["--apps=sha"]).unwrap().apps, vec![Benchmark::Sha]);
+        let budget = parse(&["--iterations=8", "--quick", "--threads", "3", "--batch=0"])
+            .unwrap()
+            .budget;
+        let expected = ExperimentBudget {
+            parmis_iterations: 8,
+            threads: 3,
+            parmis_batch: 1,
+            ..ExperimentBudget::quick()
+        };
+        assert_eq!(budget, expected, "--batch is clamped to 1");
+        let budget = parse(&["--iterations", "2"]).unwrap().budget;
+        assert_eq!(budget.parmis_iterations, 5, "--iterations is clamped to 5");
+        let from_env = ExperimentArgs::from_arg_list(Vec::new(), true).unwrap();
+        assert_eq!(from_env.budget, ExperimentBudget::quick());
+
+        let unknown = parse(&["--apps", "SHA"]).unwrap_err();
+        assert!(unknown.contains("basicmath, dijkstra"), "{unknown}");
+        for bad in [
+            &["--apps"][..],
+            &["--apps", "sha,"],
+            &["--iterations", "eight"],
+            &["--iterations=-1"],
+            &["--threads"],
+            &["--iteration", "8"],
+            &["8"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod data;
 pub mod harness;
 pub mod report;
 pub mod seedpath;

@@ -20,8 +20,8 @@ pub fn print_series(label: &str, x_name: &str, y_name: &str, series: &[(f64, f64
 }
 
 /// Prints the parallelism context of a run (effective worker threads and PaRMIS batch
-/// size), so logged numbers in `BENCH_*.json` comparisons are attributable to a machine
-/// shape. Results themselves are thread-count invariant.
+/// size), so a logged run is attributable to a machine shape. Results themselves are
+/// thread-count invariant.
 pub fn print_run_context(threads: usize, batch: usize) {
     println!("run context: threads={threads} batch={batch}");
 }

@@ -5,9 +5,9 @@
 //! scans, re-derived per-decision cluster power from the models on every epoch, recomputed
 //! `energy = time · power` three times per epoch, and materialized a `Vec<EpochResult>` plus
 //! fresh identity `String`s per run. That seed loop is reproduced here — against the same
-//! public model APIs, operation for operation — so `bench_sim` and the release timing gate
-//! can measure the streaming engine against the exact code it replaced, and the equivalence
-//! tests below can pin that the rewrite is bit-identical.
+//! public model APIs, operation for operation — so the release timing gates can measure the
+//! streaming engine against the exact code it replaced, and the equivalence tests below can
+//! pin that the rewrite is bit-identical.
 //!
 //! This module is **not** a supported simulation API: use
 //! [`soc_sim::platform::Platform::run_application`] (or the streaming
@@ -21,8 +21,8 @@ use soc_sim::counters::CounterSnapshot;
 use soc_sim::platform::{DrmController, EpochResult, Platform, RunSummary};
 use soc_sim::workload::{Application, ApplicationBuilder, PhaseSpec};
 
-/// Controller pinning one fixed decision — the shared fixture of `bench_sim` and the
-/// release timing gate, so both measure exactly the same controller behaviour.
+/// Controller pinning one fixed decision — the shared fixture of the release timing gates
+/// and the allocation contracts, so all of them measure the same controller behaviour.
 pub struct FixedDecisionController(pub DrmDecision);
 
 impl DrmController for FixedDecisionController {
@@ -35,7 +35,8 @@ impl DrmController for FixedDecisionController {
     }
 }
 
-/// The probe phase `bench_sim` and the timing gate both run: a balanced mixed workload.
+/// The probe phase the timing gates and the allocation contracts run: a balanced mixed
+/// workload.
 pub fn probe_phase() -> PhaseSpec {
     PhaseSpec {
         name: "probe".into(),
@@ -50,8 +51,8 @@ pub fn probe_phase() -> PhaseSpec {
 }
 
 /// A jittered `epochs`-epoch application over [`probe_phase`] — the shared measurement
-/// workload. Keeping it here (next to the seed baseline) guarantees the `BENCH_sim.json`
-/// rows and the `#[ignore]`d gate never drift onto different workloads.
+/// workload. Keeping it here (next to the seed baseline) keeps the `#[ignore]`d gates and
+/// the allocation contracts on the same workload.
 pub fn probe_app(epochs: usize) -> Application {
     ApplicationBuilder::new(format!("sim-bench-{epochs}"))
         .phase(probe_phase(), epochs)
@@ -210,8 +211,9 @@ mod tests {
     use super::*;
     use soc_sim::governor::default_governors;
 
-    /// The contract behind every `bench_sim` ratio: the streaming, table-driven engine is
-    /// bit-identical to the seed path it replaced, across platforms and controllers.
+    /// The contract behind every seed-vs-streaming timing gate: the streaming, table-driven
+    /// engine is bit-identical to the seed path it replaced, across platforms and
+    /// controllers.
     #[test]
     fn seed_path_and_streaming_engine_are_bit_identical() {
         for platform in [

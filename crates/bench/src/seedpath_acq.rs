@@ -7,9 +7,9 @@
 //! per-front crowding clones on every generation, and answered every candidate with
 //! `population × k` independent random-feature recomputations. That seed loop is reproduced
 //! here — same RNG consumption, same floating-point operation order, against the same
-//! public `moo::dominance` and `gp` APIs — so `bench_acq` and the release timing gate can
-//! measure the flat engine against the exact code it replaced, and the `acq_equivalence`
-//! proptest suite can pin that the rewrite is bit-identical.
+//! public `moo::dominance` and `gp` APIs — so the release timing gates can measure the
+//! flat engine against the exact code it replaced, and the `acq_equivalence` proptest
+//! suite can pin that the rewrite is bit-identical.
 //!
 //! This module is **not** a supported optimization API: use [`moo::nsga2::Nsga2`] (or the
 //! batched [`moo::nsga2::Nsga2Engine`]) and [`parmis::pareto_sampling`] for real work.
@@ -208,10 +208,10 @@ fn tournament_seed(rng: &mut StdRng, ranks: &[usize], crowding: &[f64]) -> usize
     }
 }
 
-/// The shared measurement fixture of `bench_acq` and the release timing gate: two
+/// The shared fixture of the release timing gates and the allocation contracts: two
 /// 3-dimensional GP models with opposing trends (a genuine model Pareto trade-off), fitted
-/// on a deterministic design. Keeping it here (next to the seed baseline) guarantees the
-/// `BENCH_acq.json` rows and the `#[ignore]`d gate never drift onto different problems.
+/// on a deterministic design. Keeping it here (next to the seed baseline) keeps them all on
+/// the same problem.
 pub fn probe_models() -> Vec<GaussianProcess> {
     let dim = 3;
     let xs: Vec<Vec<f64>> = (0..30)
@@ -231,7 +231,7 @@ pub fn probe_models() -> Vec<GaussianProcess> {
     ]
 }
 
-/// The sampling configuration both `bench_acq` and the gate run: 200 random features,
+/// The sampling configuration the gates and the allocation contracts run: 200 random features,
 /// a 40-individual population evolved for 30 generations — the shape named by the
 /// acquisition speed contract.
 pub fn probe_sampling_config() -> ParetoSamplingConfig {
@@ -242,7 +242,7 @@ pub fn probe_sampling_config() -> ParetoSamplingConfig {
     }
 }
 
-/// The shared NSGA-II *machinery* probe of `bench_acq` and the gate: a 6-D box and a
+/// The NSGA-II *machinery* probe of the acquisition gate: a 6-D box and a
 /// near-free bi-objective so the measurement isolates population storage, sorting,
 /// crowding, selection and variation. Returns `(lower, upper, config)` at the contract
 /// shape (40-pop/30-gen).

@@ -16,7 +16,7 @@
 //! operations on both paths — the same situation as the simulation engine's Box–Muller
 //! noise draws, which were an identical cost on both simulation paths. The engine's full
 //! win therefore shows where the model is cheap relative to the evolution, and as
-//! allocation-freedom (see `bench_acq`'s counting-allocator assert) everywhere else.
+//! allocation-freedom (see `allocation_contracts.rs`) everywhere else.
 //!
 //! Timing assertions are meaningless in debug builds and flake under noisy neighbours, so
 //! this stays `#[ignore]`d; run it with `cargo test -q -p bench --release -- --ignored` on
@@ -33,8 +33,7 @@ use std::time::Instant;
 #[ignore = "wall-clock sensitive; run in release mode on a quiet machine"]
 fn acquisition_sampling_doubles_throughput() {
     // --- contract 1: the evolution machinery, isolated by a near-free objective --------
-    // The shared probe ([`seedpath_acq::probe_machinery_problem`]) keeps this gate and the
-    // BENCH_acq.json `nsga2_machinery_40x30` row on the same problem. The seed interface
+    // The shared probe is [`seedpath_acq::probe_machinery_problem`]. The seed interface
     // forces one `Vec<f64>` per evaluated point; the batched callback writes straight into
     // the flat objective block — each path pays exactly the cost its interface imposes.
     let (lower, upper, nsga_config) = seedpath_acq::probe_machinery_problem();

@@ -16,9 +16,6 @@
 //!    pipeline, the fast-tier streaming run must beat the seed path on the *noisy*
 //!    1000-epoch application by at least **1.5×**.
 //!
-//! The measured ratios are also emitted (unasserted) by `bench_acq` / `bench_sim` into
-//! `BENCH_acq.json` / `BENCH_sim.json` as the `*_fast_tier` rows.
-//!
 //! Timing assertions are meaningless in debug builds and flake under noisy neighbours, so
 //! this stays `#[ignore]`d; run it with `cargo test -q -p bench --release -- --ignored` on
 //! a quiet machine.

@@ -16,9 +16,7 @@ use soc_sim::platform::{DiscardEpochs, Platform, SocSpec};
 /// Measured on a **zero-measurement-noise** platform: the noise model costs two Box–Muller
 /// log-normal draws per epoch on *both* paths — an identical, RNG-stream-mandated cost that
 /// the engine rewrite neither added nor can remove — and with it in the denominator the
-/// engine's own ≥ 2× win is compressed to ~1.4×. `bench_sim`'s `BENCH_sim.json` reports
-/// both ratios (`full_application_1000` on the default noisy platform,
-/// `full_application_1000_quiet` on this configuration) so the trade stays visible.
+/// engine's own ≥ 2× win is compressed to ~1.4×.
 #[test]
 #[ignore = "wall-clock sensitive; run in release mode on a quiet machine"]
 fn streaming_engine_doubles_full_application_throughput() {

@@ -2,7 +2,7 @@
 //!
 //! PR 4 and PR 5 rebuilt the simulation and acquisition engines around streaming tables
 //! and flat buffers, but both kept bit-identity with the seed implementation — which
-//! pins ~75 % of an end-to-end acquisition `sample()` at the 3-dimensional `bench_acq`
+//! pins ~75 % of an end-to-end acquisition `sample()` at the 3-dimensional acquisition
 //! probe on scalar libm `cos` over RFF features (at dim 501 each `cos` comes with a
 //! 501-term dot product, which dominates instead) and the noisy simulation path on
 //! per-epoch scalar Box–Muller draws. This

@@ -1,8 +1,8 @@
 //! Stationary covariance functions.
 //!
 //! PaRMIS places independent GP priors over the policy-parameter space. Two standard
-//! stationary kernels are provided; both support either an isotropic lengthscale or full
-//! automatic-relevance-determination (ARD, one lengthscale per input dimension).
+//! stationary kernels are provided, each with one isotropic lengthscale shared by every
+//! input dimension.
 
 use crate::{GpError, Result};
 use linalg::{vector, Matrix};
@@ -33,14 +33,7 @@ pub enum KernelFamily {
 pub struct Kernel {
     family: KernelFamily,
     signal_variance: f64,
-    lengthscales: Lengthscales,
-}
-
-/// Either one shared lengthscale or one per dimension.
-#[derive(Debug, Clone, PartialEq)]
-enum Lengthscales {
-    Isotropic(f64),
-    Ard(Vec<f64>),
+    lengthscale: f64,
 }
 
 impl Kernel {
@@ -50,10 +43,10 @@ impl Kernel {
     ///
     /// Panics if `signal_variance` or `lengthscale` is not strictly positive and finite.
     pub fn rbf(signal_variance: f64, lengthscale: f64) -> Self {
-        Self::validated(
+        Self::isotropic(
             KernelFamily::SquaredExponential,
             signal_variance,
-            Lengthscales::Isotropic(lengthscale),
+            lengthscale,
         )
         .expect("rbf constructor arguments must be positive and finite")
     }
@@ -64,28 +57,8 @@ impl Kernel {
     ///
     /// Panics if `signal_variance` or `lengthscale` is not strictly positive and finite.
     pub fn matern52(signal_variance: f64, lengthscale: f64) -> Self {
-        Self::validated(
-            KernelFamily::Matern52,
-            signal_variance,
-            Lengthscales::Isotropic(lengthscale),
-        )
-        .expect("matern52 constructor arguments must be positive and finite")
-    }
-
-    /// Creates a kernel with per-dimension (ARD) lengthscales. It can only be evaluated on
-    /// inputs with one dimension per lengthscale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpError::InvalidHyperparameter`] if any hyperparameter is non-positive or
-    /// non-finite, or [`GpError::InvalidData`] if `lengthscales` is empty.
-    pub fn ard(family: KernelFamily, signal_variance: f64, lengthscales: Vec<f64>) -> Result<Self> {
-        if lengthscales.is_empty() {
-            return Err(GpError::InvalidData {
-                reason: "ARD kernel requires at least one lengthscale".into(),
-            });
-        }
-        Self::validated(family, signal_variance, Lengthscales::Ard(lengthscales))
+        Self::isotropic(KernelFamily::Matern52, signal_variance, lengthscale)
+            .expect("matern52 constructor arguments must be positive and finite")
     }
 
     /// Creates an isotropic kernel of the given family, validating the hyperparameters.
@@ -95,49 +68,18 @@ impl Kernel {
     /// Returns [`GpError::InvalidHyperparameter`] if a hyperparameter is non-positive or
     /// non-finite.
     pub fn isotropic(family: KernelFamily, signal_variance: f64, lengthscale: f64) -> Result<Self> {
-        Self::validated(
-            family,
-            signal_variance,
-            Lengthscales::Isotropic(lengthscale),
-        )
-    }
-
-    fn validated(
-        family: KernelFamily,
-        signal_variance: f64,
-        lengthscales: Lengthscales,
-    ) -> Result<Self> {
-        if !(signal_variance.is_finite() && signal_variance > 0.0) {
-            return Err(GpError::InvalidHyperparameter {
-                name: "signal_variance",
-                value: signal_variance,
-            });
-        }
-        let check = |l: f64| l.is_finite() && l > 0.0;
-        match &lengthscales {
-            Lengthscales::Isotropic(l) => {
-                if !check(*l) {
-                    return Err(GpError::InvalidHyperparameter {
-                        name: "lengthscale",
-                        value: *l,
-                    });
-                }
-            }
-            Lengthscales::Ard(ls) => {
-                for &l in ls {
-                    if !check(l) {
-                        return Err(GpError::InvalidHyperparameter {
-                            name: "lengthscale",
-                            value: l,
-                        });
-                    }
-                }
+        for (name, value) in [
+            ("signal_variance", signal_variance),
+            ("lengthscale", lengthscale),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(GpError::InvalidHyperparameter { name, value });
             }
         }
         Ok(Kernel {
             family,
             signal_variance,
-            lengthscales,
+            lengthscale,
         })
     }
 
@@ -151,12 +93,9 @@ impl Kernel {
         self.signal_variance
     }
 
-    /// Lengthscale for dimension `d`.
-    pub fn lengthscale(&self, d: usize) -> f64 {
-        match &self.lengthscales {
-            Lengthscales::Isotropic(l) => *l,
-            Lengthscales::Ard(ls) => ls[d.min(ls.len() - 1)],
-        }
+    /// Lengthscale ℓ, shared by every input dimension.
+    pub fn lengthscale(&self) -> f64 {
+        self.lengthscale
     }
 
     /// Returns a copy of this kernel with a different isotropic lengthscale, preserving the
@@ -166,11 +105,7 @@ impl Kernel {
     ///
     /// Returns [`GpError::InvalidHyperparameter`] if the new value is invalid.
     pub fn with_lengthscale(&self, lengthscale: f64) -> Result<Self> {
-        Self::validated(
-            self.family,
-            self.signal_variance,
-            Lengthscales::Isotropic(lengthscale),
-        )
+        Self::isotropic(self.family, self.signal_variance, lengthscale)
     }
 
     /// Returns a copy of this kernel with a different signal variance.
@@ -179,31 +114,18 @@ impl Kernel {
     ///
     /// Returns [`GpError::InvalidHyperparameter`] if the new value is invalid.
     pub fn with_signal_variance(&self, signal_variance: f64) -> Result<Self> {
-        Self::validated(self.family, signal_variance, self.lengthscales.clone())
+        Self::isotropic(self.family, signal_variance, self.lengthscale)
     }
 
-    /// Scaled squared distance `Σ ((x_d - y_d) / ℓ_d)²`, the first step of
-    /// [`eval`](Self::eval).
+    /// Scaled squared distance `‖x − y‖² / ℓ²`, the first step of [`eval`](Self::eval).
     fn scaled_sq_dist(&self, x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(x.len(), y.len(), "kernel inputs must share dimension");
-        match &self.lengthscales {
-            Lengthscales::Isotropic(l) => vector::squared_distance(x, y) / (l * l),
-            Lengthscales::Ard(ls) => {
-                assert_eq!(
-                    ls.len(),
-                    x.len(),
-                    "ARD kernel needs one lengthscale per input dimension"
-                );
-                x.iter()
-                    .zip(y)
-                    .zip(ls)
-                    .map(|((a, b), l)| {
-                        let d = (a - b) / l;
-                        d * d
-                    })
-                    .sum()
-            }
-        }
+        self.scaled(vector::squared_distance(x, y))
+    }
+
+    /// A squared distance divided by ℓ², exactly as [`eval`](Self::eval) scales it.
+    fn scaled(&self, squared_distance: f64) -> f64 {
+        squared_distance / (self.lengthscale * self.lengthscale)
     }
 
     /// Covariance at the scaled squared distance `r2`, the second step of
@@ -223,8 +145,7 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if the points have different dimensions, or if an ARD kernel's lengthscale
-    /// count differs from their dimension.
+    /// Panics if the points have different dimensions.
     pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
         self.covariance(self.scaled_sq_dist(x, y))
     }
@@ -232,39 +153,33 @@ impl Kernel {
     /// Builds the Gram matrix `K[i][j] = k(xs[i], xs[j])`, every entry bit-identical to
     /// [`eval`](Self::eval) on its pair.
     ///
-    /// Only the lower triangle is computed and then mirrored, which is exact: both steps of
-    /// `eval` are bitwise symmetric in the two points. An isotropic kernel depends on its
-    /// inputs only through their squared distance, so it maps the pairwise squared distances,
-    /// computed in register tiles of 4 × 4 pairs, through its covariance. An ARD kernel
-    /// evaluates each pair.
+    /// The kernel depends on its inputs only through their squared distance, so it maps the
+    /// pairwise squared distances, computed in register tiles of 4 × 4 pairs, through its
+    /// covariance.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`eval`](Self::eval).
     pub fn gram(&self, xs: &[Vec<f64>]) -> Matrix {
-        match &self.lengthscales {
-            Lengthscales::Isotropic(_) => {
-                self.gram_from_squared_distances(&squared_distance_matrix(xs))
-            }
-            Lengthscales::Ard(_) => symmetric(xs.len(), |i, j| self.eval(&xs[i], &xs[j])),
-        }
+        self.gram_from_squared_distances(&squared_distance_matrix(xs))
     }
 
-    /// The Gram matrix of an isotropic kernel over inputs whose pairwise squared distances
-    /// are `squared_distances` (from [`squared_distance_matrix`]): an `O(n²)` element-wise
-    /// map, bit-identical to [`gram`](Self::gram) over those inputs. A hyperparameter search
-    /// computes the distances once and maps them per lengthscale.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an ARD kernel.
+    /// The Gram matrix over inputs whose pairwise squared distances are
+    /// `squared_distances` (from [`squared_distance_matrix`]): an `O(n²)` element-wise map,
+    /// bit-identical to [`gram`](Self::gram) over those inputs. Only the lower triangle is
+    /// mapped and then mirrored, which is exact because the distances are symmetric. A
+    /// hyperparameter search computes the distances once and maps them per lengthscale.
     pub(crate) fn gram_from_squared_distances(&self, squared_distances: &Matrix) -> Matrix {
-        let Lengthscales::Isotropic(l) = self.lengthscales else {
-            panic!("only an isotropic kernel is a function of the squared distance");
-        };
-        symmetric(squared_distances.rows(), |i, j| {
-            self.covariance(squared_distances[(i, j)] / (l * l))
-        })
+        let n = squared_distances.rows();
+        let mut out = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let value = self.covariance(self.scaled(squared_distances[(i, j)]));
+                out[(i, j)] = value;
+                out[(j, i)] = value;
+            }
+        }
+        out
     }
 
     /// Builds the cross-covariance vector between a query point and the training inputs.
@@ -281,27 +196,19 @@ impl Kernel {
     /// allocation, every entry bit-identical to [`eval`](Self::eval) on its pair.
     ///
     /// This is the batched counterpart of [`cross`](Self::cross), ready to be handed to a
-    /// blocked triangular solve. An isotropic kernel computes the squared distances in
-    /// register tiles of 4 inputs × 4 queries and maps them through its covariance in
-    /// place; an ARD kernel evaluates each pair.
+    /// blocked triangular solve. It computes the squared distances in register tiles of
+    /// 4 inputs × 4 queries and maps them through its covariance in place.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`eval`](Self::eval).
     pub fn cross_matrix(&self, xs: &[Vec<f64>], queries: &[Vec<f64>]) -> Matrix {
-        match &self.lengthscales {
-            Lengthscales::Isotropic(l) => {
-                let mut k = Matrix::zeros(xs.len(), queries.len());
-                fill_squared_distances(xs, queries, false, &mut k);
-                for entry in k.as_mut_slice() {
-                    *entry = self.covariance(*entry / (l * l));
-                }
-                k
-            }
-            Lengthscales::Ard(_) => Matrix::from_fn(xs.len(), queries.len(), |i, j| {
-                self.eval(&xs[i], &queries[j])
-            }),
+        let mut k = Matrix::zeros(xs.len(), queries.len());
+        fill_squared_distances(xs, queries, false, &mut k);
+        for entry in k.as_mut_slice() {
+            *entry = self.covariance(self.scaled(*entry));
         }
+        k
     }
 }
 
@@ -367,20 +274,6 @@ fn fill_squared_distances(xs: &[Vec<f64>], ys: &[Vec<f64>], mirror: bool, out: &
     }
 }
 
-/// The symmetric `n × n` matrix whose entry `(i, j)` with `j ≤ i` is `entry(i, j)`; the
-/// upper triangle mirrors it.
-fn symmetric(n: usize, entry: impl Fn(usize, usize) -> f64) -> Matrix {
-    let mut out = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            let value = entry(i, j);
-            out[(i, j)] = value;
-            out[(j, i)] = value;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,30 +310,17 @@ mod tests {
     }
 
     #[test]
-    fn ard_lengthscales_weight_dimensions() {
-        let k = Kernel::ard(KernelFamily::SquaredExponential, 1.0, vec![0.1, 10.0]).unwrap();
-        // Distance along the short-lengthscale dimension kills covariance...
-        assert!(k.eval(&[0.0, 0.0], &[0.5, 0.0]) < 0.01);
-        // ...while the same distance along the long-lengthscale dimension barely matters.
-        assert!(k.eval(&[0.0, 0.0], &[0.0, 0.5]) > 0.99);
-        assert_eq!(k.lengthscale(0), 0.1);
-        assert_eq!(k.lengthscale(1), 10.0);
-    }
-
-    #[test]
     fn constructor_validation() {
         assert!(Kernel::isotropic(KernelFamily::SquaredExponential, -1.0, 1.0).is_err());
         assert!(Kernel::isotropic(KernelFamily::SquaredExponential, 1.0, 0.0).is_err());
         assert!(Kernel::isotropic(KernelFamily::Matern52, 1.0, f64::NAN).is_err());
-        assert!(Kernel::ard(KernelFamily::Matern52, 1.0, vec![]).is_err());
-        assert!(Kernel::ard(KernelFamily::Matern52, 1.0, vec![1.0, -2.0]).is_err());
     }
 
     #[test]
     fn with_methods_replace_hyperparameters() {
         let k = Kernel::rbf(1.0, 1.0);
         let k2 = k.with_lengthscale(2.0).unwrap();
-        assert_eq!(k2.lengthscale(0), 2.0);
+        assert_eq!(k2.lengthscale(), 2.0);
         let k3 = k.with_signal_variance(4.0).unwrap();
         assert_eq!(k3.signal_variance(), 4.0);
         assert!(k.with_lengthscale(-1.0).is_err());
@@ -464,13 +344,9 @@ mod tests {
     /// Point counts that hit full 4 × 4 tiles, ragged edges, or both.
     const TILE_EDGE_SIZES: [usize; 6] = [1, 3, 4, 6, 8, 17];
 
-    /// Isotropic kernels of both families and an ARD kernel, all over 3-dimensional inputs.
-    fn three_dimensional_kernels() -> [Kernel; 3] {
-        [
-            Kernel::rbf(1.5, 0.7),
-            Kernel::matern52(0.8, 1.2),
-            Kernel::ard(KernelFamily::Matern52, 1.3, vec![0.5, 2.0, 0.9]).unwrap(),
-        ]
+    /// Kernels of both families, for 3-dimensional inputs.
+    fn three_dimensional_kernels() -> [Kernel; 2] {
+        [Kernel::rbf(1.5, 0.7), Kernel::matern52(0.8, 1.2)]
     }
 
     fn assert_gram_matches_eval(kernel: &Kernel, xs: &[Vec<f64>]) {
@@ -542,14 +418,5 @@ mod tests {
     #[should_panic]
     fn eval_rejects_dimension_mismatch() {
         Kernel::rbf(1.0, 1.0).eval(&[0.0], &[0.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ARD kernel needs one lengthscale per input dimension")]
-    fn ard_eval_rejects_inputs_without_one_lengthscale_per_dimension() {
-        // With one lengthscale for two dimensions, the second dimension would drop out and
-        // these points 5 apart would look identical.
-        let k = Kernel::ard(KernelFamily::SquaredExponential, 1.0, vec![0.5]).unwrap();
-        k.eval(&[0.0, 0.0], &[0.0, 5.0]);
     }
 }

@@ -5,7 +5,7 @@
 //! everything those statistical models need:
 //!
 //! * [`kernel`] — stationary covariance functions (squared-exponential / RBF and Matérn-5/2)
-//!   with automatic-relevance-determination lengthscales.
+//!   with one isotropic lengthscale.
 //! * [`GaussianProcess`] — exact GP regression with Cholesky-based posterior mean/variance,
 //!   log marginal likelihood, and incremental refitting as new policy evaluations arrive.
 //! * [`hyperopt`] — marginal-likelihood hyperparameter selection via multi-start

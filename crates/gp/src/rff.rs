@@ -33,9 +33,7 @@
 //! Sampler and sample share the panels and phases through `Arc`, and
 //! [`RffSampler::sample_with`] reuses a caller-provided [`WeightScratch`] across draws, so
 //! a warm acquisition loop draws and evaluates sample functions without reallocating its
-//! feature machinery. Regenerate the measured per-point-vs-batched ratios with
-//! `PARMIS_RESULTS_DIR=results cargo bench -p bench --bench bench_acq` (writes
-//! `BENCH_acq.json`).
+//! feature machinery; `crates/bench/tests/allocation_contracts.rs` counts the allocations.
 
 use crate::kernel::{Kernel, KernelFamily};
 use crate::{GaussianProcess, GpError, Result};
@@ -345,8 +343,8 @@ impl PosteriorSample {
     }
 }
 
-/// Draws one feature's spectral frequencies for `kernel` into `row`, scaled by the ARD
-/// lengthscales.
+/// Draws one feature's spectral frequencies for `kernel` into `row`, scaled by its
+/// lengthscale.
 fn draw_frequencies(kernel: &Kernel, rng: &mut StdRng, row: &mut [f64]) {
     // Matérn-5/2 spectral density is a multivariate Student-t with ν = 5 degrees of
     // freedom: w = z / sqrt(u / ν) with z ~ N(0, 1/ℓ²), u ~ χ²(ν).
@@ -358,9 +356,9 @@ fn draw_frequencies(kernel: &Kernel, rng: &mut StdRng, row: &mut [f64]) {
             (5.0 / u).sqrt()
         }
     };
-    for (d, w) in row.iter_mut().enumerate() {
+    for w in row.iter_mut() {
         let z: f64 = StandardNormal.sample(rng);
-        *w = t_scale * z / kernel.lengthscale(d);
+        *w = t_scale * z / kernel.lengthscale();
     }
 }
 

@@ -15,7 +15,8 @@
 //! generations *and* across solves, and evaluates offspring through one batched callback
 //! `FnMut(&FlatPopulation, &mut [f64])` per generation instead of a call per point. After
 //! the engine's buffers have warmed up (first solve at a given shape), a generation performs
-//! **zero heap allocations**; `bench_acq` pins this with a counting allocator.
+//! **zero heap allocations**; `crates/bench/tests/allocation_contracts.rs` pins this with a
+//! counting allocator.
 //!
 //! Selection order, RNG consumption and floating-point operation order are exactly those of
 //! the original per-point loop, so the evolved [`Population`] is bit-identical to the seed
@@ -23,10 +24,8 @@
 //! the `acq_equivalence` proptest suite compares the two. [`Nsga2::run`] is a thin adapter
 //! that wraps a per-point objective function into the batched callback.
 //!
-//! Regenerate the measured seed-vs-flat ratios with
-//! `PARMIS_RESULTS_DIR=results cargo bench -p bench --bench bench_acq` (writes
-//! `BENCH_acq.json`); the `#[ignore]`d gate in `crates/bench/tests/acq_speed_gate.rs`
-//! asserts the ≥2× machinery contract in release mode.
+//! The `#[ignore]`d gate in `crates/bench/tests/acq_speed_gate.rs` asserts the ≥2×
+//! machinery contract in release mode.
 
 use crate::dominance::{
     fast_non_dominated_sort_flat, non_dominated_indices, non_dominated_indices_flat,

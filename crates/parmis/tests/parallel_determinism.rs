@@ -128,8 +128,7 @@ proptest! {
 }
 
 /// Wall-clock speedup of the parallel engine. Requires ≥ 4 physical cores to be meaningful,
-/// so it is ignored by default; `cargo test -p parmis -- --ignored` runs it on capable hosts
-/// (the CI bench job and `crates/bench/benches/microbench.rs` track the same ratio).
+/// so it is ignored by default; `cargo test -p parmis -- --ignored` runs it on capable hosts.
 #[test]
 #[ignore = "wall-clock sensitive; needs >= 4 cores"]
 fn four_workers_halve_batch_evaluation_time() {

@@ -441,11 +441,34 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`SocError::Scenario`] for malformed JSON or a shape mismatch.
+    /// Returns [`SocError::Scenario`] for malformed JSON, a shape mismatch, or constraints
+    /// that could not bind: a `penalty_weight` that is negative or not finite, or a limit
+    /// that is not finite and positive. A negative weight turns violations into rewards,
+    /// and [`ScenarioConstraints::penalty_from_metrics`] treats a zero limit as no limit.
     pub fn from_json(text: &str) -> Result<Self> {
-        serde_json::from_str(text).map_err(|e| SocError::Scenario {
+        let scenario: Scenario = serde_json::from_str(text).map_err(|e| SocError::Scenario {
             reason: e.to_string(),
-        })
+        })?;
+        let c = &scenario.constraints;
+        let invalid = |what: &str, value: f64| SocError::Scenario {
+            reason: format!("{what} = {value} would switch the constraint off"),
+        };
+        if !(c.penalty_weight.is_finite() && c.penalty_weight >= 0.0) {
+            return Err(invalid("penalty_weight", c.penalty_weight));
+        }
+        for (name, limit) in [
+            ("thermal_limit_c", c.thermal_limit_c),
+            ("power_budget_w", c.power_budget_w),
+            ("deadline_s", c.deadline_s),
+        ] {
+            match limit {
+                Some(limit) if !(limit.is_finite() && limit > 0.0) => {
+                    return Err(invalid(name, limit))
+                }
+                _ => {}
+            }
+        }
+        Ok(scenario)
     }
 }
 
@@ -630,6 +653,29 @@ mod tests {
         }
         assert!(Scenario::from_json("{").is_err());
         assert!(Scenario::from_json("{\"name\":\"x\"}").is_err());
+
+        // A scenario file cannot switch its own constraints off: a negative weight would
+        // reward violations, and a zero limit is no limit.
+        let thermal = by_name("odroid-pca-thermal").unwrap();
+        let mut negative = thermal.clone();
+        negative.constraints.penalty_weight = -4.0;
+        assert!(matches!(
+            Scenario::from_json(&negative.to_json()),
+            Err(SocError::Scenario { .. })
+        ));
+        let mut zero_limit = thermal.clone();
+        zero_limit.constraints.thermal_limit_c = Some(0.0);
+        assert!(matches!(
+            Scenario::from_json(&zero_limit.to_json()),
+            Err(SocError::Scenario { .. })
+        ));
+        // A zero weight stays legal.
+        let mut zero_weight = thermal;
+        zero_weight.constraints.penalty_weight = 0.0;
+        assert_eq!(
+            Scenario::from_json(&zero_weight.to_json()).unwrap(),
+            zero_weight
+        );
     }
 
     #[test]
