@@ -166,11 +166,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the underlying row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns row `i` as a slice.
     ///
     /// # Panics

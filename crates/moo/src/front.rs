@@ -118,11 +118,6 @@ impl<T> ParetoFront<T> {
         self.entries.iter().map(|e| &e.tag).collect()
     }
 
-    /// Consumes the front and returns its entries.
-    pub fn into_entries(self) -> Vec<FrontEntry<T>> {
-        self.entries
-    }
-
     /// Returns, for each objective, the worst (maximum) archived value. Useful for choosing a
     /// hypervolume reference point. Returns `None` when the front is empty.
     pub fn nadir(&self) -> Option<Vec<f64>> {

@@ -21,10 +21,9 @@
 //! because the batched search relies on evaluations being pure to keep the Pareto front
 //! bit-identical for any worker count.
 
-use crate::cancel::CancelToken;
 use crate::evaluation::SimBuffers;
 use crate::{ParmisError, Result};
-use soc_sim::platform::{CancelEpochs, DiscardEpochs, Platform, RunAggregates};
+use soc_sim::platform::{DiscardEpochs, Platform, RunAggregates};
 use soc_sim::workload::Application;
 use soc_sim::SocError;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,17 +38,7 @@ pub struct EvalContext<'a> {
     pub application: &'a Application,
     /// Measurement-noise seed of the run.
     pub seed: u64,
-    /// Cooperative-cancellation token polled by streaming backends every
-    /// [`CANCEL_EPOCH_STRIDE`] simulated epochs (`None` = never cancelled, zero
-    /// overhead). A tripped token aborts the run with [`ParmisError::Cancelled`],
-    /// discarding the partial aggregates — cancellation can never truncate results.
-    pub cancel: Option<&'a CancelToken>,
 }
-
-/// How many simulated epochs a streaming backend runs between two cancellation polls of
-/// [`EvalContext::cancel`]. Small enough to notice a drain within a fraction of one
-/// application run, large enough to keep the per-epoch cost negligible.
-pub const CANCEL_EPOCH_STRIDE: usize = 64;
 
 /// The policy→aggregates step: turns the policy currently decoded in `buffers` into the
 /// [`RunAggregates`] of one application run.
@@ -67,8 +56,9 @@ pub trait EvalBackend: std::fmt::Debug + Send + Sync {
     /// # Errors
     ///
     /// Returns [`ParmisError::Backend`] naming this backend when the run cannot be carried
-    /// out (invalid decision, injected fault, …), or [`ParmisError::Cancelled`] when
-    /// [`EvalContext::cancel`] trips mid-run.
+    /// out (invalid decision, injected fault, …). A custom backend may return
+    /// [`ParmisError::Cancelled`] to stop the search; the evaluator passes it on without
+    /// retrying or degrading it.
     fn run(&self, ctx: &EvalContext<'_>, buffers: &mut SimBuffers) -> Result<RunAggregates>;
 }
 
@@ -77,42 +67,6 @@ fn backend_error(name: &'static str, source: SocError) -> ParmisError {
     ParmisError::Backend {
         name: name.to_string(),
         source,
-    }
-}
-
-/// Drives one streaming application run, honoring [`EvalContext::cancel`]: with a token
-/// present the [`DiscardEpochs`] sink is wrapped in a [`CancelEpochs`] decorator that polls
-/// the token every [`CANCEL_EPOCH_STRIDE`] epochs (and beats its heartbeat, so a stall
-/// window sees in-run progress); without one the plain runner is invoked with zero
-/// overhead. Both paths fold bit-identical aggregates — the wrapper never touches epochs.
-fn run_streaming(
-    ctx: &EvalContext<'_>,
-    buffers: &mut SimBuffers,
-) -> std::result::Result<RunAggregates, SocError> {
-    match ctx.cancel {
-        None => ctx.platform.run_application_with(
-            ctx.application,
-            buffers.policy_mut(),
-            ctx.seed,
-            &mut DiscardEpochs,
-        ),
-        Some(token) => {
-            let mut wrapped = CancelEpochs::new(DiscardEpochs, CANCEL_EPOCH_STRIDE, move || {
-                token.beat();
-                match token.cancelled() {
-                    Some(reason) => Err(SocError::Cancelled {
-                        reason: reason.name().to_string(),
-                    }),
-                    None => Ok(()),
-                }
-            });
-            ctx.platform.run_application_with(
-                ctx.application,
-                buffers.policy_mut(),
-                ctx.seed,
-                &mut wrapped,
-            )
-        }
     }
 }
 
@@ -136,17 +90,15 @@ impl EvalBackend for AnalyticSim {
         "analytic-sim"
     }
 
-    /// A cancellation probe abort becomes [`ParmisError::Cancelled`] (re-reading the token
-    /// for the latched reason); every other failure is a [`ParmisError::Backend`].
     fn run(&self, ctx: &EvalContext<'_>, buffers: &mut SimBuffers) -> Result<RunAggregates> {
-        run_streaming(ctx, buffers).map_err(|source| {
-            if let SocError::Cancelled { .. } = source {
-                if let Some(reason) = ctx.cancel.and_then(|token| token.cancelled()) {
-                    return ParmisError::cancelled(reason);
-                }
-            }
-            backend_error(self.name(), source)
-        })
+        ctx.platform
+            .run_application_with(
+                ctx.application,
+                buffers.policy_mut(),
+                ctx.seed,
+                &mut DiscardEpochs,
+            )
+            .map_err(|source| backend_error(self.name(), source))
     }
 }
 
@@ -300,7 +252,6 @@ mod tests {
             platform: &platform,
             application: &application,
             seed: 17,
-            cancel: None,
         };
         let baseline = AnalyticSim::new().run(&ctx, &mut buffers).unwrap();
 
@@ -345,42 +296,5 @@ mod tests {
         assert_eq!(a, failures(7));
         assert_ne!(a, failures(8));
         assert!(a.iter().any(|&f| f) && !a.iter().all(|&f| f));
-    }
-
-    #[test]
-    fn streaming_backends_abort_with_a_cancelled_error_and_ignore_untripped_tokens() {
-        use crate::cancel::{CancelReason, CancelSource};
-        let (platform, application) = context_fixture();
-        let evaluator = qsort_evaluator();
-        let mut buffers = evaluator.sim_buffers();
-        buffers
-            .policy_mut()
-            .set_flat_parameters(&vec![0.2; evaluator.parameter_dim()]);
-        let plain = EvalContext {
-            platform: &platform,
-            application: &application,
-            seed: 17,
-            cancel: None,
-        };
-        let baseline = AnalyticSim::new().run(&plain, &mut buffers).unwrap();
-
-        // An untripped token changes nothing: same aggregates bit for bit, and the probe
-        // beats the heartbeat so a stall window sees in-run progress.
-        let source = CancelSource::new();
-        let token = source.token();
-        let watched = EvalContext {
-            cancel: Some(&token),
-            ..plain
-        };
-        assert_eq!(
-            AnalyticSim::new().run(&watched, &mut buffers).unwrap(),
-            baseline
-        );
-        assert!(token.heartbeats() > 0);
-
-        // A tripped token aborts the run with the structured cancellation error.
-        source.cancel(CancelReason::User);
-        let err = AnalyticSim::new().run(&watched, &mut buffers).unwrap_err();
-        assert_eq!(err.cancel_reason(), Some(CancelReason::User));
     }
 }

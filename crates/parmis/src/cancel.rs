@@ -6,35 +6,31 @@
 //! ```text
 //! CancelSource (drain root: User | Signal | fleet Deadline)
 //! └── CancelSource (per-slot child: stall window, segment watchdog Deadline)
-//!     └── CancelToken ── Parmis::segment        (checked per iteration round)
-//!         ├── ParallelEvaluator                 (checked between batch slots)
-//!         └── CancelEpochs sink (soc-sim)       (checked every N simulator epochs)
+//!     └── CancelToken ── Parmis::segment        (checked and beaten per iteration round)
 //! ```
 //!
 //! A [`CancelSource`] is the writer end: it latches the first [`CancelReason`] it is given
 //! and never un-cancels. A [`CancelToken`] is the cheap, cloneable reader end handed to
-//! execution layers; [`CancelToken::cancelled`] also folds in the passive triggers — a
+//! the search; [`CancelToken::cancelled`] also folds in the passive triggers — a
 //! wall-clock deadline ([`CancelSource::with_deadline`]), process signals
 //! ([`CancelSource::cancel_on_signals`]) and, on the job supervisor's slot scopes, a stall
 //! window — latching them into `Deadline` / `Signal` / `Stall` so the observed reason is
 //! stable. Cancellation of an ancestor surfaces in every descendant as
 //! [`CancelReason::Parent`].
 //!
-//! Tokens also carry a heartbeat counter ([`CancelToken::beat`]), bumped by every
-//! execution layer as it makes progress and propagated up the ancestor chain. A scope with
-//! a stall window also records when its last beat arrived and raises
-//! [`CancelReason::Stall`] once the window passes without one.
+//! The search [beats](CancelToken::beat) its token once per completed round. A scope with
+//! a stall window records when that beat arrived and raises [`CancelReason::Stall`] once
+//! the window passes without one; on any other scope a beat does nothing.
 //!
 //! This module is the only part of the runtime that reads the clock: deadlines and stall
 //! windows are the passive triggers above, checked whenever a token is.
 //!
 //! **Determinism contract:** cancellation decides *when* a search suspends, never *what*
-//! it computes. Every layer checks its token only at a deterministic boundary (iteration
-//! round, batch slot, epoch stride) and aborts by discarding work that a resumed run
-//! recomputes identically — so a cancelled-and-resumed trajectory is bit-identical to an
-//! uninterrupted one.
+//! it computes. The search checks its token only at the round boundary, where the state
+//! it suspends with is exactly the one an uninterrupted run passes through — so a
+//! cancelled-and-resumed trajectory is bit-identical to an uninterrupted one.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -103,8 +99,6 @@ impl std::fmt::Display for CancelReason {
 struct Inner {
     /// `0` = not cancelled; otherwise `CancelReason::code() + 1`, latched first-wins.
     reason: AtomicU8,
-    /// Progress counter bumped by [`CancelToken::beat`] (and by descendant beats).
-    heartbeats: AtomicU64,
     /// Passive trigger: latch `Deadline` once this instant passes.
     deadline: Option<Instant>,
     /// Passive trigger: latch `Stall` once the window passes without a beat.
@@ -123,7 +117,6 @@ impl Inner {
     ) -> Arc<Inner> {
         Arc::new(Inner {
             reason: AtomicU8::new(0),
-            heartbeats: AtomicU64::new(0),
             deadline,
             stall,
             signal: OnceLock::new(),
@@ -263,7 +256,7 @@ impl CancelSource {
         }
     }
 
-    /// The reader end shared with execution layers. Cheap to clone (one `Arc` bump).
+    /// The reader end handed to a search. Cheap to clone (one `Arc` bump).
     pub fn token(&self) -> CancelToken {
         CancelToken {
             inner: Some(Arc::clone(&self.inner)),
@@ -285,11 +278,6 @@ impl CancelSource {
     /// Whether this scope is cancelled.
     pub fn is_cancelled(&self) -> bool {
         self.cancelled().is_some()
-    }
-
-    /// Heartbeats observed so far (own beats plus every descendant's).
-    pub fn heartbeats(&self) -> u64 {
-        self.inner.heartbeats.load(Ordering::SeqCst)
     }
 
     /// Arms this source to latch [`CancelReason::Signal`] when SIGTERM or SIGINT is
@@ -324,8 +312,8 @@ impl Default for CancelSource {
     }
 }
 
-/// The reader end of a cancellation scope, checked by execution layers at deterministic
-/// boundaries. [`CancelToken::never`] is a free-standing token that never cancels.
+/// The reader end of a cancellation scope, checked by the search at each round boundary.
+/// [`CancelToken::never`] is a free-standing token that never cancels.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     inner: Option<Arc<Inner>>,
@@ -336,12 +324,6 @@ impl CancelToken {
     /// searches run without a [`CancelSource`].
     pub fn never() -> CancelToken {
         CancelToken { inner: None }
-    }
-
-    /// Whether this is the inert [`never`](Self::never) token. Execution layers use this
-    /// to skip cancellation plumbing entirely when no source is attached.
-    pub fn is_never(&self) -> bool {
-        self.inner.is_none()
     }
 
     /// The cancellation reason, if this scope (or any ancestor, or a passive
@@ -356,29 +338,13 @@ impl CancelToken {
         self.cancelled().is_some()
     }
 
-    /// Records one unit of forward progress on this scope and every ancestor. Execution
-    /// layers call this as they complete work; a scope with a stall window also records
-    /// when the beat arrived (scopes without one read no clock).
+    /// Records one unit of forward progress on this scope: the search calls this once per
+    /// completed round. Only a scope with a stall window records it, as the time the beat
+    /// arrived; every other scope ignores it and reads no clock.
     pub fn beat(&self) {
-        let mut cursor = self.inner.clone();
-        while let Some(inner) = cursor {
-            inner.heartbeats.fetch_add(1, Ordering::SeqCst);
-            if let Some(stall) = &inner.stall {
-                stall.beat();
-            }
-            cursor = inner
-                .parent
-                .as_ref()
-                .and_then(|parent| parent.inner.clone());
+        if let Some(stall) = self.inner.as_ref().and_then(|inner| inner.stall.as_ref()) {
+            stall.beat();
         }
-    }
-
-    /// Heartbeats recorded on this scope so far.
-    pub fn heartbeats(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.heartbeats.load(Ordering::SeqCst))
-            .unwrap_or(0)
     }
 }
 
@@ -445,8 +411,6 @@ mod tests {
             token.beat();
             assert!(!token.is_cancelled());
         }
-        assert_eq!(scope.heartbeats(), 1000);
-        assert_eq!(root.heartbeats(), 1000);
         assert!(root.cancelled().is_none());
     }
 
@@ -495,26 +459,10 @@ mod tests {
     }
 
     #[test]
-    fn beats_propagate_to_ancestors() {
-        let root = CancelSource::new();
-        let child = root.child();
-        let token = child.token();
-        token.beat();
-        token.beat();
-        assert_eq!(token.heartbeats(), 2);
-        assert_eq!(child.heartbeats(), 2);
-        assert_eq!(root.heartbeats(), 2);
-        root.token().beat();
-        assert_eq!(root.heartbeats(), 3);
-        assert_eq!(child.heartbeats(), 2);
-    }
-
-    #[test]
     fn never_token_is_inert() {
         let token = CancelToken::never();
         token.beat();
         assert!(!token.is_cancelled());
-        assert_eq!(token.heartbeats(), 0);
     }
 
     #[test]

@@ -102,10 +102,12 @@ pub enum ParmisError {
         /// Human-readable description of the problem.
         reason: String,
     },
-    /// The operation was cooperatively cancelled mid-flight (between two checkpoint
-    /// boundaries), abandoning work that a resumed run recomputes deterministically.
-    /// Cancellations that land exactly on an iteration boundary surface as a clean
-    /// [`SearchStep::Suspended`](crate::framework::SearchStep) instead of this error.
+    /// The search was cooperatively cancelled. [`Parmis::run`](crate::framework::Parmis::run)
+    /// returns this when its token trips at a round boundary, since it has no state to hand
+    /// back; [`Parmis::segment`](crate::framework::Parmis::segment) suspends with a clean
+    /// [`SearchStep::Suspended`](crate::framework::SearchStep) instead. A custom
+    /// [`EvalBackend`](crate::backend::EvalBackend) may also return it to abandon a round
+    /// that a resumed run recomputes deterministically; it is never retried or degraded.
     Cancelled {
         /// Why the cancellation was raised.
         reason: crate::cancel::CancelReason,

@@ -8,7 +8,6 @@
 //! pre-backend evaluation path.
 
 use crate::backend::{AnalyticSim, EvalBackend, EvalContext};
-use crate::cancel::CancelToken;
 use crate::objective::{objective_vector, Objective};
 use crate::{ParmisError, Result};
 use fastmath::Precision;
@@ -125,7 +124,6 @@ impl<E: PolicyEvaluator + ?Sized> PolicyEvaluator for &E {
 pub struct ParallelEvaluator<E> {
     inner: E,
     num_workers: usize,
-    cancel: CancelToken,
 }
 
 impl<E: PolicyEvaluator + Sync> ParallelEvaluator<E> {
@@ -134,20 +132,7 @@ impl<E: PolicyEvaluator + Sync> ParallelEvaluator<E> {
         ParallelEvaluator {
             inner,
             num_workers: crate::parallel::resolve_workers(num_workers),
-            cancel: CancelToken::never(),
         }
-    }
-
-    /// Attaches a cancellation token checked at the batch-dispatch boundary: before each
-    /// worker's chunk starts, a tripped token aborts the whole batch with
-    /// [`ParmisError::Cancelled`] instead of evaluating it. Each completed chunk also
-    /// [beats](CancelToken::beat) the token, so a stall window on its scope sees
-    /// batch-level progress. Chunking and result order are unaffected — a cancelled batch
-    /// is simply recomputed identically on resume.
-    #[must_use]
-    pub fn with_cancel_token(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
     }
 
     /// The effective worker count after resolving the "all CPUs" sentinel.
@@ -184,35 +169,20 @@ impl<E: PolicyEvaluator + Sync> PolicyEvaluator for ParallelEvaluator<E> {
     }
 
     fn evaluate_batch(&self, thetas: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        if let Some(reason) = self.cancel.cancelled() {
-            return Err(ParmisError::cancelled(reason));
-        }
-        if self.num_workers <= 1 || thetas.len() <= 1 {
-            let results = self.inner.evaluate_batch(thetas);
-            if results.is_ok() {
-                self.cancel.beat();
-            }
-            return results;
-        }
-        let workers = self.num_workers.min(thetas.len());
-        let chunk_len = thetas.len().div_ceil(workers);
+        // Every batch takes the chunk path, one worker or one slot included:
+        // `parallel_map` runs those inline, and the panic containment below still applies.
+        let workers = self.num_workers.min(thetas.len()).max(1);
+        let chunk_len = thetas.len().div_ceil(workers).max(1);
         let chunks: Vec<&[Vec<f64>]> = thetas.chunks(chunk_len).collect();
         let mut results = Vec::with_capacity(thetas.len());
         for chunk in crate::parallel::parallel_map(&chunks, workers, |_, c| {
-            // Cooperative cancellation at the chunk-dispatch boundary: a chunk whose
-            // token is already tripped is never evaluated. The abort discards the whole
-            // batch (the first chunk's error wins below), so a resumed run recomputes it
-            // bit-identically — cancellation never changes what is computed.
-            if let Some(reason) = self.cancel.cancelled() {
-                return Err(ParmisError::cancelled(reason));
-            }
             // Panic containment at the worker boundary: a panicking inner evaluator (one
             // without its own containment) becomes a structured error for its chunk
             // instead of tearing down the process at the scope join. Because the inner
             // serial loop stops at its first failing slot — panic or error alike — the
             // contained error still corresponds to the chunk's lowest failing slot.
-            let chunk_results = catch_unwind(AssertUnwindSafe(|| self.inner.evaluate_batch(c)))
-                .unwrap_or_else(|payload| {
+            catch_unwind(AssertUnwindSafe(|| self.inner.evaluate_batch(c))).unwrap_or_else(
+                |payload| {
                     Err(ParmisError::Backend {
                         name: "parallel-worker".to_string(),
                         source: SocError::Fault {
@@ -222,11 +192,8 @@ impl<E: PolicyEvaluator + Sync> PolicyEvaluator for ParallelEvaluator<E> {
                             ),
                         },
                     })
-                });
-            if chunk_results.is_ok() {
-                self.cancel.beat();
-            }
-            chunk_results
+                },
+            )
         }) {
             // Propagate the first error in slot order, exactly like the serial loop:
             // chunks are contiguous and merged in slot order, and within a chunk the inner
@@ -347,7 +314,6 @@ pub struct SocEvaluator {
     backend: Arc<dyn EvalBackend>,
     retry: RetryPolicy,
     retry_stats: Arc<RetryStats>,
-    cancel: CancelToken,
 }
 
 impl SocEvaluator {
@@ -370,7 +336,7 @@ impl SocEvaluator {
     }
 
     /// An evaluator over explicit components with the builder's defaults for everything
-    /// else (run seed, [`AnalyticSim`] backend, no constraints, no retries, no token).
+    /// else (run seed, [`AnalyticSim`] backend, no constraints, no retries).
     fn new(
         platform: Platform,
         architecture: PolicyArchitecture,
@@ -389,7 +355,6 @@ impl SocEvaluator {
             backend: Arc::new(AnalyticSim::new()),
             retry: RetryPolicy::default(),
             retry_stats: Arc::new(RetryStats::default()),
-            cancel: CancelToken::never(),
         }
     }
 
@@ -398,20 +363,10 @@ impl SocEvaluator {
         &*self.backend
     }
 
-    /// The fault-handling policy in use.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// The shared fault-handling counters (clones of this evaluator update the same ones,
     /// so parallel workers aggregate into a single set of totals).
     pub fn retry_stats(&self) -> Arc<RetryStats> {
         self.retry_stats.clone()
-    }
-
-    /// The policy architecture used to decode θ.
-    pub fn architecture(&self) -> &PolicyArchitecture {
-        &self.architecture
     }
 
     /// The decision space of the underlying platform.
@@ -522,11 +477,6 @@ impl SocEvaluator {
                 platform: &self.platform,
                 application: app,
                 seed: self.run_seed,
-                cancel: if self.cancel.is_never() {
-                    None
-                } else {
-                    Some(&self.cancel)
-                },
             };
             let aggregates = match self.run_backend_with_retries(&ctx, buffers)? {
                 BackendRun::Completed(aggregates) => aggregates,
@@ -657,7 +607,6 @@ pub struct EvaluatorBuilder {
     backend: Arc<dyn EvalBackend>,
     precision: Option<Precision>,
     retry: RetryPolicy,
-    cancel: CancelToken,
     deferred: Option<ParmisError>,
 }
 
@@ -680,7 +629,6 @@ impl EvaluatorBuilder {
             backend: Arc::new(AnalyticSim::new()),
             precision: None,
             retry: RetryPolicy::default(),
-            cancel: CancelToken::never(),
             deferred: None,
         }
     }
@@ -784,20 +732,6 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Attaches a cancellation token threaded into every backend run's [`EvalContext`]:
-    /// streaming backends probe it every [`crate::backend::CANCEL_EPOCH_STRIDE`] simulator
-    /// epochs (beating the heartbeat, aborting with [`ParmisError::Cancelled`] when
-    /// tripped). A cancelled run's partial work is discarded and recomputed identically on
-    /// resume — the token never changes what an evaluation produces. Share the same
-    /// [`CancelSource`]'s tokens with [`crate::framework::Parmis::with_cancel_token`] so a
-    /// single cancel request stops both the round loop and any in-flight simulator run.
-    ///
-    /// [`CancelSource`]: crate::cancel::CancelSource
-    pub fn cancel_token(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
     /// Builds the evaluator.
     ///
     /// # Errors
@@ -829,7 +763,6 @@ impl EvaluatorBuilder {
         evaluator.run_seed = self.run_seed;
         evaluator.backend = self.backend;
         evaluator.retry = self.retry;
-        evaluator.cancel = self.cancel;
         Ok(evaluator)
     }
 }
@@ -846,13 +779,8 @@ pub struct SimBuffers {
 }
 
 impl SimBuffers {
-    /// The decoded policy for the most recent θ — what a backend drives the platform with.
-    pub fn policy(&self) -> &DrmPolicy {
-        &self.policy
-    }
-
-    /// Mutable access to the decoded policy (backends need `&mut` to run the controller's
-    /// ping-pong inference scratch).
+    /// The decoded policy for the most recent θ, which a backend drives the platform with
+    /// (`&mut`, for the controller's ping-pong inference scratch).
     pub fn policy_mut(&mut self) -> &mut DrmPolicy {
         &mut self.policy
     }
@@ -1120,16 +1048,29 @@ mod tests {
 
     #[test]
     fn cancellation_bypasses_retries_and_penalty_degradation() {
-        use crate::cancel::{CancelReason, CancelSource};
-        // A tripped token must abort immediately: no retries, no degradation to the
-        // penalty vector — even under the most forgiving policy.
-        let source = CancelSource::new();
-        source.cancel(CancelReason::Deadline);
+        use crate::cancel::CancelReason;
+
+        /// A custom backend that asks the search to stop on every run.
+        #[derive(Debug)]
+        struct CancellingBackend;
+
+        impl EvalBackend for CancellingBackend {
+            fn name(&self) -> &'static str {
+                "cancelling"
+            }
+
+            fn run(&self, _: &EvalContext<'_>, _: &mut SimBuffers) -> Result<RunAggregates> {
+                Err(ParmisError::cancelled(CancelReason::Deadline))
+            }
+        }
+
+        // A backend's cancellation must abort immediately: no retries, no degradation to
+        // the penalty vector — even under the most forgiving policy.
         let eval = SocEvaluator::builder()
             .benchmark(Benchmark::Qsort)
             .objectives(Objective::TIME_ENERGY.to_vec())
             .retry_policy(RetryPolicy::retries(3).skip_with_penalty(1e9))
-            .cancel_token(source.token())
+            .backend(Arc::new(CancellingBackend))
             .build()
             .unwrap();
         let theta = vec![0.1; eval.parameter_dim()];
@@ -1138,30 +1079,6 @@ mod tests {
         let stats = eval.retry_stats();
         assert_eq!(stats.retries(), 0);
         assert_eq!(stats.degraded_runs(), 0);
-    }
-
-    #[test]
-    fn parallel_evaluator_checks_its_token_at_the_batch_boundary() {
-        use crate::cancel::{CancelReason, CancelSource};
-        let serial = evaluator_for(Benchmark::Qsort, &Objective::TIME_ENERGY);
-        let dim = serial.parameter_dim();
-        let thetas: Vec<Vec<f64>> = (0..4).map(|i| vec![0.05 * i as f64; dim]).collect();
-        let baseline = serial.evaluate_batch(&thetas).unwrap();
-
-        // An untripped token leaves results bit-identical and records batch progress.
-        let source = CancelSource::new();
-        let watched = ParallelEvaluator::new(&serial, 2).with_cancel_token(source.token());
-        assert_eq!(watched.evaluate_batch(&thetas).unwrap(), baseline);
-        assert!(source.heartbeats() > 0);
-
-        // A tripped token aborts the batch before any evaluation starts.
-        source.cancel(CancelReason::User);
-        let err = watched.evaluate_batch(&thetas).unwrap_err();
-        assert_eq!(err.cancel_reason(), Some(CancelReason::User));
-        // Same boundary check on the serial fast path.
-        let solo = ParallelEvaluator::new(&serial, 1).with_cancel_token(source.token());
-        let err = solo.evaluate_batch(&thetas).unwrap_err();
-        assert_eq!(err.cancel_reason(), Some(CancelReason::User));
     }
 
     #[test]

@@ -224,11 +224,6 @@ pub enum SearchStep {
 }
 
 impl SearchStep {
-    /// `true` if this segment suspended (fuel exhaustion or cancellation).
-    pub fn is_suspended(&self) -> bool {
-        matches!(self, SearchStep::Suspended { .. })
-    }
-
     /// Why this segment stopped: the outcome's recorded reason if it completed, the
     /// suspension reason otherwise.
     pub fn stop_reason(&self) -> StopReason {
@@ -272,13 +267,12 @@ impl Parmis {
         }
     }
 
-    /// Wires a cancellation token into the driver: the search checks it at every
-    /// iteration boundary and suspends with [`StopReason::Cancelled`] once it trips, and
-    /// beats its heartbeat as rounds complete. A wall-clock budget is a token too:
+    /// Wires a cancellation token into the driver: the search checks it at every round
+    /// boundary and suspends with [`StopReason::Cancelled`] once it trips, and
+    /// [beats](CancelToken::beat) it once per completed round. A round that has started
+    /// always runs to its end. A wall-clock budget is a token too:
     /// [`CancelSource::with_deadline`](crate::cancel::CancelSource::with_deadline) suspends
-    /// with [`CancelReason::Deadline`]. Evaluators carry their own token wiring
-    /// (e.g. [`crate::evaluation::EvaluatorBuilder::cancel_token`]) for the finer-grained
-    /// mid-round checks.
+    /// with [`CancelReason::Deadline`].
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -548,7 +542,7 @@ impl Parmis {
             segment_evaluations += evaluated;
             evals_since_checkpoint += evaluated;
             // One heartbeat per completed round: a stall window on the token's scope
-            // restarts here (evaluators additionally beat per batch slot).
+            // restarts here.
             self.cancel.beat();
 
             // Cadence checkpoint: hand a durable snapshot to the sink at the round

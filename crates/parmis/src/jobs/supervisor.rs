@@ -86,10 +86,10 @@ pub struct SupervisorConfig {
     pub fleet_deadline_ms: u64,
     /// Stall detection window, in milliseconds; `0` disables. Each segment's scope
     /// latches [`CancelReason::Stall`] once this long passes without a heartbeat
-    /// ([`crate::cancel::CancelToken::beat`], bumped at least once per iteration round),
-    /// noticed at the segment's next cancellation check. A stall that suspends without
-    /// new evaluations charges the bounded restart budget (like a faulted segment); one
-    /// that still progressed is a clean suspension.
+    /// ([`crate::cancel::CancelToken::beat`], once per completed round, so the window must
+    /// exceed the longest round), noticed at the segment's next round boundary. A stall
+    /// that suspends without new evaluations charges the bounded restart budget (like a
+    /// faulted segment); one that still progressed is a clean suspension.
     pub stall_timeout_ms: u64,
     /// Arms the drain source to trip on `SIGTERM`/`SIGINT`
     /// ([`crate::cancel::CancelSource::cancel_on_signals`]) when the supervisor opens,
@@ -205,16 +205,6 @@ pub fn outcome_digest(outcome: &ParmisOutcome) -> u64 {
     fold_f64(h, outcome.final_phv())
 }
 
-/// Why a segment suspended instead of completing.
-#[derive(Debug, Clone, Copy)]
-enum SuspendCause {
-    /// The segment's fuel budget ran out (the normal segmentation rhythm).
-    Fuel,
-    /// Cooperative cancellation (drain, deadline, segment watchdog, stall, signal)
-    /// suspended it.
-    Cancel(CancelReason),
-}
-
 /// What one segment execution produced (worker-side; applied to the journal in slot
 /// order by the supervisor thread).
 enum SegmentResult {
@@ -223,10 +213,12 @@ enum SegmentResult {
     /// Suspended. `saved` is the newest durable checkpoint this segment produced as
     /// `(seq, evaluations, last_trace_hash)`; `None` means the segment was cancelled
     /// before its first checkpoint (the job falls back to whatever the journal already
-    /// records — its previous checkpoint, or `Pending` if it never had one).
+    /// records — its previous checkpoint, or `Pending` if it never had one). `reason` is
+    /// [`StopReason::FuelExhausted`] (the normal segmentation rhythm) or
+    /// [`StopReason::Cancelled`] (drain, deadline, segment watchdog, stall, signal).
     Suspended {
         saved: Option<(u64, usize, Option<u64>)>,
-        cause: SuspendCause,
+        reason: StopReason,
     },
     /// The segment faulted; subject to the bounded-restart policy.
     Faulted(ParmisError),
@@ -600,10 +592,10 @@ impl JobSupervisor {
                 let result = match result {
                     SegmentResult::Suspended {
                         saved,
-                        cause: SuspendCause::Cancel(CancelReason::Parent),
+                        reason: StopReason::Cancelled(CancelReason::Parent),
                     } => SegmentResult::Suspended {
                         saved,
-                        cause: SuspendCause::Cancel(
+                        reason: StopReason::Cancelled(
                             self.drain
                                 .cancelled()
                                 .or_else(|| run_scope.cancelled())
@@ -727,10 +719,6 @@ impl JobSupervisor {
         match step {
             Ok(SearchStep::Completed(outcome)) => SegmentResult::Completed(outcome),
             Ok(SearchStep::Suspended { state, reason }) => {
-                let cause = match reason {
-                    StopReason::Cancelled(r) => SuspendCause::Cancel(r),
-                    _ => SuspendCause::Fuel,
-                };
                 // A suspension right after a cadence save holds that save's state: reuse
                 // its generation instead of writing the same state again.
                 let saved = match last_saved {
@@ -744,17 +732,17 @@ impl JobSupervisor {
                 };
                 SegmentResult::Suspended {
                     saved: Some(saved),
-                    cause,
+                    reason,
                 }
             }
-            // A cancellation raised below the round boundary (inside the evaluator or
-            // the streaming engine) unwinds the segment: the job suspends at the last
-            // durable checkpoint, losing at most one cadence window of work that a
-            // resumed run recomputes bit-identically.
+            // A cancellation raised inside the evaluator (a custom backend may return one)
+            // unwinds the segment: the job suspends at the last durable checkpoint,
+            // losing at most one cadence window of work that a resumed run recomputes
+            // bit-identically.
             Err(e) => match e.cancel_reason() {
                 Some(reason) => SegmentResult::Suspended {
                     saved: last_saved,
-                    cause: SuspendCause::Cancel(reason),
+                    reason: StopReason::Cancelled(reason),
                 },
                 None => SegmentResult::Faulted(e),
             },
@@ -779,7 +767,7 @@ impl JobSupervisor {
                 entry.transition(JobPhase::Done)?;
                 Ok(Some(*outcome))
             }
-            SegmentResult::Suspended { saved, cause } => {
+            SegmentResult::Suspended { saved, reason } => {
                 let progressed = match saved {
                     Some((_, evaluations, _)) => evaluations > entry.evaluations,
                     None => false,
@@ -794,17 +782,17 @@ impl JobSupervisor {
                 // like a faulted segment, so a backend that hangs forever converges to
                 // `Failed` instead of being rescheduled indefinitely.
                 let charged_stall =
-                    matches!(cause, SuspendCause::Cancel(CancelReason::Stall)) && !progressed;
+                    reason == StopReason::Cancelled(CancelReason::Stall) && !progressed;
                 if charged_stall {
                     entry.attempts += 1;
                 } else {
                     entry.attempts = 0;
                 }
-                entry.note = match cause {
-                    SuspendCause::Fuel => None,
-                    SuspendCause::Cancel(reason) => {
-                        Some(format!("suspended by cancellation [{reason}]"))
+                entry.note = match reason {
+                    StopReason::Cancelled(cause) => {
+                        Some(format!("suspended by cancellation [{cause}]"))
                     }
+                    _ => None,
                 };
                 if charged_stall && entry.attempts > max_restarts {
                     entry.transition(JobPhase::Failed)?;

@@ -57,13 +57,13 @@
 //!
 //! # Cancellation, deadlines & graceful drain
 //!
-//! Every execution layer is **cooperatively cancellable** through the [`cancel`] module's
+//! Searches are **cancellable at round boundaries** through the [`cancel`] module's
 //! hierarchical [`cancel::CancelSource`]/[`cancel::CancelToken`] pair: searches wired with
-//! [`framework::Parmis::with_cancel_token`] suspend at the next deterministic boundary
+//! [`framework::Parmis::with_cancel_token`] suspend at the next round boundary
 //! with a reason-carrying [`framework::StopReason`], wall-clock budgets
 //! ([`cancel::CancelSource::with_deadline`], the supervisor's segment watchdog and fleet
 //! deadline) convert expiry into a suspend-at-checkpoint rather than a kill, a
-//! supervisor slot scope latches `Stall` once its worker's heartbeat stops for a window,
+//! supervisor slot scope latches `Stall` once its search completes no round for a window,
 //! and SIGTERM/SIGINT drain the whole fleet gracefully
 //! ([`jobs::JobSupervisor::request_drain`]). Timing only decides *when* a trajectory
 //! suspends — resumed runs stay bit-identical.

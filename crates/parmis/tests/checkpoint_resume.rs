@@ -228,7 +228,12 @@ proptest! {
         let state = match step {
             SearchStep::Suspended { state, reason } => {
                 prop_assert_eq!(reason, StopReason::Cancelled(CancelReason::User));
-                prop_assert!(state.evaluations() >= cancel_after);
+                // The token is read only at round boundaries: 5 initial evaluations, then
+                // rounds of 2, and a round that has started always runs to its end.
+                prop_assert_eq!(
+                    state.evaluations(),
+                    5 + 2 * cancel_after.saturating_sub(5).div_ceil(2)
+                );
                 state
             }
             SearchStep::Completed(_) => {

@@ -203,26 +203,28 @@ impl PolicyEvaluator for SlotFaultEvaluator {
 
 /// A panic inside a worker thread — from an evaluator with no containment of its own —
 /// must not tear down the process: it surfaces as a structured `parallel-worker` backend
-/// error for every worker count.
+/// error for every worker count, one worker and a one-slot batch included.
 #[test]
 fn worker_panics_become_structured_errors_for_any_worker_count() {
     let mut thetas: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, 1.0]).collect();
     thetas[5][0] = PANIC_MARKER;
 
-    for workers in [2usize, 4] {
+    for workers in [1usize, 2, 4] {
         let parallel = ParallelEvaluator::new(
             SlotFaultEvaluator {
                 objectives: vec![Objective::ExecutionTime, Objective::Energy],
             },
             workers,
         );
-        let err = parallel.evaluate_batch(&thetas).unwrap_err();
-        match err {
-            ParmisError::Backend { ref name, .. } => assert_eq!(name, "parallel-worker"),
-            other => panic!("expected Backend error, got {other:?}"),
+        for batch in [&thetas[..], &thetas[5..6]] {
+            let err = parallel.evaluate_batch(batch).unwrap_err();
+            match err {
+                ParmisError::Backend { ref name, .. } => assert_eq!(name, "parallel-worker"),
+                other => panic!("expected Backend error, got {other:?}"),
+            }
+            assert!(err.to_string().contains("worker panic contained"), "{err}");
+            assert!(err.to_string().contains("slot evaluator exploded"), "{err}");
         }
-        assert!(err.to_string().contains("worker panic contained"), "{err}");
-        assert!(err.to_string().contains("slot evaluator exploded"), "{err}");
     }
 }
 

@@ -37,13 +37,6 @@ pub enum SocError {
         /// Human-readable description of the fault.
         reason: String,
     },
-    /// A streaming run was cooperatively cancelled by its epoch sink
-    /// ([`EpochSink::poll_cancel`](crate::platform::EpochSink::poll_cancel)); the run's
-    /// partial aggregates are discarded, never reported.
-    Cancelled {
-        /// Why the cancellation was raised (the cancellation layer's stable reason name).
-        reason: String,
-    },
 }
 
 impl fmt::Display for SocError {
@@ -58,7 +51,6 @@ impl fmt::Display for SocError {
             }
             SocError::Scenario { reason } => write!(f, "invalid scenario: {reason}"),
             SocError::Fault { reason } => write!(f, "evaluation fault: {reason}"),
-            SocError::Cancelled { reason } => write!(f, "run cancelled [{reason}]"),
         }
     }
 }

@@ -69,8 +69,8 @@ pub use engine::{DecisionEntry, DecisionTable};
 pub use error::SocError;
 pub use fastmath::Precision;
 pub use platform::{
-    CancelEpochs, CollectEpochs, DiscardEpochs, DrmController, EpochResult, EpochSink, Platform,
-    RunAggregates, RunSummary, SocSpec, TransitionModel,
+    CollectEpochs, DiscardEpochs, DrmController, EpochResult, EpochSink, Platform, RunAggregates,
+    RunSummary, SocSpec, TransitionModel,
 };
 pub use scenario::Scenario;
 pub use thermal::{PerClusterThermal, ThermalModel, ThermalState};

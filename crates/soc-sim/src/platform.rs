@@ -196,21 +196,9 @@ impl SocSpec {
         }
     }
 
-    /// Replaces the decision-transition cost model.
-    pub fn with_transition_model(mut self, transition_model: TransitionModel) -> Self {
-        self.transition_model = transition_model;
-        self
-    }
-
     /// The decision-transition cost model.
     pub fn transition_model(&self) -> &TransitionModel {
         &self.transition_model
-    }
-
-    /// Replaces the package thermal model.
-    pub fn with_thermal_model(mut self, thermal_model: ThermalModel) -> Self {
-        self.thermal_model = thermal_model;
-        self
     }
 
     /// The package thermal model.
@@ -331,25 +319,11 @@ pub trait EpochSink {
     /// Called once per finished epoch, in execution order, with the final (noise-adjusted)
     /// epoch result.
     fn on_epoch(&mut self, epoch: &EpochResult);
-
-    /// Called once per epoch *before* it is simulated; returning an error aborts the run
-    /// with that error and discards the partial aggregates. The default keeps every
-    /// existing sink non-cancellable at zero cost; [`CancelEpochs`] overrides it to poll
-    /// an external cancellation probe every N epochs. Aborting mid-run never truncates
-    /// results — a cancelled evaluation is recomputed from scratch on resume, so
-    /// cancellation timing can never leak into reported aggregates.
-    fn poll_cancel(&mut self) -> Result<()> {
-        Ok(())
-    }
 }
 
 impl<S: EpochSink + ?Sized> EpochSink for &mut S {
     fn on_epoch(&mut self, epoch: &EpochResult) {
         (**self).on_epoch(epoch);
-    }
-
-    fn poll_cancel(&mut self) -> Result<()> {
-        (**self).poll_cancel()
     }
 }
 
@@ -394,55 +368,6 @@ impl CollectEpochs {
 impl EpochSink for CollectEpochs {
     fn on_epoch(&mut self, epoch: &EpochResult) {
         self.epochs.push(epoch.clone());
-    }
-}
-
-/// Sink decorator that makes any inner sink cooperatively cancellable: every `stride`
-/// epochs it invokes a caller-supplied probe (typically a closure reading a cancellation
-/// token) and aborts the run with the probe's error. The stride bounds the per-epoch
-/// overhead; epochs themselves are untouched, so a wrapped run that is *not* cancelled
-/// produces bit-identical aggregates to an unwrapped one.
-#[derive(Debug)]
-pub struct CancelEpochs<S, F> {
-    inner: S,
-    stride: usize,
-    since_probe: usize,
-    probe: F,
-}
-
-impl<S: EpochSink, F: FnMut() -> Result<()>> CancelEpochs<S, F> {
-    /// Wraps `inner`, probing for cancellation every `stride` epochs (`stride` is clamped
-    /// to at least 1; the first probe fires before the first epoch so an already-cancelled
-    /// run does no work).
-    pub fn new(inner: S, stride: usize, probe: F) -> Self {
-        CancelEpochs {
-            inner,
-            stride: stride.max(1),
-            since_probe: 0,
-            probe,
-        }
-    }
-
-    /// Consumes the decorator, returning the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: EpochSink, F: FnMut() -> Result<()>> EpochSink for CancelEpochs<S, F> {
-    fn on_epoch(&mut self, epoch: &EpochResult) {
-        self.inner.on_epoch(epoch);
-    }
-
-    fn poll_cancel(&mut self) -> Result<()> {
-        if self.since_probe == 0 {
-            (self.probe)()?;
-        }
-        self.since_probe += 1;
-        if self.since_probe >= self.stride {
-            self.since_probe = 0;
-        }
-        self.inner.poll_cancel()
     }
 }
 
@@ -736,9 +661,6 @@ impl Platform {
         let mut lookup_memo: Option<(DrmDecision, usize)> = None;
 
         for phase in &app.epochs {
-            // Cooperative cancellation boundary: the sink may abort the run here (the
-            // default sink never does). Partial aggregates are discarded with the error.
-            sink.poll_cancel()?;
             let requested = controller.decide(&counters, &previous);
             // Thermal throttling: while the throttle is engaged the clusters cannot exceed
             // their ceilings, regardless of what the controller asked for. The throttled
