@@ -55,10 +55,10 @@ pub fn evaluate_controller(
     objectives: &[Objective],
     seed: u64,
 ) -> Vec<f64> {
-    let summary = platform
+    let run = platform
         .run_application(app, controller, seed)
         .expect("controllers under evaluation only emit valid decisions");
-    objective_vector(objectives, &summary)
+    objective_vector(objectives, &run)
 }
 
 /// Evaluates the four stock governors on a benchmark.

@@ -13,7 +13,6 @@ use policy::training::TrainingConfig;
 use serde::Serialize;
 use soc_sim::apps::Benchmark;
 use soc_sim::governor::default_governors;
-use soc_sim::platform::DiscardEpochs;
 use soc_sim::scenario::{self, Scenario};
 
 /// How much compute an experiment binary is allowed to spend.
@@ -467,10 +466,8 @@ pub fn run_scenario_row(scenario: &Scenario) -> Result<Vec<ScenarioCell>, String
         .map_err(|e| format!("{}: {e}", scenario.name))?;
     let mut cells = Vec::new();
     for mut governor in default_governors(platform.spec()) {
-        // Streaming runner: the golden cells only need aggregates, so no per-epoch trace
-        // is materialized (aggregates are bit-identical to the collecting path).
         let run = platform
-            .run_application_with(&app, &mut governor, 0, &mut DiscardEpochs)
+            .run_application(&app, &mut governor, 0)
             .map_err(|e| format!("{} under {}: {e}", scenario.name, governor.name()))?;
         cells.push(ScenarioCell {
             scenario: scenario.name.clone(),
@@ -478,11 +475,7 @@ pub fn run_scenario_row(scenario: &Scenario) -> Result<Vec<ScenarioCell>, String
             execution_time_s: run.execution_time_s,
             energy_j: run.energy_j,
             peak_temperature_c: run.peak_temperature_c,
-            constraint_penalty: scenario.constraints.penalty_from_metrics(
-                run.execution_time_s,
-                run.average_power_w,
-                run.peak_temperature_c,
-            ),
+            constraint_penalty: scenario.constraints.penalty(&run),
         });
     }
     Ok(cells)

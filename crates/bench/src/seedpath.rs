@@ -1,7 +1,7 @@
 //! The seed simulation path, preserved verbatim as a benchmarking baseline.
 //!
-//! The streaming, table-driven engine (`soc_sim::engine`, `Platform::run_application_with`)
-//! replaced the original epoch loop, which re-validated every decision with linear OPP-table
+//! The table-driven engine (`soc_sim::engine`, `Platform::run_application`) replaced the
+//! original epoch loop, which re-validated every decision with linear OPP-table
 //! scans, re-derived per-decision cluster power from the models on every epoch, recomputed
 //! `energy = time · power` three times per epoch, and materialized a `Vec<EpochResult>` plus
 //! fresh identity `String`s per run. That seed loop is reproduced here — against the same
@@ -10,15 +10,16 @@
 //! pin that the rewrite is bit-identical.
 //!
 //! This module is **not** a supported simulation API: use
-//! [`soc_sim::platform::Platform::run_application`] (or the streaming
-//! `run_application_with`) for real work.
+//! [`soc_sim::platform::Platform::run_application`] (or
+//! [`run_application_traced`](soc_sim::platform::Platform::run_application_traced) for the
+//! per-epoch trace) for real work.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, LogNormal};
 use soc_sim::config::DrmDecision;
 use soc_sim::counters::CounterSnapshot;
-use soc_sim::platform::{DrmController, EpochResult, Platform, RunSummary};
+use soc_sim::platform::{DrmController, EpochResult, Platform, RunAggregates};
 use soc_sim::workload::{Application, ApplicationBuilder, PhaseSpec};
 
 /// Controller pinning one fixed decision — the shared fixture of the release timing gates
@@ -96,6 +97,8 @@ pub fn run_epoch_seed(
 
 /// The seed's `Platform::run_application`: the materializing epoch loop with per-epoch
 /// validation, throttle-cap scans, and the triple `energy = time · power` recomputation.
+/// Returns the run's aggregates and its per-epoch trace, as
+/// [`Platform::run_application_traced`] does.
 ///
 /// # Errors
 ///
@@ -106,7 +109,7 @@ pub fn run_application_seed(
     app: &Application,
     controller: &mut dyn DrmController,
     seed: u64,
-) -> soc_sim::Result<RunSummary> {
+) -> soc_sim::Result<(RunAggregates, Vec<EpochResult>)> {
     let spec = platform.spec();
     controller.reset();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
@@ -194,16 +197,16 @@ pub fn run_application_seed(
         0.0
     };
 
-    Ok(RunSummary {
-        application: app.name.clone(),
-        controller: controller.shared_name(),
+    let aggregates = RunAggregates {
+        epochs: epochs.len(),
         execution_time_s: total_time,
         energy_j: total_energy,
+        instructions: total_instructions,
         average_power_w,
         ppw,
         peak_temperature_c,
-        epochs,
-    })
+    };
+    Ok((aggregates, epochs))
 }
 
 #[cfg(test)]
@@ -211,9 +214,9 @@ mod tests {
     use super::*;
     use soc_sim::governor::default_governors;
 
-    /// The contract behind every seed-vs-streaming timing gate: the streaming, table-driven
-    /// engine is bit-identical to the seed path it replaced, across platforms and
-    /// controllers.
+    /// The contract behind every seed-vs-streaming timing gate: the table-driven engine is
+    /// bit-identical to the seed path it replaced, in every aggregate and every epoch,
+    /// across platforms and controllers.
     #[test]
     fn seed_path_and_streaming_engine_are_bit_identical() {
         for platform in [
@@ -243,13 +246,10 @@ mod tests {
             .unwrap();
             for mut governor in default_governors(platform.spec()) {
                 let seeded = run_application_seed(&platform, &app, &mut governor, 11).unwrap();
-                let streamed = platform.run_application(&app, &mut governor, 11).unwrap();
-                assert_eq!(
-                    seeded,
-                    streamed,
-                    "summary diverged under {}",
-                    governor.name()
-                );
+                let traced = platform
+                    .run_application_traced(&app, &mut governor, 11)
+                    .unwrap();
+                assert_eq!(seeded, traced, "run diverged under {}", governor.name());
             }
         }
     }

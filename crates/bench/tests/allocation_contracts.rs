@@ -19,7 +19,7 @@ use gp::{GaussianProcess, PosteriorSample, RffSampler, WeightScratch};
 use moo::nsga2::{Nsga2, Nsga2Config, Nsga2Engine};
 use policy::drm_policy::{DrmPolicy, PolicyArchitecture};
 use soc_sim::config::DrmDecision;
-use soc_sim::platform::{DiscardEpochs, Platform};
+use soc_sim::platform::Platform;
 use soc_sim::workload::Application;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,7 +73,7 @@ fn assert_allocations_stay_flat(platform: &Platform) {
         let mut controller = FixedController(decision);
         allocations_during(|| {
             platform
-                .run_application_with(app, &mut controller, 7, &mut DiscardEpochs)
+                .run_application(app, &mut controller, 7)
                 .expect("valid run");
         })
     };
@@ -93,7 +93,7 @@ fn assert_allocations_stay_flat(platform: &Platform) {
     let mut policy_run = |app: &Application| {
         allocations_during(|| {
             platform
-                .run_application_with(app, &mut policy, 7, &mut DiscardEpochs)
+                .run_application(app, &mut policy, 7)
                 .expect("valid run");
         })
     };

@@ -25,7 +25,7 @@ use bench::seedpath_acq::{build_seed_samplers, probe_models, probe_sampling_conf
 use fastmath::Precision;
 use parmis::pareto_sampling::{AcquisitionScratch, ParetoFrontSampler};
 use soc_sim::config::DrmDecision;
-use soc_sim::platform::{DiscardEpochs, Platform};
+use soc_sim::platform::Platform;
 use std::time::{Duration, Instant};
 
 #[test]
@@ -109,10 +109,7 @@ fn fast_tier_lifts_the_noise_bound_on_the_noisy_full_application() {
     // Warm both paths.
     let mut controller = FixedController(decision);
     std::hint::black_box(seedpath::run_application_seed(&exact, &app, &mut controller, 7).unwrap());
-    std::hint::black_box(
-        fast.run_application_with(&app, &mut controller, 7, &mut DiscardEpochs)
-            .unwrap(),
-    );
+    std::hint::black_box(fast.run_application(&app, &mut controller, 7).unwrap());
 
     let (batches, reps) = (5u32, 4u32);
     let mut seed_time = Duration::MAX;
@@ -129,10 +126,7 @@ fn fast_tier_lifts_the_noise_bound_on_the_noisy_full_application() {
         let start = Instant::now();
         for _ in 0..reps {
             let mut controller = FixedController(decision);
-            std::hint::black_box(
-                fast.run_application_with(&app, &mut controller, 7, &mut DiscardEpochs)
-                    .unwrap(),
-            );
+            std::hint::black_box(fast.run_application(&app, &mut controller, 7).unwrap());
         }
         fast_time = fast_time.min(start.elapsed());
     }

@@ -7,7 +7,7 @@
 
 use bench::seedpath::{self, probe_app, FixedDecisionController as FixedController};
 use soc_sim::config::{DecisionSpace, DrmDecision};
-use soc_sim::platform::{DiscardEpochs, Platform, SocSpec};
+use soc_sim::platform::{Platform, SocSpec};
 
 /// The streaming, table-driven engine must evaluate a 1000-epoch application at least twice
 /// as fast as the seed path it replaced (validate-and-rederive per epoch, materialized
@@ -37,10 +37,9 @@ fn streaming_engine_doubles_full_application_throughput() {
     let reps = 20;
     // Warm both paths once so lazy setup stays out of the measurement.
     let mut controller = FixedController(decision);
-    let expected = seedpath::run_application_seed(&platform, &app, &mut controller, 7).unwrap();
-    let aggregates = platform
-        .run_application_with(&app, &mut controller, 7, &mut DiscardEpochs)
-        .unwrap();
+    let (expected, _) =
+        seedpath::run_application_seed(&platform, &app, &mut controller, 7).unwrap();
+    let aggregates = platform.run_application(&app, &mut controller, 7).unwrap();
     // The comparison only means something while both paths produce the same numbers.
     assert_eq!(expected.execution_time_s, aggregates.execution_time_s);
     assert_eq!(expected.energy_j, aggregates.energy_j);
@@ -49,11 +48,7 @@ fn streaming_engine_doubles_full_application_throughput() {
     let start = std::time::Instant::now();
     for _ in 0..reps {
         let mut controller = FixedController(decision);
-        std::hint::black_box(
-            platform
-                .run_application_with(&app, &mut controller, 7, &mut DiscardEpochs)
-                .unwrap(),
-        );
+        std::hint::black_box(platform.run_application(&app, &mut controller, 7).unwrap());
     }
     let streaming_time = start.elapsed();
 

@@ -7,10 +7,10 @@
 //! `Arc<dyn EvalBackend>` and new execution substrates (a hardware board, a remote fleet)
 //! plug in without touching the search loop. Two implementations ship:
 //!
-//! * [`AnalyticSim`] — the streaming `DecisionTable`/`EpochSink` simulator, verbatim. This
-//!   is the default and the bit-identity reference: its aggregates are exactly what the
-//!   pre-backend evaluator produced, and all determinism gates (`(seed, iteration, slot)`
-//!   streams, scenario goldens) are pinned against it.
+//! * [`AnalyticSim`] — the table-driven simulator's untraced
+//!   [`Platform::run_application`], verbatim. This is the default and the bit-identity
+//!   reference: all determinism gates (`(seed, iteration, slot)` streams, scenario goldens)
+//!   are pinned against it.
 //! * [`FaultInject`] — a decorator that layers a **seeded, deterministic failure
 //!   schedule** (error-on-nth-run, panic, latency spike) over any inner backend, for
 //!   robustness drills: retry policies, worker panic containment and graceful degradation
@@ -23,7 +23,7 @@
 
 use crate::evaluation::SimBuffers;
 use crate::{ParmisError, Result};
-use soc_sim::platform::{DiscardEpochs, Platform, RunAggregates};
+use soc_sim::platform::{Platform, RunAggregates};
 use soc_sim::workload::Application;
 use soc_sim::SocError;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,11 +70,9 @@ fn backend_error(name: &'static str, source: SocError) -> ParmisError {
     }
 }
 
-/// The streaming analytic simulator (the default backend).
+/// The analytic simulator (the default backend).
 ///
-/// **Exactly** the pre-backend evaluation path: one [`Platform::run_application_with`]
-/// call with a [`DiscardEpochs`] sink — zero per-epoch allocation, bit-identical
-/// aggregates.
+/// One untraced [`Platform::run_application`] call: zero per-epoch allocation.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyticSim;
 
@@ -92,12 +90,7 @@ impl EvalBackend for AnalyticSim {
 
     fn run(&self, ctx: &EvalContext<'_>, buffers: &mut SimBuffers) -> Result<RunAggregates> {
         ctx.platform
-            .run_application_with(
-                ctx.application,
-                buffers.policy_mut(),
-                ctx.seed,
-                &mut DiscardEpochs,
-            )
+            .run_application(ctx.application, buffers.policy_mut(), ctx.seed)
             .map_err(|source| backend_error(self.name(), source))
     }
 }

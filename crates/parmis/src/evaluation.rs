@@ -3,9 +3,8 @@
 //!
 //! The policy→aggregates step itself is delegated to an [`EvalBackend`]
 //! ([`crate::backend`]): [`SocEvaluator`] decodes θ, asks its backend for the
-//! [`RunAggregates`] of each application run, and folds objectives/constraints on top. The
-//! default backend is the streaming analytic simulator and is bit-identical to the
-//! pre-backend evaluation path.
+//! [`RunAggregates`] of each application run, and scores objectives and constraints on
+//! those aggregates directly. The default backend is the analytic simulator.
 
 use crate::backend::{AnalyticSim, EvalBackend, EvalContext};
 use crate::objective::{objective_vector, Objective};
@@ -13,7 +12,7 @@ use crate::{ParmisError, Result};
 use fastmath::Precision;
 use policy::drm_policy::{DrmPolicy, PolicyArchitecture};
 use soc_sim::apps::Benchmark;
-use soc_sim::platform::{DrmController, Platform, RunAggregates, RunSummary};
+use soc_sim::platform::{Platform, RunAggregates};
 use soc_sim::scenario::{Scenario, ScenarioConstraints};
 use soc_sim::workload::Application;
 use soc_sim::{DecisionSpace, SocError};
@@ -388,13 +387,15 @@ impl SocEvaluator {
         DrmPolicy::from_flat_parameters(&self.space, &self.architecture, theta)
     }
 
-    /// Runs the policy for θ on every application and returns the per-application summaries.
+    /// Runs a freshly decoded policy for θ on every application, straight on the platform
+    /// (no backend, no retries), and returns the per-application aggregates: the reference
+    /// the scratch-reusing [`evaluate_with`](Self::evaluate_with) path is checked against.
     ///
     /// # Errors
     ///
     /// Returns [`ParmisError::Evaluation`] for a θ of the wrong dimension and propagates
     /// simulator failures.
-    pub fn run_summaries(&self, theta: &[f64]) -> Result<Vec<RunSummary>> {
+    pub fn run_aggregates(&self, theta: &[f64]) -> Result<Vec<RunAggregates>> {
         if theta.len() != self.parameter_dim() {
             return Err(ParmisError::Evaluation {
                 reason: format!(
@@ -417,22 +418,10 @@ impl SocEvaluator {
 
     /// Allocates the reusable scratch for [`evaluate_with`](Self::evaluate_with): the
     /// decoded policy (architecture, heads and decision space are shared across every θ of
-    /// a batch) and a summary shell whose identity strings are refcounted.
+    /// a batch).
     pub fn sim_buffers(&self) -> SimBuffers {
-        let policy = DrmPolicy::zeros(&self.space, &self.architecture);
-        let controller = policy.shared_name();
         SimBuffers {
-            summary: RunSummary {
-                application: controller.clone(),
-                controller,
-                execution_time_s: 0.0,
-                energy_j: 0.0,
-                average_power_w: 0.0,
-                ppw: 0.0,
-                peak_temperature_c: 0.0,
-                epochs: Vec::new(),
-            },
-            policy,
+            policy: DrmPolicy::zeros(&self.space, &self.architecture),
         }
     }
 
@@ -440,7 +429,7 @@ impl SocEvaluator {
     /// the policy is re-parameterized in place and every application run is delegated to
     /// the configured [`EvalBackend`], so no per-epoch trace and no fresh policy structure
     /// are allocated per θ. With the default [`AnalyticSim`] backend this is the platform's
-    /// streaming runner with a discard sink — bit-identical to the materializing path.
+    /// untraced runner, bit-identical to [`run_aggregates`](Self::run_aggregates).
     ///
     /// Fault handling: every backend run goes through the evaluator's [`RetryPolicy`] —
     /// a panicking backend is contained (`catch_unwind`) and converted into a structured
@@ -484,13 +473,12 @@ impl SocEvaluator {
                 // penalty vector (clearly dominated, so the archive never admits it).
                 BackendRun::Degraded { penalty } => return Ok(vec![penalty; k]),
             };
-            buffers.fill_summary(app, &aggregates);
-            let v = objective_vector(&self.objectives, &buffers.summary);
+            let v = objective_vector(&self.objectives, &aggregates);
             for (a, x) in acc.iter_mut().zip(v) {
                 *a += x;
             }
             if let Some(constraints) = &self.constraints {
-                penalty_sum += constraints.penalty(&buffers.summary);
+                penalty_sum += constraints.penalty(&aggregates);
             }
         }
         for a in acc.iter_mut() {
@@ -769,13 +757,10 @@ impl EvaluatorBuilder {
 
 /// Reusable per-worker scratch for batched policy evaluation: the decoded [`DrmPolicy`]
 /// (re-parameterized in place per θ via `set_flat_parameters`, so the MLP head structure
-/// and the cloned decision space are allocated once per batch instead of once per θ) and a
-/// [`RunSummary`] shell (always with an empty epoch trace) that the streaming aggregates
-/// are written into for objective extraction and constraint scoring.
+/// and the cloned decision space are allocated once per batch instead of once per θ).
 #[derive(Debug, Clone)]
 pub struct SimBuffers {
     policy: DrmPolicy,
-    summary: RunSummary,
 }
 
 impl SimBuffers {
@@ -783,17 +768,6 @@ impl SimBuffers {
     /// (`&mut`, for the controller's ping-pong inference scratch).
     pub fn policy_mut(&mut self) -> &mut DrmPolicy {
         &mut self.policy
-    }
-
-    /// Projects streaming [`RunAggregates`] into the summary shell (identity fields are
-    /// refcount bumps; the epoch trace stays empty).
-    fn fill_summary(&mut self, app: &Application, aggregates: &RunAggregates) {
-        self.summary.application = app.name.clone();
-        self.summary.execution_time_s = aggregates.execution_time_s;
-        self.summary.energy_j = aggregates.energy_j;
-        self.summary.average_power_w = aggregates.average_power_w;
-        self.summary.ppw = aggregates.ppw;
-        self.summary.peak_temperature_c = aggregates.peak_temperature_c;
     }
 }
 
@@ -811,8 +785,8 @@ impl PolicyEvaluator for SocEvaluator {
     }
 
     fn evaluate_batch(&self, thetas: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        // One scratch for the whole batch: the decoded policy structure and summary shell
-        // are reused across every θ (the seed default re-decoded both per θ).
+        // One scratch for the whole batch: the decoded policy structure is reused across
+        // every θ (the seed default re-decoded it per θ).
         let mut buffers = self.sim_buffers();
         thetas
             .iter()
@@ -1085,7 +1059,7 @@ mod tests {
     fn reused_sim_buffers_leave_no_state_between_thetas() {
         // The scratch path must be a pure function of θ: interleaving very different
         // candidates through ONE SimBuffers gives the same answers as fresh evaluations,
-        // and the evaluation matches the materializing run_summaries path.
+        // and the evaluation matches the fresh-decode run_aggregates path.
         let eval = evaluator_for(Benchmark::Qsort, &Objective::TIME_ENERGY);
         let dim = eval.parameter_dim();
         let thetas = [vec![0.9; dim], vec![-0.9; dim], vec![0.9; dim]];
@@ -1100,9 +1074,9 @@ mod tests {
         );
         for (theta, got) in thetas.iter().zip(&through_scratch) {
             assert_eq!(got, &eval.evaluate(theta).unwrap());
-            let summary = &eval.run_summaries(theta).unwrap()[0];
-            assert_eq!(got[0], summary.execution_time_s);
-            assert_eq!(got[1], summary.energy_j);
+            let run = &eval.run_aggregates(theta).unwrap()[0];
+            assert_eq!(got[0], run.execution_time_s);
+            assert_eq!(got[1], run.energy_j);
         }
     }
 
@@ -1117,10 +1091,10 @@ mod tests {
         let theta = vec![0.5; eval.parameter_dim()];
         let mut buffers = eval.sim_buffers();
         let streamed = eval.evaluate_with(&theta, &mut buffers).unwrap();
-        let summary = &eval.run_summaries(&theta).unwrap()[0];
-        let penalty = scenario.constraints.penalty(summary);
-        assert_eq!(streamed[0], summary.execution_time_s + penalty);
-        assert_eq!(streamed[1], summary.energy_j + penalty);
+        let run = &eval.run_aggregates(&theta).unwrap()[0];
+        let penalty = scenario.constraints.penalty(run);
+        assert_eq!(streamed[0], run.execution_time_s + penalty);
+        assert_eq!(streamed[1], run.energy_j + penalty);
     }
 
     #[test]
@@ -1284,11 +1258,11 @@ mod tests {
     }
 
     #[test]
-    fn run_summaries_expose_per_application_details() {
+    fn run_aggregates_expose_per_application_details() {
         let eval = evaluator_for(Benchmark::Aes, &Objective::TIME_ENERGY);
         let theta = vec![0.0; eval.parameter_dim()];
-        let summaries = eval.run_summaries(&theta).unwrap();
-        assert_eq!(summaries.len(), 1);
-        assert_eq!(&*summaries[0].application, "aes");
+        let runs = eval.run_aggregates(&theta).unwrap();
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].epochs, Benchmark::Aes.application().epoch_count());
     }
 }

@@ -769,20 +769,8 @@ impl Parmis {
                 debug_assert!(n_prev <= xs.len(), "history only ever grows within a run");
                 // One call extends the factor by the new evaluations AND installs the
                 // re-standardized targets for every point, with a single pair of solves.
-                let incremental = prev.with_observations_and_targets(&xs[n_prev..], ys.clone());
-                let model = match incremental {
-                    Ok(model) => model,
-                    // Extremely degenerate geometry can defeat even the jittered fallback
-                    // inside the incremental path; refit from scratch with the cached
-                    // hyperparameters rather than abort the search.
-                    Err(_) => GaussianProcess::fit(
-                        xs.to_vec(),
-                        ys,
-                        prev.kernel().clone(),
-                        prev.noise_variance(),
-                    )?,
-                };
-                models.push(model);
+                // A degenerate extension already refactorizes the whole Gram inside it.
+                models.push(prev.with_observations_and_targets(&xs[n_prev..], ys)?);
             }
         }
         *cache = Some(models);

@@ -28,7 +28,7 @@ use crate::evaluation::PolicyEvaluator;
 use crate::framework::{Parmis, ParmisConfig, ParmisOutcome, SearchStep, StopReason};
 use crate::parallel::{parallel_map, resolve_workers};
 use crate::{ParmisError, Result};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::time::Duration;
 
@@ -73,8 +73,8 @@ pub struct SupervisorConfig {
     /// supervision affects scheduling, not trajectories. The watchdog is checked as each
     /// cadence checkpoint is saved (it then cancels the segment's scope with
     /// [`CancelReason::Deadline`]), so it needs a non-zero
-    /// [`checkpoint_every`](Self::checkpoint_every), and every suspended segment has made
-    /// progress.
+    /// [`checkpoint_every`](Self::checkpoint_every) ([`JobSupervisor::open`] rejects it
+    /// otherwise), and every suspended segment has made progress.
     pub segment_wall_ms: u64,
     /// Restart attempts after a faulted segment before the job is marked `Failed`.
     pub max_restarts: usize,
@@ -254,8 +254,10 @@ impl JobSupervisor {
     ///
     /// # Errors
     ///
-    /// Returns [`ParmisError::Checkpoint`] with [`CheckpointFault::Io`] for filesystem
-    /// failures (corruption is repaired, not reported as an error).
+    /// Returns [`ParmisError::InvalidConfig`] for a fleet deadline below the segment
+    /// watchdog or a watchdog without cadence checkpoints, and [`ParmisError::Checkpoint`]
+    /// with [`CheckpointFault::Io`] for filesystem failures (corruption is repaired, not
+    /// reported as an error).
     pub fn open(dir: impl AsRef<Path>, config: SupervisorConfig) -> Result<JobSupervisor> {
         Self::open_inner(dir.as_ref(), config, None)
     }
@@ -289,6 +291,17 @@ impl JobSupervisor {
                      segment_wall_ms ({}); such a fleet budget can never pay for one \
                      segment's suspension cycle",
                     config.fleet_deadline_ms, config.segment_wall_ms
+                ),
+            });
+        }
+        // The watchdog is checked only as a cadence checkpoint is saved; without one it
+        // could never fire.
+        if config.segment_wall_ms > 0 && config.checkpoint_every == 0 {
+            return Err(ParmisError::InvalidConfig {
+                reason: format!(
+                    "segment_wall_ms ({}) needs a non-zero checkpoint_every: the watchdog \
+                     is checked only when a cadence checkpoint is saved",
+                    config.segment_wall_ms
                 ),
             });
         }
@@ -537,13 +550,22 @@ impl JobSupervisor {
     ///
     /// # Errors
     ///
-    /// Returns [`ParmisError::Checkpoint`] for journal/store persistence failures.
-    /// Per-job search failures never fail the fleet — they are journaled as `Failed` /
-    /// `Quarantined` and reported.
+    /// Returns [`ParmisError::InvalidConfig`], before anything is submitted or run, when
+    /// two specs share a job id, and [`ParmisError::Checkpoint`] for journal/store
+    /// persistence failures. Per-job search failures never fail the fleet — they are
+    /// journaled as `Failed` / `Quarantined` and reported.
     pub fn run<F>(&mut self, specs: &[JobSpec], factory: F) -> Result<FleetReport>
     where
         F: Fn(&JobSpec) -> Result<Box<dyn PolicyEvaluator>> + Sync,
     {
+        let mut ids = HashSet::with_capacity(specs.len());
+        for spec in specs {
+            if !ids.insert(spec.id.as_str()) {
+                return Err(ParmisError::InvalidConfig {
+                    reason: format!("job id `{}` appears more than once in the fleet", spec.id),
+                });
+            }
+        }
         for spec in specs {
             self.submit(spec)?;
         }
@@ -916,6 +938,7 @@ mod tests {
         let err = JobSupervisor::open(
             &dir,
             SupervisorConfig {
+                checkpoint_every: 2,
                 segment_wall_ms: 5_000,
                 fleet_deadline_ms: 100,
                 ..SupervisorConfig::default()
@@ -930,6 +953,7 @@ mod tests {
             JobSupervisor::open(
                 &dir,
                 SupervisorConfig {
+                    checkpoint_every: 2,
                     segment_wall_ms: 5_000,
                     fleet_deadline_ms,
                     ..SupervisorConfig::default()
@@ -938,6 +962,61 @@ mod tests {
             .unwrap();
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_watchdog_without_cadence_checkpoints_is_rejected() {
+        // The watchdog is checked only as a cadence checkpoint is saved, so without one
+        // it could never fire.
+        let dir = temp_dir("watchdog-no-cadence");
+        let err = JobSupervisor::open(
+            &dir,
+            SupervisorConfig {
+                segment_wall_ms: 1,
+                checkpoint_every: 0,
+                ..SupervisorConfig::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(err, ParmisError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("checkpoint_every"), "{err}");
+
+        // A cadence makes the same watchdog valid.
+        JobSupervisor::open(
+            &dir,
+            SupervisorConfig {
+                segment_wall_ms: 1,
+                checkpoint_every: 2,
+                ..SupervisorConfig::default()
+            },
+        )
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn duplicate_job_ids_are_rejected_before_anything_runs() {
+        for workers in [1, 2] {
+            let dir = temp_dir(&format!("duplicate-ids-{workers}"));
+            let config = SupervisorConfig {
+                workers,
+                ..SupervisorConfig::default()
+            };
+            let mut supervisor = JobSupervisor::open(&dir, config).unwrap();
+            let specs = vec![
+                JobSpec::new("twin", tiny_config(1, 8)),
+                JobSpec::new("twin", tiny_config(1, 8)),
+            ];
+            let err = supervisor
+                .run(&specs, |_spec| {
+                    panic!("a fleet with duplicate ids must not start segments");
+                })
+                .unwrap_err();
+            assert!(matches!(err, ParmisError::InvalidConfig { .. }), "{err}");
+            assert!(err.to_string().contains("twin"), "{err}");
+            assert!(supervisor.jobs().is_empty(), "workers = {workers}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

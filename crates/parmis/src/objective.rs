@@ -7,7 +7,7 @@
 //! negated.
 
 use serde::{Deserialize, Serialize};
-use soc_sim::platform::RunSummary;
+use soc_sim::platform::RunAggregates;
 
 /// A design objective extracted from a finished application run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,14 +46,14 @@ impl Objective {
         }
     }
 
-    /// Extracts the minimization value of this objective from a run summary.
-    pub fn value_from(&self, summary: &RunSummary) -> f64 {
+    /// Extracts the minimization value of this objective from a finished run.
+    pub fn value_from(&self, run: &RunAggregates) -> f64 {
         match self {
-            Objective::ExecutionTime => summary.execution_time_s,
-            Objective::Energy => summary.energy_j,
-            Objective::PerformancePerWatt => -summary.ppw,
-            Objective::AveragePower => summary.average_power_w,
-            Objective::PeakTemperature => summary.peak_temperature_c,
+            Objective::ExecutionTime => run.execution_time_s,
+            Objective::Energy => run.energy_j,
+            Objective::PerformancePerWatt => -run.ppw,
+            Objective::AveragePower => run.average_power_w,
+            Objective::PeakTemperature => run.peak_temperature_c,
         }
     }
 
@@ -79,8 +79,8 @@ impl std::fmt::Display for Objective {
 }
 
 /// Extracts the full minimization objective vector for a run.
-pub fn objective_vector(objectives: &[Objective], summary: &RunSummary) -> Vec<f64> {
-    objectives.iter().map(|o| o.value_from(summary)).collect()
+pub fn objective_vector(objectives: &[Objective], run: &RunAggregates) -> Vec<f64> {
+    objectives.iter().map(|o| o.value_from(run)).collect()
 }
 
 /// Converts a minimization objective vector back to reporting scale, element by element.
@@ -96,16 +96,15 @@ pub fn reporting_vector(objectives: &[Objective], minimization: &[f64]) -> Vec<f
 mod tests {
     use super::*;
 
-    fn summary() -> RunSummary {
-        RunSummary {
-            application: "qsort".into(),
-            controller: "test".into(),
+    fn summary() -> RunAggregates {
+        RunAggregates {
+            epochs: 0,
             execution_time_s: 2.0,
             energy_j: 5.0,
+            instructions: 4e9,
             average_power_w: 2.5,
             ppw: 0.8,
             peak_temperature_c: 61.5,
-            epochs: Vec::new(),
         }
     }
 

@@ -21,7 +21,7 @@ fn wrong_dimension_theta_is_a_structured_error() {
         .unwrap();
     let short = vec![0.1; evaluator.parameter_dim() - 1];
 
-    let err = evaluator.run_summaries(&short).unwrap_err();
+    let err = evaluator.run_aggregates(&short).unwrap_err();
     assert!(matches!(err, ParmisError::Evaluation { .. }), "{err}");
     assert!(err.to_string().contains("dimension"), "{err}");
 

@@ -68,10 +68,7 @@ pub use counters::CounterSnapshot;
 pub use engine::{DecisionEntry, DecisionTable};
 pub use error::SocError;
 pub use fastmath::Precision;
-pub use platform::{
-    CollectEpochs, DiscardEpochs, DrmController, EpochResult, EpochSink, Platform, RunAggregates,
-    RunSummary, SocSpec, TransitionModel,
-};
+pub use platform::{DrmController, EpochResult, Platform, RunAggregates, SocSpec, TransitionModel};
 pub use scenario::Scenario;
 pub use thermal::{PerClusterThermal, ThermalModel, ThermalState};
 
@@ -99,7 +96,6 @@ mod thread_safety {
         assert_worker_shareable::<workload::PhaseSpec>();
         assert_worker_shareable::<apps::Benchmark>();
         assert_worker_shareable::<CounterSnapshot>();
-        assert_worker_shareable::<RunSummary>();
         assert_worker_shareable::<RunAggregates>();
         assert_worker_shareable::<DecisionTable>();
         assert_worker_shareable::<EpochResult>();

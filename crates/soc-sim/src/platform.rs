@@ -256,15 +256,6 @@ pub trait DrmController {
     fn name(&self) -> &str {
         "controller"
     }
-
-    /// The controller's name as a shared string, used for [`RunSummary::controller`].
-    ///
-    /// The default allocates once per call; controllers that already hold an `Arc<str>`
-    /// (e.g. learned policies evaluated thousands of times per PaRMIS run) override it with
-    /// a refcount bump so repeated runs allocate nothing for their identity.
-    fn shared_name(&self) -> Arc<str> {
-        Arc::from(self.name())
-    }
 }
 
 impl<T: DrmController + ?Sized> DrmController for Box<T> {
@@ -278,10 +269,6 @@ impl<T: DrmController + ?Sized> DrmController for Box<T> {
 
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn shared_name(&self) -> Arc<str> {
-        (**self).shared_name()
     }
 }
 
@@ -308,72 +295,11 @@ pub struct EpochResult {
     pub counters: CounterSnapshot,
 }
 
-/// Observer of the streaming application runner: receives every finished epoch by reference.
+/// Aggregate observables of one application run: the only record of a simulator run.
 ///
-/// [`Platform::run_application_with`] drives the epoch loop and folds the aggregates itself;
-/// the sink decides what (if anything) to retain per epoch. [`DiscardEpochs`] keeps nothing
-/// (the policy-evaluation hot path — zero per-epoch heap traffic), [`CollectEpochs`]
-/// materializes the full trace (what [`Platform::run_application`] uses to build the
-/// backwards-compatible [`RunSummary`]).
-pub trait EpochSink {
-    /// Called once per finished epoch, in execution order, with the final (noise-adjusted)
-    /// epoch result.
-    fn on_epoch(&mut self, epoch: &EpochResult);
-}
-
-impl<S: EpochSink + ?Sized> EpochSink for &mut S {
-    fn on_epoch(&mut self, epoch: &EpochResult) {
-        (**self).on_epoch(epoch);
-    }
-}
-
-/// Sink that drops every epoch: streaming runs that only need [`RunAggregates`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DiscardEpochs;
-
-impl EpochSink for DiscardEpochs {
-    fn on_epoch(&mut self, _epoch: &EpochResult) {}
-}
-
-/// Sink that materializes every epoch, reproducing the seed runner's per-epoch trace.
-#[derive(Debug, Clone, Default)]
-pub struct CollectEpochs {
-    epochs: Vec<EpochResult>,
-}
-
-impl CollectEpochs {
-    /// An empty collector.
-    pub fn new() -> Self {
-        CollectEpochs::default()
-    }
-
-    /// An empty collector with space reserved for `capacity` epochs.
-    pub fn with_capacity(capacity: usize) -> Self {
-        CollectEpochs {
-            epochs: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// The collected epochs, in execution order.
-    pub fn epochs(&self) -> &[EpochResult] {
-        &self.epochs
-    }
-
-    /// Consumes the collector, returning the epoch trace.
-    pub fn into_epochs(self) -> Vec<EpochResult> {
-        self.epochs
-    }
-}
-
-impl EpochSink for CollectEpochs {
-    fn on_epoch(&mut self, epoch: &EpochResult) {
-        self.epochs.push(epoch.clone());
-    }
-}
-
-/// Aggregate observables of one application run, folded by the streaming runner without
-/// materializing per-epoch results. Field-for-field identical to the corresponding
-/// [`RunSummary`] aggregates (same accumulation order, bit-identical floats).
+/// The epoch loop folds them as it goes; [`Platform::run_application_traced`] additionally
+/// returns the per-epoch trace, whose in-order time and energy sums equal these totals bit
+/// for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunAggregates {
     /// Number of decision epochs executed.
@@ -390,41 +316,6 @@ pub struct RunAggregates {
     pub ppw: f64,
     /// Hottest junction temperature reached at any epoch boundary, in °C.
     pub peak_temperature_c: f64,
-}
-
-/// Aggregated outcome of running one application under one controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunSummary {
-    /// Application name (shared with [`Application::name`]; cloning is a refcount bump).
-    pub application: Arc<str>,
-    /// Controller name (see [`DrmController::shared_name`]).
-    pub controller: Arc<str>,
-    /// Total execution time in seconds.
-    pub execution_time_s: f64,
-    /// Total energy in joules.
-    pub energy_j: f64,
-    /// Average power in watts.
-    pub average_power_w: f64,
-    /// Performance-per-watt: giga-instructions per second per watt (equivalently GI/J).
-    pub ppw: f64,
-    /// Hottest junction temperature reached at any epoch boundary during the run, in °C.
-    pub peak_temperature_c: f64,
-    /// Per-epoch details, in execution order.
-    pub epochs: Vec<EpochResult>,
-}
-
-impl RunSummary {
-    /// The objective vector (execution time, energy) used by most of the paper's experiments,
-    /// both to be minimized.
-    pub fn time_energy_objectives(&self) -> Vec<f64> {
-        vec![self.execution_time_s, self.energy_j]
-    }
-
-    /// The objective vector (execution time, −PPW): PPW is maximized in the paper, so it is
-    /// negated to fit the minimization convention.
-    pub fn time_ppw_objectives(&self) -> Vec<f64> {
-        vec![self.execution_time_s, -self.ppw]
-    }
 }
 
 /// The simulated platform: runs applications epoch by epoch under a [`DrmController`].
@@ -607,29 +498,55 @@ impl Platform {
         Ok(self.epoch_from_entry(entry, phase, &throughput))
     }
 
-    /// Runs `app` end to end under `controller`, streaming every finished epoch into `sink`
-    /// and folding the aggregates without materializing per-epoch results.
+    /// Runs `app` end to end under `controller`, folding the aggregates without
+    /// materializing per-epoch results.
     ///
-    /// This is the simulation hot path: with a [`DiscardEpochs`] sink the loop performs no
-    /// heap allocation per epoch — decisions resolve through the precomputed
-    /// [`DecisionTable`] (including throttle capping), and only the phase-dependent
-    /// performance/power math runs per epoch. [`run_application`](Self::run_application) is
-    /// a thin wrapper that collects the epochs; both paths produce bit-identical numbers.
+    /// This is the simulation hot path: the loop performs no heap allocation per epoch —
+    /// decisions resolve through the precomputed [`DecisionTable`] (including throttle
+    /// capping), and only the phase-dependent performance/power math runs per epoch.
     ///
-    /// `seed` controls the deterministic measurement noise exactly as in
-    /// [`run_application`](Self::run_application).
+    /// `seed` controls the deterministic measurement noise; two runs with the same seed,
+    /// application and controller produce identical aggregates.
     ///
     /// # Errors
     ///
     /// Returns [`crate::SocError::InvalidDecision`] if the controller emits a configuration
     /// outside the decision space (learned policies built from knob indices cannot trigger
     /// this, but hand-written controllers can).
-    pub fn run_application_with<S: EpochSink + ?Sized>(
+    pub fn run_application(
         &self,
         app: &Application,
         controller: &mut dyn DrmController,
         seed: u64,
-        sink: &mut S,
+    ) -> Result<RunAggregates> {
+        self.run_epochs(app, controller, seed, None)
+    }
+
+    /// [`run_application`](Self::run_application) that also returns every epoch, in
+    /// execution order. The aggregates are bit-identical to the untraced run's.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_application`](Self::run_application).
+    pub fn run_application_traced(
+        &self,
+        app: &Application,
+        controller: &mut dyn DrmController,
+        seed: u64,
+    ) -> Result<(RunAggregates, Vec<EpochResult>)> {
+        let mut trace = Vec::with_capacity(app.epoch_count());
+        let aggregates = self.run_epochs(app, controller, seed, Some(&mut trace))?;
+        Ok((aggregates, trace))
+    }
+
+    /// The epoch loop behind both entry points; pushes each finished epoch onto `trace`
+    /// when one is given.
+    fn run_epochs(
+        &self,
+        app: &Application,
+        controller: &mut dyn DrmController,
+        seed: u64,
+        mut trace: Option<&mut Vec<EpochResult>>,
     ) -> Result<RunAggregates> {
         controller.reset();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
@@ -764,7 +681,9 @@ impl Platform {
             }
             counters = result.counters;
             previous = decision;
-            sink.on_epoch(&result);
+            if let Some(trace) = trace.as_deref_mut() {
+                trace.push(result);
+            }
         }
 
         let average_power_w = if total_time > 0.0 {
@@ -788,38 +707,6 @@ impl Platform {
             average_power_w,
             ppw,
             peak_temperature_c,
-        })
-    }
-
-    /// Runs `app` end to end under `controller`, materializing the per-epoch trace.
-    ///
-    /// `seed` controls the deterministic measurement noise; two runs with the same seed,
-    /// application and controller produce identical summaries. This is a thin collecting
-    /// sink over [`run_application_with`](Self::run_application_with); callers that only
-    /// need the aggregates should use the streaming form directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::SocError::InvalidDecision`] if the controller emits a configuration
-    /// outside the decision space (learned policies built from knob indices cannot trigger
-    /// this, but hand-written controllers can).
-    pub fn run_application(
-        &self,
-        app: &Application,
-        controller: &mut dyn DrmController,
-        seed: u64,
-    ) -> Result<RunSummary> {
-        let mut collector = CollectEpochs::with_capacity(app.epoch_count());
-        let aggregates = self.run_application_with(app, controller, seed, &mut collector)?;
-        Ok(RunSummary {
-            application: app.name.clone(),
-            controller: controller.shared_name(),
-            execution_time_s: aggregates.execution_time_s,
-            energy_j: aggregates.energy_j,
-            average_power_w: aggregates.average_power_w,
-            ppw: aggregates.ppw,
-            peak_temperature_c: aggregates.peak_temperature_c,
-            epochs: collector.into_epochs(),
         })
     }
 }
@@ -884,14 +771,13 @@ mod tests {
             big_freq_mhz: 1400,
             little_freq_mhz: 1000,
         };
-        let summary = platform
-            .run_application(&app, &mut FixedController(decision), 3)
+        let (summary, epochs) = platform
+            .run_application_traced(&app, &mut FixedController(decision), 3)
             .unwrap();
-        assert_eq!(summary.epochs.len(), 10);
-        assert_eq!(&*summary.application, "test-app");
-        assert_eq!(&*summary.controller, "fixed");
-        let sum_time: f64 = summary.epochs.iter().map(|e| e.time_s).sum();
-        let sum_energy: f64 = summary.epochs.iter().map(|e| e.energy_j).sum();
+        assert_eq!(summary.epochs, 10);
+        assert_eq!(epochs.len(), 10);
+        let sum_time: f64 = epochs.iter().map(|e| e.time_s).sum();
+        let sum_energy: f64 = epochs.iter().map(|e| e.energy_j).sum();
         assert!((sum_time - summary.execution_time_s).abs() < 1e-9);
         assert!((sum_energy - summary.energy_j).abs() < 1e-9);
         assert!(summary.ppw > 0.0);
@@ -942,29 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn objective_vectors_follow_minimization_convention() {
-        let platform = Platform::odroid_xu3();
-        let app = test_app(4);
-        let d = DrmDecision {
-            big_cores: 2,
-            little_cores: 1,
-            big_freq_mhz: 1000,
-            little_freq_mhz: 600,
-        };
-        let s = platform
-            .run_application(&app, &mut FixedController(d), 0)
-            .unwrap();
-        let te = s.time_energy_objectives();
-        assert_eq!(te, vec![s.execution_time_s, s.energy_j]);
-        let tp = s.time_ppw_objectives();
-        assert_eq!(tp[0], s.execution_time_s);
-        assert!(
-            tp[1] < 0.0,
-            "PPW objective must be negated for minimization"
-        );
-    }
-
-    #[test]
     fn boxed_controllers_are_usable() {
         let platform = Platform::odroid_xu3();
         let app = test_app(3);
@@ -975,9 +838,11 @@ mod tests {
             little_freq_mhz: 800,
         };
         let mut boxed: Box<dyn DrmController> = Box::new(FixedController(d));
-        let summary = platform.run_application(&app, &mut boxed, 5).unwrap();
-        assert_eq!(&*summary.controller, "fixed");
-        assert_eq!(summary.epochs[0].decision, d);
+        let (_, epochs) = platform
+            .run_application_traced(&app, &mut boxed, 5)
+            .unwrap();
+        assert_eq!(boxed.name(), "fixed");
+        assert_eq!(epochs[0].decision, d);
     }
 
     #[test]
@@ -988,17 +853,16 @@ mod tests {
         let platform = Platform::odroid_xu3();
         let app = crate::apps::Benchmark::Pca.application();
         let space = platform.spec().decision_space().clone();
-        let summary = platform
-            .run_application(&app, &mut FixedController(space.performance_decision()), 0)
+        let (_, epochs) = platform
+            .run_application_traced(&app, &mut FixedController(space.performance_decision()), 0)
             .unwrap();
         let throttle_cap = platform.spec().thermal_model().throttle_big_freq_mhz;
-        let first = summary.epochs.first().unwrap();
+        let first = epochs.first().unwrap();
         assert_eq!(
             first.decision.big_freq_mhz, 2000,
             "cold start runs unthrottled"
         );
-        let throttled_epochs = summary
-            .epochs
+        let throttled_epochs = epochs
             .iter()
             .filter(|e| e.decision.big_freq_mhz == throttle_cap)
             .count();
@@ -1007,10 +871,10 @@ mod tests {
             "sustained max-performance operation must hit thermal throttling"
         );
         // A frugal configuration never throttles.
-        let cool = platform
-            .run_application(&app, &mut FixedController(space.powersave_decision()), 0)
+        let (_, cool) = platform
+            .run_application_traced(&app, &mut FixedController(space.powersave_decision()), 0)
             .unwrap();
-        assert!(cool.epochs.iter().all(|e| e.decision.big_freq_mhz == 200));
+        assert!(cool.iter().all(|e| e.decision.big_freq_mhz == 200));
     }
 
     #[test]
@@ -1027,11 +891,11 @@ mod tests {
             little_freq_mhz: 1000,
         };
         space.validate(&decision).unwrap();
-        let summary = platform
-            .run_application(&app, &mut FixedController(decision), 0)
+        let (_, epochs) = platform
+            .run_application_traced(&app, &mut FixedController(decision), 0)
             .unwrap();
-        let first_power = summary.epochs[0].power_w;
-        let late_power: f64 = summary.epochs[30..].iter().map(|e| e.power_w).sum::<f64>() / 10.0;
+        let first_power = epochs[0].power_w;
+        let late_power: f64 = epochs[30..].iter().map(|e| e.power_w).sum::<f64>() / 10.0;
         assert!(
             late_power > first_power * 1.02,
             "late epochs ({late_power} W) should draw more power than the first ({first_power} W)"

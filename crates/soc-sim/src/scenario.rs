@@ -19,7 +19,7 @@
 //! both the code and the refreshed goldens.
 
 use crate::apps::Benchmark;
-use crate::platform::{Platform, RunSummary, SocSpec};
+use crate::platform::{Platform, RunAggregates, SocSpec};
 use crate::workload::{self, Application, PhaseSpec};
 use crate::{Result, SocError};
 use fastmath::Precision;
@@ -357,42 +357,26 @@ impl ScenarioConstraints {
 
     /// Summed relative violation of every active limit, scaled by the penalty weight
     /// (zero when the run satisfies the scenario).
-    pub fn penalty(&self, summary: &RunSummary) -> f64 {
-        self.penalty_from_metrics(
-            summary.execution_time_s,
-            summary.average_power_w,
-            summary.peak_temperature_c,
-        )
-    }
-
-    /// [`penalty`](Self::penalty) from the raw run metrics, for streaming runs
-    /// ([`crate::platform::Platform::run_application_with`]) that never materialize a
-    /// [`RunSummary`]. Same float-operation order, bit-identical result.
-    pub fn penalty_from_metrics(
-        &self,
-        execution_time_s: f64,
-        average_power_w: f64,
-        peak_temperature_c: f64,
-    ) -> f64 {
+    pub fn penalty(&self, run: &RunAggregates) -> f64 {
         let overshoot = |value: f64, limit: Option<f64>| match limit {
             Some(limit) if limit > 0.0 => ((value - limit) / limit).max(0.0),
             _ => 0.0,
         };
         self.penalty_weight
-            * (overshoot(peak_temperature_c, self.thermal_limit_c)
-                + overshoot(average_power_w, self.power_budget_w)
-                + overshoot(execution_time_s, self.deadline_s))
+            * (overshoot(run.peak_temperature_c, self.thermal_limit_c)
+                + overshoot(run.average_power_w, self.power_budget_w)
+                + overshoot(run.execution_time_s, self.deadline_s))
     }
 
     /// `true` when the run violates none of the limits.
     ///
     /// Checks the raw limits directly — deliberately independent of `penalty_weight`, so a
     /// zero (or even negative) weight cannot make a violating run look compliant.
-    pub fn is_satisfied(&self, summary: &RunSummary) -> bool {
+    pub fn is_satisfied(&self, run: &RunAggregates) -> bool {
         let within = |value: f64, limit: Option<f64>| limit.map_or(true, |limit| value <= limit);
-        within(summary.peak_temperature_c, self.thermal_limit_c)
-            && within(summary.average_power_w, self.power_budget_w)
-            && within(summary.execution_time_s, self.deadline_s)
+        within(run.peak_temperature_c, self.thermal_limit_c)
+            && within(run.average_power_w, self.power_budget_w)
+            && within(run.execution_time_s, self.deadline_s)
     }
 }
 
@@ -444,7 +428,7 @@ impl Scenario {
     /// Returns [`SocError::Scenario`] for malformed JSON, a shape mismatch, or constraints
     /// that could not bind: a `penalty_weight` that is negative or not finite, or a limit
     /// that is not finite and positive. A negative weight turns violations into rewards,
-    /// and [`ScenarioConstraints::penalty_from_metrics`] treats a zero limit as no limit.
+    /// and [`ScenarioConstraints::penalty`] treats a zero limit as no limit.
     pub fn from_json(text: &str) -> Result<Self> {
         let scenario: Scenario = serde_json::from_str(text).map_err(|e| SocError::Scenario {
             reason: e.to_string(),
@@ -736,34 +720,24 @@ mod tests {
 
     #[test]
     fn constraint_penalties_scale_with_relative_overshoot() {
-        let mut summary = RunSummary {
-            application: "a".into(),
-            controller: "c".into(),
+        let mut run = RunAggregates {
+            epochs: 0,
             execution_time_s: 10.0,
             energy_j: 20.0,
+            instructions: 10e9,
             average_power_w: 2.0,
             ppw: 0.5,
             peak_temperature_c: 90.0,
-            epochs: Vec::new(),
         };
         let free = ScenarioConstraints::unconstrained();
-        assert_eq!(free.penalty(&summary), 0.0);
-        assert!(free.is_satisfied(&summary));
+        assert_eq!(free.penalty(&run), 0.0);
+        assert!(free.is_satisfied(&run));
 
         let thermal = ScenarioConstraints::thermal(80.0, 4.0);
-        assert!((thermal.penalty(&summary) - 4.0 * (10.0 / 80.0)).abs() < 1e-12);
-        assert_eq!(
-            thermal.penalty(&summary),
-            thermal.penalty_from_metrics(
-                summary.execution_time_s,
-                summary.average_power_w,
-                summary.peak_temperature_c
-            ),
-            "metrics form must be bit-identical to the summary form"
-        );
-        assert!(!thermal.is_satisfied(&summary));
-        summary.peak_temperature_c = 75.0;
-        assert!(thermal.is_satisfied(&summary));
+        assert!((thermal.penalty(&run) - 4.0 * (10.0 / 80.0)).abs() < 1e-12);
+        assert!(!thermal.is_satisfied(&run));
+        run.peak_temperature_c = 75.0;
+        assert!(thermal.is_satisfied(&run));
 
         let tight = ScenarioConstraints {
             power_budget_w: Some(1.0),
@@ -772,17 +746,17 @@ mod tests {
             thermal_limit_c: None,
         };
         // power overshoot (2-1)/1 = 1, deadline overshoot (10-5)/5 = 1.
-        assert!((tight.penalty(&summary) - 2.0).abs() < 1e-12);
+        assert!((tight.penalty(&run) - 2.0).abs() < 1e-12);
 
         // A zero penalty weight silences the penalty but must NOT make a violating run
         // look compliant: is_satisfied checks the raw limits.
-        summary.peak_temperature_c = 100.0;
+        run.peak_temperature_c = 100.0;
         let muted = ScenarioConstraints {
             penalty_weight: 0.0,
             ..ScenarioConstraints::thermal(80.0, 4.0)
         };
-        assert_eq!(muted.penalty(&summary), 0.0);
-        assert!(!muted.is_satisfied(&summary));
+        assert_eq!(muted.penalty(&run), 0.0);
+        assert!(!muted.is_satisfied(&run));
     }
 
     #[test]

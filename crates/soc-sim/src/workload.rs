@@ -75,9 +75,7 @@ impl PhaseSpec {
 /// A fully expanded application: an ordered sequence of per-epoch phase specifications.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Application {
-    /// Benchmark name (e.g. `"qsort"`), shared so every [`crate::platform::RunSummary`]
-    /// produced from this application reuses the same allocation (a refcount bump per run
-    /// instead of a fresh `String`).
+    /// Benchmark name (e.g. `"qsort"`).
     pub name: Arc<str>,
     /// One [`PhaseSpec`] per decision epoch, in execution order.
     pub epochs: Vec<PhaseSpec>,

@@ -101,11 +101,11 @@ fn single_core_clusters_run_every_governor_without_panicking() {
         .build()
         .unwrap();
     for mut governor in default_governors(&spec) {
-        let run = platform
-            .run_application(&app, &mut governor, 0)
+        let (run, epochs) = platform
+            .run_application_traced(&app, &mut governor, 0)
             .unwrap_or_else(|e| panic!("{} panicked/failed on 1+1 cores: {e}", governor.name()));
         assert!(run.execution_time_s > 0.0);
-        for epoch in &run.epochs {
+        for epoch in &epochs {
             spec.decision_space().validate(&epoch.decision).unwrap();
         }
     }
@@ -160,7 +160,7 @@ fn min_equals_max_frequency_tables_saturate_instead_of_panicking() {
         .build()
         .unwrap();
     let run = platform.run_application(&app, &mut ondemand, 1).unwrap();
-    assert_eq!(run.epochs.len(), 5);
+    assert_eq!(run.epochs, 5);
 }
 
 #[test]
@@ -175,8 +175,10 @@ fn wearable_preset_governors_respect_its_tiny_decision_space() {
         .build()
         .unwrap();
     for mut governor in default_governors(&spec) {
-        let run = platform.run_application(&app, &mut governor, 3).unwrap();
-        for epoch in &run.epochs {
+        let (run, epochs) = platform
+            .run_application_traced(&app, &mut governor, 3)
+            .unwrap();
+        for epoch in &epochs {
             spec.decision_space().validate(&epoch.decision).unwrap();
             assert!(epoch.decision.big_cores <= 1);
             assert!(epoch.decision.little_cores <= 2);

@@ -171,8 +171,8 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let run = platform.run_application(&app, &mut Fixed(d), seed).unwrap();
-        let retired: f64 = run.epochs.iter().map(|e| e.counters.instructions_retired).sum();
+        let (_, epochs) = platform.run_application_traced(&app, &mut Fixed(d), seed).unwrap();
+        let retired: f64 = epochs.iter().map(|e| e.counters.instructions_retired).sum();
         let carried = app.total_instructions();
         prop_assert!(
             (retired - carried).abs() / carried < 1e-9,
@@ -208,13 +208,13 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let run = platform.run_application(&app, &mut Fixed(d), seed).unwrap();
-        let max_power = run.epochs.iter().map(|e| e.power_w).fold(0.0, f64::max);
+        let (run, epochs) = platform.run_application_traced(&app, &mut Fixed(d), seed).unwrap();
+        let max_power = epochs.iter().map(|e| e.power_w).fold(0.0, f64::max);
         let ceiling = thermal.steady_state_c(max_power) + 1e-9;
         prop_assert!(run.peak_temperature_c <= ceiling);
         prop_assert!(run.peak_temperature_c >= thermal.ambient_c);
         let mut previous_temp = thermal.ambient_c;
-        for epoch in &run.epochs {
+        for epoch in &epochs {
             prop_assert!(epoch.temperature_c <= ceiling && epoch.temperature_c.is_finite());
             if thermal.is_throttling(previous_temp) {
                 prop_assert!(

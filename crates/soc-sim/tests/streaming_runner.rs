@@ -1,9 +1,9 @@
 //! Equivalence suite for the streaming, table-driven simulation engine.
 //!
-//! The engine rewrite (PR 4) must be invisible in the numbers: for any platform, workload,
-//! controller and measurement seed, the streaming runner's aggregates are bit-identical to
-//! the materializing `run_application`, the sink observes exactly the epochs the summary
-//! materializes, and every `DecisionTable` entry matches freshly-derived model values.
+//! The engine must be invisible in the numbers: for any platform, workload, controller and
+//! measurement seed, the untraced `run_application` and the traced
+//! `run_application_traced` return bit-identical aggregates, the trace sums to them in
+//! order, and every `DecisionTable` entry matches freshly-derived model values.
 //! A deterministic regression test additionally pins the per-epoch energy ordering
 //! semantics (energy = final time × final power, plus the un-noised switch penalty).
 
@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use soc_sim::config::DrmDecision;
 use soc_sim::counters::CounterSnapshot;
 use soc_sim::engine::DecisionTable;
-use soc_sim::platform::{CollectEpochs, DiscardEpochs, DrmController, Platform};
+use soc_sim::platform::{DrmController, Platform};
 use soc_sim::power::PowerModel;
 use soc_sim::workload::{ApplicationBuilder, PhaseSpec};
 
@@ -104,11 +104,11 @@ fn phase_strategy() -> impl Strategy<Value = PhaseSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For random platforms, workloads, controllers and measurement seeds, the streaming
-    /// aggregates are bit-identical to the materializing summary, and the collecting sink
-    /// observes exactly the epochs the summary materializes.
+    /// For random platforms, workloads, controllers and measurement seeds, the untraced and
+    /// traced runs return bit-identical aggregates, the trace holds one entry per epoch,
+    /// and its in-order time and energy sums are the aggregates' totals.
     #[test]
-    fn streaming_aggregates_match_the_materializing_runner(
+    fn traced_and_untraced_runs_return_identical_aggregates(
         platform_idx in 0u8..3,
         phase in phase_strategy(),
         epochs in 1usize..40,
@@ -124,39 +124,24 @@ proptest! {
             .build()
             .unwrap();
 
-        let summary = platform
+        let aggregates = platform
             .run_application(&app, &mut SpaceWalk::new(&platform, controller_seed), run_seed)
             .unwrap();
-
-        let mut discard = DiscardEpochs;
-        let aggregates = platform
-            .run_application_with(
+        let (traced, trace) = platform
+            .run_application_traced(
                 &app,
                 &mut SpaceWalk::new(&platform, controller_seed),
                 run_seed,
-                &mut discard,
             )
             .unwrap();
 
-        prop_assert_eq!(aggregates.epochs, summary.epochs.len());
-        prop_assert_eq!(aggregates.execution_time_s, summary.execution_time_s);
-        prop_assert_eq!(aggregates.energy_j, summary.energy_j);
-        prop_assert_eq!(aggregates.average_power_w, summary.average_power_w);
-        prop_assert_eq!(aggregates.ppw, summary.ppw);
-        prop_assert_eq!(aggregates.peak_temperature_c, summary.peak_temperature_c);
+        prop_assert_eq!(aggregates, traced);
+        prop_assert_eq!(trace.len(), aggregates.epochs);
+        let time: f64 = trace.iter().map(|e| e.time_s).sum();
+        let energy: f64 = trace.iter().map(|e| e.energy_j).sum();
+        prop_assert_eq!(time.to_bits(), aggregates.execution_time_s.to_bits());
+        prop_assert_eq!(energy.to_bits(), aggregates.energy_j.to_bits());
         prop_assert_eq!(aggregates.instructions, app.total_instructions());
-
-        // The collecting sink sees exactly the summary's epoch trace.
-        let mut collector = CollectEpochs::with_capacity(app.epoch_count());
-        platform
-            .run_application_with(
-                &app,
-                &mut SpaceWalk::new(&platform, controller_seed),
-                run_seed,
-                &mut collector,
-            )
-            .unwrap();
-        prop_assert_eq!(collector.epochs(), &summary.epochs[..]);
     }
 
     /// `run_epoch` through the table matches values freshly derived from the perf/power
@@ -261,13 +246,13 @@ fn epoch_energy_is_final_time_times_final_power_plus_switch_energy() {
         .jitter(0.1)
         .build()
         .unwrap();
-    let summary = platform
-        .run_application(&app, &mut SpaceWalk::new(&platform, 99), 5)
+    let (summary, epochs) = platform
+        .run_application_traced(&app, &mut SpaceWalk::new(&platform, 99), 5)
         .unwrap();
 
     let mut previous = spec.decision_space().initial_decision();
     let mut any_switch_energy = false;
-    for (i, epoch) in summary.epochs.iter().enumerate() {
+    for (i, epoch) in epochs.iter().enumerate() {
         let switch_j = spec
             .transition_model()
             .switch_energy_j(&previous, &epoch.decision);
@@ -288,8 +273,8 @@ fn epoch_energy_is_final_time_times_final_power_plus_switch_energy() {
         "the walk must change configurations so the switch-energy term is exercised"
     );
     // Totals remain the plain sums of the per-epoch values.
-    let time: f64 = summary.epochs.iter().map(|e| e.time_s).sum();
-    let energy: f64 = summary.epochs.iter().map(|e| e.energy_j).sum();
+    let time: f64 = epochs.iter().map(|e| e.time_s).sum();
+    let energy: f64 = epochs.iter().map(|e| e.energy_j).sum();
     assert_eq!(summary.execution_time_s, time);
     assert_eq!(summary.energy_j, energy);
 }
@@ -326,8 +311,6 @@ fn invalid_controller_decisions_still_error() {
         )
         .build()
         .unwrap();
-    let err = platform
-        .run_application_with(&app, &mut Rogue, 0, &mut DiscardEpochs)
-        .unwrap_err();
+    let err = platform.run_application(&app, &mut Rogue, 0).unwrap_err();
     assert!(err.to_string().contains("big cores"), "got: {err}");
 }

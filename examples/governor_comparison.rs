@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "{:<14} {:<12} {:>10.2} {:>10.2} {:>9.2} {:>8.3}",
                 benchmark.name(),
-                run.controller,
+                governor.name(),
                 run.execution_time_s,
                 run.energy_j,
                 run.average_power_w,

@@ -48,10 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = platform.run_application(&benchmark.application(), &mut policy, 123)?;
     println!(
         "selected policy re-run: {:.2} s, {:.2} J, {:.2} W average ({} decision epochs)",
-        run.execution_time_s,
-        run.energy_j,
-        run.average_power_w,
-        run.epochs.len()
+        run.execution_time_s, run.energy_j, run.average_power_w, run.epochs
     );
     Ok(())
 }
