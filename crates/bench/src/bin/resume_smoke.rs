@@ -9,7 +9,9 @@
 //! plus a trace-hash log, and exits — a stand-in for a killed process, since nothing
 //! survives it but the files — and a `resume` phase in a fresh process that loads the
 //! checkpoint, verifies it, and finishes the search. The orchestrator then runs the same
-//! search uninterrupted in-process and compares the full trace-hash chains link by link.
+//! search uninterrupted in-process and compares the full trace-hash chains link by link;
+//! the first phase's log, recomputed from the checkpoint's history, must be a non-empty
+//! prefix of the uninterrupted chain, and its length is the reported suspension point.
 //! `--max-seconds` additionally puts the first segment under a deadline token
 //! ([`CancelSource::with_deadline`], the cooperative wall-clock budget): the segment
 //! suspends on whichever of the deadline or the fuel backstop fires first, and the audit
@@ -96,9 +98,12 @@ fn phase_first(quick: bool, checkpoint: &Path, max_seconds: Option<u64>) {
     // no torn checkpoint for the resume phase to trip over.
     atomic_write(checkpoint, json.as_bytes())
         .unwrap_or_else(|e| die(&format!("writing {} failed: {e}", checkpoint.display())));
+    let hashes = state
+        .trace_hashes()
+        .unwrap_or_else(|e| die(&format!("recomputing the trace-hash chain failed: {e}")));
     atomic_write(
         &checkpoint.with_extension("first.hashes"),
-        hash_log(&state.trace_hashes).as_bytes(),
+        hash_log(&hashes).as_bytes(),
     )
     .unwrap_or_else(|e| die(&format!("writing hash log failed: {e}")));
     println!(
@@ -117,7 +122,7 @@ fn phase_resume(quick: bool, checkpoint: &Path) {
     let state =
         SearchState::from_json(&json).unwrap_or_else(|e| die(&format!("checkpoint rejected: {e}")));
     println!(
-        "resume: loaded checkpoint at evaluation {} (hash chain verified)",
+        "resume: loaded checkpoint at evaluation {} (state digest verified)",
         state.evaluations()
     );
     let outcome = Parmis::new(smoke_config(quick))
@@ -183,19 +188,26 @@ fn orchestrate(quick: bool, max_seconds: Option<u64>, results_dir: &Path) {
     let reference = Parmis::new(smoke_config(quick))
         .run(&evaluator())
         .unwrap_or_else(|e| die(&format!("reference run failed: {e}")));
-    let resumed_log = std::fs::read_to_string(checkpoint.with_extension("final.hashes"))
-        .unwrap_or_else(|e| die(&format!("reading final hash log failed: {e}")));
+    let read_log = |extension: &str| {
+        std::fs::read_to_string(checkpoint.with_extension(extension))
+            .unwrap_or_else(|e| die(&format!("reading {extension} log failed: {e}")))
+    };
+    let first_log = read_log("first.hashes");
+    let resumed_log = read_log("final.hashes");
     let reference_log = hash_log(&reference.trace_hashes);
+    if first_log.is_empty() || !reference_log.starts_with(&first_log) {
+        die("trace-hash audit FAILED: the first phase's chain is not a prefix of the uninterrupted run");
+    }
     if resumed_log != reference_log {
         die("trace-hash audit FAILED: resumed chain diverged from the uninterrupted run");
     }
+    let suspended_at = first_log.lines().count();
     println!(
-        "trace-hash audit passed: {} links identical across kill/resume",
+        "trace-hash audit passed: {} links identical across kill/resume (suspended after {suspended_at})",
         reference.trace_hashes.len()
     );
 
     let checkpoint_bytes = std::fs::metadata(&checkpoint).map(|m| m.len()).unwrap_or(0) as usize;
-    let suspended_at = smoke_config(quick).max_iterations / 2;
     report::write_json(
         "BENCH_resume_smoke",
         &ResumeSmokeReport {

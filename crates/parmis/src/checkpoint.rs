@@ -1,10 +1,12 @@
 //! Checkpoint/resume state and the trace-hash audit for the resumable search runtime.
 //!
 //! A long-budget PaRMIS run can be interrupted (fuel exhaustion, a crash, a CI timeout) and
-//! continued later **bit-identically**: everything the trajectory depends on is captured in
-//! a [`SearchState`] — the observation history, the Pareto archive, the PHV trace, the RNG
-//! cursor and the round structure — while the expensive derived quantities (GP Cholesky
-//! factors, acquisition scratch) are deliberately excluded and recomputed on load by
+//! continued later **bit-identically**. A [`SearchState`] stores only what cannot be
+//! derived: the observation history (Algorithm 1's aggregate training data), the RNG
+//! cursor and the round structure. Everything else is a function of those and the
+//! configuration, and a resume rebuilds it with the code that built it the first time: the
+//! Pareto archive, the early-stopping counter and the trace-hash chain by appending every
+//! stored record through the search's one append step, and the GP Cholesky factors by
 //! replaying the exact model-fitting call sequence. A resumed run therefore produces the
 //! same [`ParmisOutcome`](crate::framework::ParmisOutcome) as an uninterrupted one, down to
 //! the last bit.
@@ -14,10 +16,11 @@
 //! Every evaluation appends one link to an FNV-1a-style **hash chain**
 //! ([`record_hash`] / [`hash_chain`]): the previous link folded with the record's iteration
 //! index, its candidate θ, its observed objective vector, its acquisition value and the RNG
-//! cursor at the time the record was appended. The chain is recorded in the checkpoint and
-//! in the final outcome, and re-verified on resume — a resumed or replayed run proves
-//! bit-identity to the uninterrupted trajectory by producing the same hash sequence, in the
-//! style of a deterministic scheduler's replay checks.
+//! cursor at the time the record was appended. The chain is carried by the final outcome;
+//! a checkpoint stores none of it, but its state digest folds the chain head recomputed
+//! from the stored history. A resumed or replayed run proves bit-identity to the
+//! uninterrupted trajectory by producing the same hash sequence, in the style of a
+//! deterministic scheduler's replay checks.
 //!
 //! # Format and versioning
 //!
@@ -27,23 +30,22 @@
 //! resuming into a silently divergent trajectory:
 //!
 //! * `config_digest` — a fold over every **trajectory-affecting** configuration field
-//!   (budgets, sampling/acquisition knobs, kernel family, seed, batch size). The one
-//!   scheduling knob, `num_workers`, is excluded, and segmentation (fuel, checkpoint
-//!   cadence) is not configuration at all, so a run suspended under a small fuel budget
-//!   can be resumed under a different one, on any worker count.
-//! * `state_digest` — a fold over the state itself (front snapshot, PHV trace, RNG words,
-//!   round structure, chain head), recomputed and compared on load.
+//!   (budgets, sampling/acquisition knobs, kernel family, seed, batch size, precision
+//!   tier). The one scheduling knob, `num_workers`, is excluded, and segmentation (fuel,
+//!   checkpoint cadence) is not configuration at all, so a run suspended under a small
+//!   fuel budget can be resumed under a different one, on any worker count.
+//! * `state_digest` — a fold over the state itself (objectives, RNG words, round
+//!   structure, history length and the chain head recomputed from the history),
+//!   recomputed and compared on load, so an edit to any stored record fails the load.
 
 use crate::framework::{IterationRecord, ParmisConfig};
 use crate::objective::Objective;
 use crate::{ParmisError, Result};
-use fastmath::Precision;
 use gp::kernel::KernelFamily;
-use moo::ParetoFront;
 use serde::{Deserialize, Serialize};
 
 /// Version stamp of the checkpoint JSON layout. Bump on any incompatible change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit offset basis: the head of every trace-hash chain.
 pub const TRACE_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -115,10 +117,8 @@ pub fn hash_chain(history: &[IterationRecord], rng_state: &[u64; 4]) -> Vec<u64>
 ///
 /// The scheduling knob `num_workers` is excluded: it changes wall-clock behavior, never the
 /// trajectory. Every stored checkpoint carries this digest and resume refuses a mismatch,
-/// so the fold order and the folded fields are part of the on-disk format.
-/// The precision tier *is* trajectory-affecting, but is folded in only when it differs
-/// from the default [`Precision::SeedExact`] so digests of pre-precision checkpoints stay
-/// valid.
+/// so the fold order and the folded fields are part of the on-disk format. The precision
+/// tier's name is folded last.
 pub fn config_digest(config: &ParmisConfig) -> u64 {
     let mut h = fold(TRACE_HASH_SEED, config.max_iterations as u64);
     h = fold(h, config.initial_samples as u64);
@@ -140,18 +140,16 @@ pub fn config_digest(config: &ParmisConfig) -> u64 {
     h = fold(h, config.convergence_window as u64);
     h = fold(h, config.seed);
     h = fold(h, config.batch_size as u64);
-    if config.precision != Precision::SeedExact {
-        h = fold_str(h, config.precision.name());
-    }
-    h
+    fold_str(h, config.precision.name())
 }
 
 /// A serializable snapshot of a suspended PaRMIS search, taken at an iteration boundary.
 ///
-/// Holds everything [`Parmis::segment`](crate::framework::Parmis::segment) needs to continue
-/// bit-identically; GP factors and solver scratch are recomputed on load. Serialize with
+/// Holds only what [`Parmis::segment`](crate::framework::Parmis::segment) cannot derive:
+/// the history, the RNG words and the round starts. The Pareto archive, the early-stopping
+/// counter, the trace-hash chain and the GP factors are rebuilt on resume. Serialize with
 /// [`to_json`](Self::to_json), reload with [`from_json`](Self::from_json) (which verifies
-/// the format version, both digests and the full trace-hash chain).
+/// the format version, the content and the state digest).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchState {
     /// Checkpoint layout version ([`FORMAT_VERSION`]).
@@ -160,31 +158,17 @@ pub struct SearchState {
     pub config_digest: u64,
     /// The design objectives, in evaluator order.
     pub objectives: Vec<Objective>,
-    /// The iteration the resumed run continues from (`== history.len()`).
-    pub next_iteration: usize,
     /// The xoshiro256++ state words of the main RNG at suspension.
     pub rng_state: Vec<u64>,
-    /// Consecutive front-stale iterations (early-stopping counter).
-    pub stale_iterations: usize,
     /// Every evaluation performed so far, in order.
     pub history: Vec<IterationRecord>,
-    /// Objective vectors of the Pareto archive at suspension (audit snapshot; the archive
-    /// is rebuilt from `history` on resume and verified against this).
-    pub front_objectives: Vec<Vec<f64>>,
-    /// Parameter vectors (tags) of the Pareto archive, aligned with `front_objectives`.
-    pub front_tags: Vec<Vec<f64>>,
-    /// PHV trajectory of the history so far, against the provisional reference point of
-    /// this prefix (informational; the final outcome recomputes the trajectory against the
-    /// full-history reference exactly like an uninterrupted run).
-    pub phv_trace: Vec<f64>,
-    /// Per-iteration trace-hash chain ([`hash_chain`]), re-verified on resume.
-    pub trace_hashes: Vec<u64>,
     /// Iteration index at which each completed model-guided round began, strictly
     /// increasing within `1..history.len()` (checked on load). Used to replay the exact
     /// model-fitting call sequence (last hyperopt refit, then each incremental extension)
     /// so the resumed GP cache is bit-identical to the uninterrupted one.
     pub round_starts: Vec<usize>,
-    /// Digest over the snapshot itself, recomputed and checked on load.
+    /// Digest over the snapshot itself, including the head of the trace-hash chain
+    /// recomputed from `history`; recomputed and checked on load.
     pub state_digest: u64,
 }
 
@@ -195,35 +179,24 @@ fn checkpoint_error(fault: CheckpointFault, reason: impl Into<String>) -> Parmis
 }
 
 impl SearchState {
-    /// Snapshots a running search (framework-internal; all digests are computed here).
-    #[allow(clippy::too_many_arguments)]
+    /// Snapshots a running search (framework-internal; the state digest is computed here).
     pub(crate) fn capture(
         config: &ParmisConfig,
         objectives: &[Objective],
         history: &[IterationRecord],
-        front: &ParetoFront<Vec<f64>>,
-        stale_iterations: usize,
         rng_state: [u64; 4],
-        trace_hashes: &[u64],
         round_starts: &[usize],
-        phv_trace: Vec<f64>,
     ) -> SearchState {
         let mut state = SearchState {
             format_version: FORMAT_VERSION,
             config_digest: config_digest(config),
             objectives: objectives.to_vec(),
-            next_iteration: history.len(),
             rng_state: rng_state.to_vec(),
-            stale_iterations,
             history: history.to_vec(),
-            front_objectives: front.iter().map(|e| e.objectives.clone()).collect(),
-            front_tags: front.iter().map(|e| e.tag.clone()).collect(),
-            phv_trace,
-            trace_hashes: trace_hashes.to_vec(),
             round_starts: round_starts.to_vec(),
             state_digest: 0,
         };
-        state.state_digest = state.compute_state_digest();
+        state.state_digest = state.compute_state_digest(&rng_state);
         state
     }
 
@@ -232,9 +205,13 @@ impl SearchState {
         self.history.len()
     }
 
-    /// The last link of the trace-hash chain (`None` for an empty state).
-    pub fn last_trace_hash(&self) -> Option<u64> {
-        self.trace_hashes.last().copied()
+    /// The trace-hash chain of the stored history ([`hash_chain`]), recomputed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParmisError::Checkpoint`] if the state does not hold exactly 4 RNG words.
+    pub fn trace_hashes(&self) -> Result<Vec<u64>> {
+        Ok(hash_chain(&self.history, &self.rng_words()?))
     }
 
     /// Serializes the state as pretty-printed JSON through the vendored serde stack.
@@ -253,8 +230,8 @@ impl SearchState {
     }
 
     /// Parses and fully verifies a checkpoint previously written by
-    /// [`to_json`](Self::to_json): format version, state digest, trace-hash chain and
-    /// internal shape invariants all must hold.
+    /// [`to_json`](Self::to_json): format version, internal shape invariants and the state
+    /// digest all must hold.
     ///
     /// # Errors
     ///
@@ -281,36 +258,23 @@ impl SearchState {
         })
     }
 
-    fn compute_state_digest(&self) -> u64 {
+    fn compute_state_digest(&self, rng: &[u64; 4]) -> u64 {
         let mut h = fold(TRACE_HASH_SEED, u64::from(self.format_version));
         h = fold(h, self.config_digest);
         for o in &self.objectives {
             h = fold_str(h, &format!("{o:?}"));
         }
-        h = fold(h, self.next_iteration as u64);
-        for &w in &self.rng_state {
+        for &w in rng {
             h = fold(h, w);
         }
-        h = fold(h, self.stale_iterations as u64);
-        h = fold(h, self.trace_hashes.len() as u64);
-        h = fold(h, self.last_trace_hash().unwrap_or(TRACE_HASH_SEED));
         for &b in &self.round_starts {
             h = fold(h, b as u64);
         }
-        h = fold(h, self.front_objectives.len() as u64);
-        for (objectives, tag) in self.front_objectives.iter().zip(&self.front_tags) {
-            for &x in objectives {
-                h = fold_f64(h, x);
-            }
-            for &x in tag {
-                h = fold_f64(h, x);
-            }
-        }
-        h = fold(h, self.phv_trace.len() as u64);
-        for &x in &self.phv_trace {
-            h = fold_f64(h, x);
-        }
-        h
+        h = fold(h, self.history.len() as u64);
+        let head = self.history.iter().fold(TRACE_HASH_SEED, |link, record| {
+            record_hash(link, record, rng)
+        });
+        fold(h, head)
     }
 
     /// Verifies the state's internal consistency without reference to a configuration.
@@ -328,12 +292,7 @@ impl SearchState {
                 ),
             ));
         }
-        if self.rng_state.len() != 4 {
-            return Err(checkpoint_error(
-                CheckpointFault::Invariant,
-                "checkpoint RNG state must have exactly 4 words",
-            ));
-        }
+        let rng = self.rng_words()?;
         if self.objectives.is_empty() {
             return Err(checkpoint_error(
                 CheckpointFault::Invariant,
@@ -341,27 +300,6 @@ impl SearchState {
             ));
         }
         let n = self.history.len();
-        if self.next_iteration != n {
-            return Err(checkpoint_error(
-                CheckpointFault::Invariant,
-                format!(
-                    "next_iteration {} disagrees with history length {n}",
-                    self.next_iteration
-                ),
-            ));
-        }
-        if self.trace_hashes.len() != n || self.phv_trace.len() != n {
-            return Err(checkpoint_error(
-                CheckpointFault::Invariant,
-                "trace-hash chain / PHV trace length disagrees with the history",
-            ));
-        }
-        if self.front_objectives.len() != self.front_tags.len() {
-            return Err(checkpoint_error(
-                CheckpointFault::Invariant,
-                "front snapshot objectives/tags are misaligned",
-            ));
-        }
         let k = self.objectives.len();
         for (i, record) in self.history.iter().enumerate() {
             if record.iteration != i {
@@ -395,12 +333,6 @@ impl SearchState {
                 ));
             }
         }
-        if !self.phv_trace.iter().all(|x| x.is_finite()) {
-            return Err(checkpoint_error(
-                CheckpointFault::Invariant,
-                "PHV trace contains non-finite values",
-            ));
-        }
         // A round's start is recorded before its evaluations and states are captured only
         // between rounds, so every start indexes a record and the starts strictly increase.
         let starts_in_range = self.round_starts.iter().all(|&b| (1..n).contains(&b));
@@ -413,15 +345,7 @@ impl SearchState {
                 ),
             ));
         }
-        let rng = self.rng_words()?;
-        if hash_chain(&self.history, &rng) != self.trace_hashes {
-            return Err(checkpoint_error(
-                CheckpointFault::TraceHashBreak,
-                "trace-hash chain does not match the recorded history (state was tampered \
-                 with, or written by an incompatible build)",
-            ));
-        }
-        if self.compute_state_digest() != self.state_digest {
+        if self.compute_state_digest(&rng) != self.state_digest {
             return Err(checkpoint_error(
                 CheckpointFault::DigestMismatch,
                 "state digest mismatch (checkpoint is corrupt)",
@@ -431,8 +355,7 @@ impl SearchState {
     }
 
     /// Full resume-compatibility check against a configuration and an evaluator's
-    /// objectives; returns the Pareto archive rebuilt from the history (verified against
-    /// the snapshot).
+    /// objectives and policy parameter count.
     ///
     /// # Errors
     ///
@@ -441,7 +364,8 @@ impl SearchState {
         &self,
         config: &ParmisConfig,
         objectives: &[Objective],
-    ) -> Result<ParetoFront<Vec<f64>>> {
+        parameter_dim: usize,
+    ) -> Result<()> {
         self.verify_integrity()?;
         if self.config_digest != config_digest(config) {
             return Err(checkpoint_error(
@@ -459,22 +383,18 @@ impl SearchState {
                 ),
             ));
         }
-        let mut front: ParetoFront<Vec<f64>> = ParetoFront::new(objectives.len());
-        for record in &self.history {
-            front.insert(record.objectives.clone(), record.theta.clone());
-        }
-        let rebuilt_objectives: Vec<&Vec<f64>> = front.iter().map(|e| &e.objectives).collect();
-        let snapshot_objectives: Vec<&Vec<f64>> = self.front_objectives.iter().collect();
-        let rebuilt_tags: Vec<&Vec<f64>> = front.iter().map(|e| &e.tag).collect();
-        let snapshot_tags: Vec<&Vec<f64>> = self.front_tags.iter().collect();
-        if rebuilt_objectives != snapshot_objectives || rebuilt_tags != snapshot_tags {
+        if let Some(record) = self.history.iter().find(|r| r.theta.len() != parameter_dim) {
             return Err(checkpoint_error(
-                CheckpointFault::Invariant,
-                "Pareto archive rebuilt from the history does not match the checkpoint's \
-                 front snapshot",
+                CheckpointFault::Incompatible,
+                format!(
+                    "checkpoint record {} has {} policy parameters, the evaluator's policy \
+                     has {parameter_dim}",
+                    record.iteration,
+                    record.theta.len()
+                ),
             ));
         }
-        Ok(front)
+        Ok(())
     }
 }
 
@@ -498,22 +418,12 @@ mod tests {
     fn toy_state_with_round_starts(round_starts: &[usize]) -> SearchState {
         let config = ParmisConfig::default();
         let history: Vec<IterationRecord> = (0..4).map(|i| record(i, i as f64 * 0.1)).collect();
-        let mut front = ParetoFront::new(2);
-        for r in &history {
-            front.insert(r.objectives.clone(), r.theta.clone());
-        }
-        let rng = [1, 2, 3, 4];
-        let hashes = hash_chain(&history, &rng);
         SearchState::capture(
             &config,
             &[Objective::ExecutionTime, Objective::Energy],
             &history,
-            &front,
-            1,
-            rng,
-            &hashes,
+            [1, 2, 3, 4],
             round_starts,
-            vec![0.0, 0.1, 0.2, 0.3],
         )
     }
 
@@ -568,10 +478,9 @@ mod tests {
             assert_ne!(config_digest(&changed), digest);
         }
 
-        // The fast precision tier changes the trajectory and must move the digest, but
-        // the default SeedExact tier is folded as *absence* so legacy digests stay valid.
+        // The fast precision tier changes the trajectory and must move the digest.
         let fast = ParmisConfig {
-            precision: Precision::Fast,
+            precision: fastmath::Precision::Fast,
             ..base.clone()
         };
         assert_ne!(config_digest(&fast), digest);
@@ -591,7 +500,10 @@ mod tests {
         let back = SearchState::from_json(&json).unwrap();
         assert_eq!(back, state);
         assert_eq!(back.evaluations(), 4);
-        assert_eq!(back.last_trace_hash(), state.trace_hashes.last().copied());
+        assert_eq!(
+            back.trace_hashes().unwrap(),
+            hash_chain(&state.history, &[1, 2, 3, 4])
+        );
     }
 
     #[test]
@@ -610,9 +522,9 @@ mod tests {
         wrong_version.format_version = FORMAT_VERSION + 1;
         assert!(wrong_version.verify_integrity().is_err());
 
-        // A truncated hash chain is refused.
+        // A truncated history is refused.
         let mut truncated = state.clone();
-        truncated.trace_hashes.pop();
+        truncated.history.pop();
         assert!(truncated.verify_integrity().is_err());
 
         // Malformed JSON is a structured checkpoint error, not a panic.
@@ -641,18 +553,18 @@ mod tests {
         let state = toy_state();
         let config = ParmisConfig::default();
         let objectives = [Objective::ExecutionTime, Objective::Energy];
-        let front = state.verify_for(&config, &objectives).unwrap();
-        assert_eq!(front.len(), state.front_objectives.len());
+        state.verify_for(&config, &objectives, 2).unwrap();
 
         let other = ParmisConfig {
             seed: 1234,
             ..config.clone()
         };
-        assert!(state.verify_for(&other, &objectives).is_err());
+        assert!(state.verify_for(&other, &objectives, 2).is_err());
         assert!(state
             .verify_for(
                 &config,
-                &[Objective::ExecutionTime, Objective::PeakTemperature]
+                &[Objective::ExecutionTime, Objective::PeakTemperature],
+                2
             )
             .is_err());
 
@@ -661,6 +573,6 @@ mod tests {
             num_workers: 3,
             ..config
         };
-        assert!(state.verify_for(&rescheduled, &objectives).is_ok());
+        assert!(state.verify_for(&rescheduled, &objectives, 2).is_ok());
     }
 }

@@ -23,13 +23,12 @@ pub enum CheckpointFault {
     /// A recomputed content digest disagrees with the recorded one (bit rot, torn write,
     /// or tampering).
     DigestMismatch,
-    /// The per-iteration trace-hash chain does not match the recorded history.
-    TraceHashBreak,
     /// An internal shape invariant is violated (misaligned lengths, non-finite values,
     /// malformed RNG state, …).
     Invariant,
     /// The artifact is internally valid but incompatible with the resuming
-    /// configuration, evaluator, or job (config digest / objectives mismatch).
+    /// configuration, evaluator, or job (config digest / objectives / parameter count
+    /// mismatch).
     Incompatible,
     /// A state could not be serialized for persistence.
     Serialize,
@@ -43,7 +42,6 @@ impl CheckpointFault {
             CheckpointFault::Parse => "parse",
             CheckpointFault::VersionMismatch => "version-mismatch",
             CheckpointFault::DigestMismatch => "digest-mismatch",
-            CheckpointFault::TraceHashBreak => "trace-hash-break",
             CheckpointFault::Invariant => "invariant",
             CheckpointFault::Incompatible => "incompatible",
             CheckpointFault::Serialize => "serialize",
@@ -232,7 +230,6 @@ mod tests {
             CheckpointFault::Parse,
             CheckpointFault::VersionMismatch,
             CheckpointFault::DigestMismatch,
-            CheckpointFault::TraceHashBreak,
             CheckpointFault::Invariant,
             CheckpointFault::Incompatible,
             CheckpointFault::Serialize,

@@ -63,8 +63,8 @@ pub struct ParmisConfig {
     /// default) reproduces the seed trajectory bit for bit, while [`Precision::Fast`]
     /// switches the RFF posterior-sample cosines inside the Pareto-front sampling step to
     /// the [`fastmath`] kernels (bounded, contract-tested error; still deterministic and
-    /// seeded, but a *different* deterministic trajectory than the exact tier). Excluded
-    /// from the configuration digest while `SeedExact` so legacy checkpoints stay valid.
+    /// seeded, but a *different* deterministic trajectory than the exact tier). Folded into
+    /// the configuration digest, so a checkpoint never resumes on the other tier.
     pub precision: Precision,
 }
 
@@ -331,12 +331,14 @@ impl Parmis {
     /// fresh state: a durability sink, so a crash loses at most one cadence window. A sink
     /// error aborts the segment.
     ///
-    /// A resumed segment restores the observation history, Pareto archive, RNG cursor and
-    /// convergence counters, rebuilds the GP cache by replaying the recorded
-    /// model-fitting call sequence, and re-verifies the per-iteration trace-hash chain
-    /// before any new evaluation happens. Fuel, cadence and cancellation only decide
-    /// *when* a segment stops, never what it computes: any segmentation of a search
-    /// yields the uninterrupted trajectory bit for bit.
+    /// A resumed segment first checks the state against this configuration and the
+    /// evaluator's objectives and parameter count. It then appends every stored record
+    /// through the step the live loop appends with, which rebuilds the Pareto archive, the
+    /// early-stopping counter and the trace-hash chain, and rebuilds the GP cache by
+    /// replaying the recorded model-fitting call sequence, all before any new evaluation
+    /// happens. Fuel, cadence and cancellation only decide *when* a segment stops, never
+    /// what it computes: any segmentation of a search yields the uninterrupted trajectory
+    /// bit for bit.
     ///
     /// # Errors
     ///
@@ -372,77 +374,58 @@ impl Parmis {
         let mut segment_evaluations = 0usize;
         let mut evals_since_checkpoint = 0usize;
 
-        let (
-            mut rng,
-            mut history,
-            mut front,
-            mut stale_iterations,
-            mut trace_hashes,
-            mut round_starts,
-        );
-        match resume_from {
+        let (mut trail, mut round_starts) = match resume_from {
             None => {
-                rng = StdRng::seed_from_u64(cfg.seed);
-                history = Vec::with_capacity(cfg.max_iterations);
-                front = ParetoFront::new(k);
-                stale_iterations = 0usize;
-                trace_hashes = Vec::with_capacity(cfg.max_iterations);
-                round_starts = Vec::new();
-
                 // --- Initial design (Algorithm 1, line 1) -----------------------------------
                 // The candidate parameters are drawn from a single sequential stream
                 // (independent of batch size and worker count) and then evaluated as one
                 // batch. This is the only place the main RNG is consumed, so its cursor is
                 // constant from here on — one stored state word set covers the whole chain.
+                let mut rng = StdRng::seed_from_u64(cfg.seed);
                 let initial = cfg.initial_samples.min(cfg.max_iterations).max(2);
                 let initial_thetas: Vec<Vec<f64>> = (0..initial)
                     .map(|_| (0..dim).map(|_| rng.gen_range(-bound..bound)).collect())
                     .collect();
                 let initial_values = evaluator.evaluate_batch(&initial_thetas)?;
-                let rng_words = rng.state();
+                let mut trail = Trail::new(k, rng.state(), cfg.max_iterations);
                 for (i, (theta, objectives_value)) in
                     initial_thetas.into_iter().zip(initial_values).enumerate()
                 {
                     self.check_objective_vector(&objectives_value, k)?;
-                    front.insert(objectives_value.clone(), theta.clone());
-                    let record = IterationRecord {
+                    trail.push(IterationRecord {
                         iteration: i,
                         theta,
                         objectives: objectives_value,
                         acquisition_value: None,
-                    };
-                    let prev = trace_hashes
-                        .last()
-                        .copied()
-                        .unwrap_or(checkpoint::TRACE_HASH_SEED);
-                    trace_hashes.push(checkpoint::record_hash(prev, &record, &rng_words));
-                    history.push(record);
+                    });
                 }
                 segment_evaluations += initial;
                 evals_since_checkpoint += initial;
+                (trail, Vec::new())
             }
             Some(state) => {
-                // Integrity + compatibility verification (format version, digests, hash
-                // chain, front snapshot) happens before a single evaluation is spent.
-                front = state.verify_for(cfg, &objectives)?;
-                rng = StdRng::from_state(state.rng_words()?);
-                stale_iterations = state.stale_iterations;
-                history = state.history;
-                trace_hashes = state.trace_hashes;
-                round_starts = state.round_starts;
+                // Integrity + compatibility verification (format version, digests, the
+                // evaluator's objectives and parameter count) happens before a single
+                // evaluation is spent.
+                state.verify_for(cfg, &objectives, dim)?;
+                let mut trail = Trail::new(k, state.rng_words()?, cfg.max_iterations);
+                for record in state.history {
+                    trail.push(record);
+                }
                 // Rebuild the GP cache exactly as the uninterrupted run would have left it
                 // by replaying the recorded model-fitting call sequence.
-                model_cache = self.replay_model_cache(&history, &round_starts, k, dim, bound)?;
+                model_cache =
+                    self.replay_model_cache(&trail.history, &state.round_starts, k, dim, bound)?;
+                (trail, state.round_starts)
             }
-        }
+        };
 
         // --- Model-guided iterations (Algorithm 1, lines 2-8), q candidates per round ------
         // Every stochastic choice below is seeded from (cfg.seed, iteration), and candidate
         // slots within a round are merged in order, so the full trajectory is a pure function
         // of the configuration — independent of batch evaluation scheduling, worker count,
         // and suspend/resume segmentation.
-        let rng_words = rng.state();
-        let mut iteration = history.len();
+        let mut iteration = trail.history.len();
         'rounds: while iteration < cfg.max_iterations {
             // Fuel / cancellation checks at the round boundary: suspend with a resumable
             // state instead of starting a round that should not (or cannot) be paid for.
@@ -458,24 +441,17 @@ impl Parmis {
             };
             if let Some(reason) = suspend_reason {
                 return Ok(SearchStep::Suspended {
-                    state: Box::new(self.snapshot(
-                        &objectives,
-                        &history,
-                        &front,
-                        stale_iterations,
-                        &rng,
-                        &trace_hashes,
-                        &round_starts,
-                    )),
+                    state: Box::new(self.snapshot(&objectives, &trail, &round_starts)),
                     reason,
                 });
             }
             let q = cfg.batch_size.min(cfg.max_iterations - iteration).max(1);
 
             // Line 3: learn statistical models from the aggregate training data.
+            let history = &trail.history;
             let xs: Vec<Vec<f64>> = history.iter().map(|r| r.theta.clone()).collect();
             round_starts.push(iteration);
-            self.fit_models(&xs, &history, k, dim, bound, iteration, &mut model_cache)?;
+            self.fit_models(&xs, history, k, dim, bound, iteration, &mut model_cache)?;
             let models = model_cache.as_deref().expect("fit_models fills the cache");
 
             // Line 4 (part 1): sample Pareto fronts of the model.
@@ -494,7 +470,7 @@ impl Parmis {
 
             // Line 4 (part 2): take the top-q information-gain candidates instead of the
             // argmax.
-            let incumbents: Vec<Vec<f64>> = front.tags().into_iter().cloned().collect();
+            let incumbents: Vec<Vec<f64>> = trail.front.tags().into_iter().cloned().collect();
             let optimizer = AcquisitionOptimizer::new(dim, bound, cfg.acquisition.clone());
             let selected = optimizer.maximize_batch(
                 models,
@@ -514,26 +490,13 @@ impl Parmis {
                 selected.into_iter().zip(values).enumerate()
             {
                 self.check_objective_vector(&objectives_value, k)?;
-                let improved = front.insert(objectives_value.clone(), theta.clone());
-                let record = IterationRecord {
+                trail.push(IterationRecord {
                     iteration: iteration + slot,
                     theta,
                     objectives: objectives_value,
                     acquisition_value: Some(acq_value),
-                };
-                let prev = trace_hashes
-                    .last()
-                    .copied()
-                    .unwrap_or(checkpoint::TRACE_HASH_SEED);
-                trace_hashes.push(checkpoint::record_hash(prev, &record, &rng_words));
-                history.push(record);
-
-                if improved {
-                    stale_iterations = 0;
-                } else {
-                    stale_iterations += 1;
-                }
-                if cfg.convergence_window > 0 && stale_iterations >= cfg.convergence_window {
+                });
+                if cfg.convergence_window > 0 && trail.stale_iterations >= cfg.convergence_window {
                     converged_at = Some(iteration + slot);
                     break 'rounds;
                 }
@@ -551,54 +514,32 @@ impl Parmis {
                 && evals_since_checkpoint >= checkpoint_every
                 && iteration < cfg.max_iterations
             {
-                on_checkpoint(&self.snapshot(
-                    &objectives,
-                    &history,
-                    &front,
-                    stale_iterations,
-                    &rng,
-                    &trace_hashes,
-                    &round_starts,
-                ))?;
+                on_checkpoint(&self.snapshot(&objectives, &trail, &round_starts))?;
                 evals_since_checkpoint = 0;
             }
         }
 
         Ok(SearchStep::Completed(Box::new(build_outcome(
             objectives,
-            front,
-            history,
-            trace_hashes,
+            trail,
             converged_at,
         ))))
     }
 
-    /// Captures the running search as a [`SearchState`] (round-boundary invariant: the
-    /// history, archive, hash chain and round structure are all mutually consistent here).
-    #[allow(clippy::too_many_arguments)]
+    /// Captures the running search as a [`SearchState`] at a round boundary, where the
+    /// history and the round structure are consistent.
     fn snapshot(
         &self,
         objectives: &[Objective],
-        history: &[IterationRecord],
-        front: &ParetoFront<Vec<f64>>,
-        stale_iterations: usize,
-        rng: &StdRng,
-        trace_hashes: &[u64],
+        trail: &Trail,
         round_starts: &[usize],
     ) -> SearchState {
-        let k = objectives.len();
-        let reference = phv_reference(history, k);
-        let phv_trace = phv_trajectory(history, &reference, k);
         SearchState::capture(
             &self.config,
             objectives,
-            history,
-            front,
-            stale_iterations,
-            rng.state(),
-            trace_hashes,
+            &trail.history,
+            trail.rng_words,
             round_starts,
-            phv_trace,
         )
     }
 
@@ -788,16 +729,70 @@ fn lengthscale_grid(dim: usize, bound: f64) -> Vec<f64> {
         .collect()
 }
 
+/// The search's aggregate training data D (Algorithm 1, line 6) and what is derived from it
+/// record by record: the Pareto archive, the early-stopping counter and the trace-hash
+/// chain. The initial design, the model-guided rounds and a resume all append through
+/// [`push`](Self::push), so a resume is the live loop run over the stored records.
+struct Trail {
+    history: Vec<IterationRecord>,
+    front: ParetoFront<Vec<f64>>,
+    /// Consecutive model-guided evaluations that left the front unchanged.
+    stale_iterations: usize,
+    trace_hashes: Vec<u64>,
+    /// The main RNG's cursor, constant once the initial design is drawn.
+    rng_words: [u64; 4],
+}
+
+impl Trail {
+    fn new(k: usize, rng_words: [u64; 4], capacity: usize) -> Trail {
+        Trail {
+            history: Vec::with_capacity(capacity),
+            front: ParetoFront::new(k),
+            stale_iterations: 0,
+            trace_hashes: Vec::with_capacity(capacity),
+            rng_words,
+        }
+    }
+
+    /// Appends one evaluation: the archive insert, the stale counter (moved only by
+    /// records with an acquisition value, since the initial design never moves it), the
+    /// next chain link, and the history push.
+    fn push(&mut self, record: IterationRecord) {
+        let improved = self
+            .front
+            .insert(record.objectives.clone(), record.theta.clone());
+        if record.acquisition_value.is_some() {
+            self.stale_iterations = if improved {
+                0
+            } else {
+                self.stale_iterations + 1
+            };
+        }
+        let previous = self
+            .trace_hashes
+            .last()
+            .copied()
+            .unwrap_or(checkpoint::TRACE_HASH_SEED);
+        self.trace_hashes
+            .push(checkpoint::record_hash(previous, &record, &self.rng_words));
+        self.history.push(record);
+    }
+}
+
 /// Builds the final outcome of a completed run (PHV trajectory against the full-history
 /// reference point). Fresh and resumed segments share this, so resume bit-identity extends
 /// to the post-processed fields.
 fn build_outcome(
     objectives: Vec<Objective>,
-    front: ParetoFront<Vec<f64>>,
-    history: Vec<IterationRecord>,
-    trace_hashes: Vec<u64>,
+    trail: Trail,
     converged_at: Option<usize>,
 ) -> ParmisOutcome {
+    let Trail {
+        history,
+        front,
+        trace_hashes,
+        ..
+    } = trail;
     let k = objectives.len();
     let reference_point = phv_reference(&history, k);
     let phv_history = phv_trajectory(&history, &reference_point, k);

@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 /// Journal document layout version. A journal of another version fails verification, so
 /// the supervisor quarantines it and rebuilds the job table from the checkpoints.
-pub const JOURNAL_FORMAT_VERSION: u32 = 2;
+pub const JOURNAL_FORMAT_VERSION: u32 = 3;
 
 /// File name of the journal inside a store root.
 pub const JOURNAL_FILE: &str = "journal.json";
@@ -131,8 +131,6 @@ pub struct JobEntry {
     pub attempts: usize,
     /// Sequence number of the newest durable checkpoint, if any.
     pub checkpoint_seq: Option<u64>,
-    /// Last link of the trace-hash chain at the newest checkpoint (or at completion).
-    pub last_trace_hash: Option<u64>,
     /// Digest of the final outcome (fronts + trace chain), set when `Done`. Two
     /// processes that finish the same job must record the same digest — this is the
     /// cross-crash bit-identity receipt.
@@ -152,7 +150,6 @@ impl JobEntry {
             evaluations: 0,
             attempts: 0,
             checkpoint_seq: None,
-            last_trace_hash: None,
             outcome_digest: None,
             note: None,
         }
@@ -186,7 +183,6 @@ impl JobEntry {
         h = fold(h, self.evaluations as u64);
         h = fold(h, self.attempts as u64);
         h = fold(h, self.checkpoint_seq.map(|s| s + 1).unwrap_or(0));
-        h = fold(h, self.last_trace_hash.unwrap_or(0));
         h = fold(h, self.outcome_digest.unwrap_or(0));
         if let Some(note) = &self.note {
             h = fold_str(h, note);
@@ -351,7 +347,6 @@ mod tests {
         a.transition(JobPhase::Suspended).unwrap();
         a.checkpoint_seq = Some(1);
         a.evaluations = 9;
-        a.last_trace_hash = Some(0xdead_beef);
         journal.insert(a).unwrap();
         journal.insert(JobEntry::pending("beta", 22)).unwrap();
         journal

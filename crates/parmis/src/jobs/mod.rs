@@ -29,8 +29,8 @@
 //!   segments are retried under a bounded restart policy before the job is marked
 //!   `Failed`. On startup, [`JobSupervisor::open`] scans the directory, verifies every
 //!   journal entry and checkpoint digest, and resumes every interrupted job
-//!   bit-identically — the per-iteration trace-hash chain is re-audited before any new
-//!   evaluation happens.
+//!   bit-identically — the resumed segment rebuilds the per-iteration trace-hash chain
+//!   from the stored history before any new evaluation happens.
 //!
 //! Because segmentation, scheduling and supervision never change a search trajectory,
 //! the fleet's outcomes are a deterministic function of the job configurations alone:

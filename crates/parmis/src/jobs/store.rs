@@ -272,7 +272,7 @@ impl CheckpointStore {
     }
 
     /// Loads the newest generation of `job` that passes full verification (format
-    /// version, both digests, trace-hash chain). Every newer generation that fails is
+    /// version, content checks, state digest). Every newer generation that fails is
     /// moved to quarantine with a reason side-car; the walk continues to the newest
     /// valid predecessor.
     ///

@@ -211,13 +211,13 @@ enum SegmentResult {
     /// The search ran to completion.
     Completed(Box<ParmisOutcome>),
     /// Suspended. `saved` is the newest durable checkpoint this segment produced as
-    /// `(seq, evaluations, last_trace_hash)`; `None` means the segment was cancelled
-    /// before its first checkpoint (the job falls back to whatever the journal already
-    /// records — its previous checkpoint, or `Pending` if it never had one). `reason` is
+    /// `(seq, evaluations)`; `None` means the segment was cancelled before its first
+    /// checkpoint (the job falls back to whatever the journal already records — its
+    /// previous checkpoint, or `Pending` if it never had one). `reason` is
     /// [`StopReason::FuelExhausted`] (the normal segmentation rhythm) or
     /// [`StopReason::Cancelled`] (drain, deadline, segment watchdog, stall, signal).
     Suspended {
-        saved: Option<(u64, usize, Option<u64>)>,
+        saved: Option<(u64, usize)>,
         reason: StopReason,
     },
     /// The segment faulted; subject to the bounded-restart policy.
@@ -374,7 +374,6 @@ impl JobSupervisor {
                 Some((seq, state)) => {
                     entry.checkpoint_seq = Some(seq);
                     entry.evaluations = state.evaluations();
-                    entry.last_trace_hash = state.last_trace_hash();
                     entry.note = Some("rebuilt from checkpoint after journal loss".to_string());
                     entry.transition(JobPhase::Suspended)?;
                 }
@@ -413,7 +412,6 @@ impl JobSupervisor {
                         Some((seq, state)) => {
                             entry.checkpoint_seq = Some(seq);
                             entry.evaluations = state.evaluations();
-                            entry.last_trace_hash = state.last_trace_hash();
                             entry.note = Some("interrupted mid-segment; recovered".to_string());
                             entry.transition(JobPhase::Suspended)?;
                         }
@@ -446,7 +444,6 @@ impl JobSupervisor {
                             }
                             entry.checkpoint_seq = Some(seq);
                             entry.evaluations = state.evaluations();
-                            entry.last_trace_hash = state.last_trace_hash();
                         }
                         None => {
                             charge_checkpoint_loss(
@@ -718,10 +715,10 @@ impl JobSupervisor {
         let watchdog = (self.config.segment_wall_ms > 0).then(|| {
             CancelSource::with_deadline(Duration::from_millis(self.config.segment_wall_ms))
         });
-        let mut last_saved: Option<(u64, usize, Option<u64>)> = None;
+        let mut last_saved: Option<(u64, usize)> = None;
         let mut sink = |state: &SearchState| -> Result<()> {
             let seq = self.store.save(&spec.id, state)?;
-            last_saved = Some((seq, state.evaluations(), state.last_trace_hash()));
+            last_saved = Some((seq, state.evaluations()));
             if watchdog.as_ref().is_some_and(CancelSource::is_cancelled) {
                 // Suspend-and-reschedule, never kill: the search stops at the next round
                 // boundary, whose state is the one just saved.
@@ -744,11 +741,9 @@ impl JobSupervisor {
                 // A suspension right after a cadence save holds that save's state: reuse
                 // its generation instead of writing the same state again.
                 let saved = match last_saved {
-                    Some(saved @ (_, evaluations, _)) if evaluations == state.evaluations() => {
-                        saved
-                    }
+                    Some(saved @ (_, evaluations)) if evaluations == state.evaluations() => saved,
                     _ => match self.store.save(&spec.id, &state) {
-                        Ok(seq) => (seq, state.evaluations(), state.last_trace_hash()),
+                        Ok(seq) => (seq, state.evaluations()),
                         Err(e) => return SegmentResult::Faulted(e),
                     },
                 };
@@ -783,7 +778,6 @@ impl JobSupervisor {
         match result {
             SegmentResult::Completed(outcome) => {
                 entry.evaluations = outcome.history.len();
-                entry.last_trace_hash = outcome.trace_hashes.last().copied();
                 entry.outcome_digest = Some(outcome_digest(&outcome));
                 entry.note = None;
                 entry.transition(JobPhase::Done)?;
@@ -791,13 +785,12 @@ impl JobSupervisor {
             }
             SegmentResult::Suspended { saved, reason } => {
                 let progressed = match saved {
-                    Some((_, evaluations, _)) => evaluations > entry.evaluations,
+                    Some((_, evaluations)) => evaluations > entry.evaluations,
                     None => false,
                 };
-                if let Some((seq, evaluations, last_trace_hash)) = saved {
+                if let Some((seq, evaluations)) = saved {
                     entry.checkpoint_seq = Some(seq);
                     entry.evaluations = evaluations;
-                    entry.last_trace_hash = last_trace_hash;
                 }
                 // A stall that suspended without any forward progress is a hung worker,
                 // not a scheduling pause: it consumes the bounded restart budget exactly
@@ -871,7 +864,6 @@ fn charge_checkpoint_loss(
 ) -> Result<()> {
     entry.checkpoint_seq = None;
     entry.evaluations = 0;
-    entry.last_trace_hash = None;
     entry.attempts += 1;
     entry.note = Some(note.to_string());
     if entry.attempts > config.max_restarts {

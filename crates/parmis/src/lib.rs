@@ -45,7 +45,9 @@
 //! runs a search in fuel-bounded segments, each of which suspends cleanly at an iteration
 //! boundary with a serializable [`checkpoint::SearchState`] that the next segment
 //! continues **bit-identically** — verified by a per-iteration trace-hash chain
-//! ([`checkpoint::hash_chain`]) recorded in every checkpoint and outcome. The evaluation
+//! ([`checkpoint::hash_chain`]) recorded in every outcome. A checkpoint stores only the
+//! history, the RNG words and the round starts; a resume rebuilds the archive, the
+//! early-stopping counter and the chain by appending the stored records. The evaluation
 //! seam is fault-tolerant: backend panics are contained into structured errors, failures
 //! are retried under a bounded [`evaluation::RetryPolicy`], and exhausted retries
 //! either fail fast or degrade the candidate to a penalty vector

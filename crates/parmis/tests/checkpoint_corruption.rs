@@ -143,7 +143,7 @@ fn bit_flips_at_every_offset_stride_never_panic_or_pass_silently() {
 fn targeted_tampering_yields_distinct_fault_classes() {
     let (state, json) = real_checkpoint(7);
 
-    let bumped = json.replace("\"format_version\": 1", "\"format_version\": 2");
+    let bumped = json.replace("\"format_version\": 2", "\"format_version\": 3");
     assert_ne!(bumped, json);
     assert_eq!(
         assert_survives(&state, &bumped, "version bump"),
@@ -158,22 +158,13 @@ fn targeted_tampering_yields_distinct_fault_classes() {
         Some(CheckpointFault::DigestMismatch)
     );
 
-    // Rewriting one recorded trace-hash link breaks the chain before the digest check.
-    let link = state.trace_hashes[state.trace_hashes.len() / 2];
-    let tampered = json.replacen(&link.to_string(), "1", 1);
-    assert_ne!(tampered, json);
-    assert_eq!(
-        assert_survives(&state, &tampered, "trace link"),
-        Some(CheckpointFault::TraceHashBreak)
-    );
-
-    // Editing an observed value without re-folding the chain is also a chain break.
+    // Editing an observed value moves the chain head the state digest folds.
     let mut edited: SearchState = state.clone();
     edited.history[0].objectives[0] += 0.25;
     let tampered = edited.to_json().expect("serialize");
     assert_eq!(
         assert_survives(&state, &tampered, "history value"),
-        Some(CheckpointFault::TraceHashBreak)
+        Some(CheckpointFault::DigestMismatch)
     );
 
     // Malformed RNG state is a shape invariant.
@@ -185,16 +176,16 @@ fn targeted_tampering_yields_distinct_fault_classes() {
         Some(CheckpointFault::Invariant)
     );
 
-    // Misaligned next_iteration is a shape invariant too.
+    // A record out of place is a shape invariant too.
     let mut edited = state.clone();
-    edited.next_iteration += 1;
+    edited.history[1].iteration += 1;
     let tampered = edited.to_json().expect("serialize");
     assert_eq!(
-        assert_survives(&state, &tampered, "next_iteration"),
+        assert_survives(&state, &tampered, "record index"),
         Some(CheckpointFault::Invariant)
     );
 
-    for garbage in ["", "{}", "null", "[1,2,3]", "{\"format_version\": 1}"] {
+    for garbage in ["", "{}", "null", "[1,2,3]", "{\"format_version\": 2}"] {
         assert_eq!(
             assert_survives(&state, garbage, "garbage"),
             Some(CheckpointFault::Parse),
@@ -215,7 +206,7 @@ fn store_quarantines_matrix_corruptions_and_falls_back() {
         ("garbage", "{not json".to_string()),
         (
             "version",
-            json.replace("\"format_version\": 1", "\"format_version\": 2"),
+            json.replace("\"format_version\": 2", "\"format_version\": 3"),
         ),
         (
             "digest",
@@ -272,6 +263,6 @@ fn resume_rejects_tampered_state_with_structured_error() {
     assert!(matches!(err, ParmisError::Checkpoint { .. }), "got {err}");
     assert_eq!(
         err.checkpoint_fault(),
-        Some(CheckpointFault::TraceHashBreak)
+        Some(CheckpointFault::DigestMismatch)
     );
 }

@@ -16,7 +16,7 @@ use parmis::framework::{Parmis, ParmisConfig, ParmisOutcome, SearchStep, StopRea
 use parmis::objective::Objective;
 use parmis::pareto_sampling::ParetoSamplingConfig;
 use parmis::prelude::Precision;
-use parmis::{ParmisError, Result};
+use parmis::{CheckpointFault, ParmisError, Result};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -150,6 +150,28 @@ fn run_segmented(
         step = segment(&search, evaluator, Some(restored), fuel).unwrap();
     }
     (step.into_completed().unwrap(), segments)
+}
+
+/// The synthetic problem over its first two parameters, the third held at 0: the same
+/// objectives over a policy with another parameter count.
+struct TwoParameters(SyntheticEvaluator);
+
+impl PolicyEvaluator for TwoParameters {
+    fn parameter_dim(&self) -> usize {
+        2
+    }
+
+    fn parameter_bound(&self) -> f64 {
+        self.0.parameter_bound()
+    }
+
+    fn objectives(&self) -> &[Objective] {
+        self.0.objectives()
+    }
+
+    fn evaluate(&self, theta: &[f64]) -> Result<Vec<f64>> {
+        self.0.evaluate(&[theta[0], theta[1], 0.0])
+    }
 }
 
 /// Wraps an evaluator so that the shared [`CancelSource`] trips (with
@@ -324,8 +346,9 @@ fn cadence_checkpoints_are_valid_resume_points() {
 }
 
 /// A suspended state is refused by incompatible resumers: a configuration whose
-/// trajectory-affecting fields differ, or an evaluator with different objectives. Both
-/// are structured [`ParmisError::Checkpoint`] failures, not silent divergence.
+/// trajectory-affecting fields differ, an evaluator with different objectives, or one
+/// whose policy has another parameter count. All are structured
+/// [`ParmisError::Checkpoint`] failures raised before any replay, not silent divergence.
 #[test]
 fn resume_rejects_incompatible_config_and_evaluator() {
     let evaluator = SyntheticEvaluator::new();
@@ -350,6 +373,21 @@ fn resume_rejects_incompatible_config_and_evaluator() {
     let err = segment(&Parmis::new(config.clone()), &other, Some(state.clone()), 0).unwrap_err();
     assert!(matches!(err, ParmisError::Checkpoint { .. }), "{err}");
 
+    // Same objectives over a policy with 2 parameters instead of 3 → refused.
+    let narrower = TwoParameters(SyntheticEvaluator::new());
+    let err = segment(
+        &Parmis::new(config.clone()),
+        &narrower,
+        Some(state.clone()),
+        0,
+    )
+    .unwrap_err();
+    assert_eq!(
+        err.checkpoint_fault(),
+        Some(CheckpointFault::Incompatible),
+        "{err}"
+    );
+
     // Scheduling is resume-compatible: a different worker count or fuel budget accepts
     // the state (this is the whole point of fuel-bounded segments).
     let rescheduled = Parmis::new(ParmisConfig {
@@ -361,6 +399,35 @@ fn resume_rejects_incompatible_config_and_evaluator() {
         .into_completed()
         .unwrap();
     assert_eq!(outcome.history.len(), 11);
+}
+
+/// Resume equivalence with early stopping on: a resumed segment rebuilds the stale counter
+/// by appending the stored records, so every segmentation stops on the same record, for
+/// the same reason, as the uninterrupted run.
+#[test]
+fn segmented_runs_stop_where_the_uninterrupted_run_converges() {
+    let evaluator = SyntheticEvaluator::new();
+    let mut converged = 0;
+    for window in [2, 3] {
+        for seed in 0..4 {
+            let config = ParmisConfig {
+                convergence_window: window,
+                ..tiny_config(seed, 21)
+            };
+            let reference = Parmis::new(config.clone()).run(&evaluator).unwrap();
+            converged += usize::from(reference.converged_at.is_some());
+            for fuel in 1..9 {
+                let label = format!("window {window}, seed {seed}, fuel {fuel}");
+                let (resumed, _) = run_segmented(&config, fuel, &evaluator);
+                assert_outcomes_identical(&reference, &resumed, &label);
+                assert_eq!(resumed.stop_reason, reference.stop_reason, "{label}");
+            }
+        }
+    }
+    assert!(
+        converged > 0,
+        "no reference run converged, so no stale counter was read"
+    );
 }
 
 /// Fuel bounds the one segment it is passed to: the same `Parmis` suspends a fueled
@@ -381,16 +448,20 @@ fn fuel_suspends_a_segment_and_never_a_plain_run() {
     assert_eq!(outcome.stop_reason, StopReason::BudgetExhausted);
 }
 
-/// `config_digest(&ParmisConfig::default())`, recorded when the fixture below was written.
-/// Every stored checkpoint carries its configuration's digest, and resume refuses a
-/// mismatch, so moving this value orphans every checkpoint on disk.
-const DEFAULT_CONFIG_DIGEST: u64 = 0xb009_d269_f2d1_7aca;
+/// `config_digest(&ParmisConfig::default())`, recorded when the digest began to fold the
+/// precision tier of every configuration (checkpoint format 2). Every stored checkpoint
+/// carries its configuration's digest, and resume refuses a mismatch, so moving this value
+/// orphans every checkpoint on disk.
+const DEFAULT_CONFIG_DIGEST: u64 = 0xf50e_0b13_586e_76d3;
 
 /// Final trace hash of the uninterrupted `tiny_config(7, 11)` search.
 const TINY_SEARCH_FINAL_HASH: u64 = 0x1217_047d_afcf_065a;
 
 /// A checkpoint written by an earlier build still loads, verifies and resumes to the
 /// recorded trajectory: the fixture is the fuel-6 suspension of `tiny_config(7, 11)`.
+/// After a format change, regenerate it with the call that wrote it,
+/// `segment(&Parmis::new(tiny_config(7, 11)), &SyntheticEvaluator::new(), None, 6)`,
+/// serialized with `SearchState::to_json`.
 #[test]
 fn stored_checkpoint_fixture_resumes_to_the_pinned_trace_hash() {
     assert_eq!(

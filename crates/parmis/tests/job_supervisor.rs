@@ -244,7 +244,6 @@ fn interrupted_jobs_resume_bit_identically_after_simulated_crash() {
         interrupted.segments = 1;
         interrupted.checkpoint_seq = Some(seq);
         interrupted.evaluations = state.evaluations();
-        interrupted.last_trace_hash = state.last_trace_hash();
         journal.insert(interrupted).expect("insert");
         let mut fresh = JobEntry::pending(&specs[1].id, config_digest(&specs[1].config));
         fresh.transition(JobPhase::Running).expect("legal");
@@ -443,7 +442,6 @@ fn corrupt_newest_generation_falls_back_and_still_converges() {
         entry.segments = 2;
         entry.checkpoint_seq = Some(seq);
         entry.evaluations = second.evaluations();
-        entry.last_trace_hash = second.last_trace_hash();
         entry.transition(JobPhase::Suspended).expect("legal");
         journal.insert(entry).expect("insert");
         atomic_write(
