@@ -18,9 +18,13 @@
 //! * an armed [`CrashPlan`] that aborts during the N-th durable write — *before* or
 //!   *after* the atomic rename, i.e. mid-checkpoint-write;
 //!
-//! and, after the first kill, corrupts the newest checkpoint generation of one job in
-//! place to exercise quarantine fallback. Each restart must recover cleanly (no
-//! corrupt-state panic); the final run completes the fleet and writes per-job outcome
+//! and, after the first kill that finds a checkpoint on disk, corrupts the newest checkpoint
+//! generation of one job in place to exercise quarantine fallback. A kill counts only when
+//! the supervisor died by a signal, and a corruption drill only when a bit was flipped; a
+//! fleet that ends with neither while time remains fails the soak. A planned kill that
+//! missed (the drive finished first) restarts the fleet from an empty directory with crash
+//! points that must land, at most [`MAX_RESTARTS`] times. Each restart must recover cleanly
+//! (no corrupt-state panic); the final run completes the fleet and writes per-job outcome
 //! digests, which must be **bit-identical** to the uninterrupted references for every
 //! worker count. `--max-seconds` maps the whole drill schedule onto a
 //! [`parmis::cancel`] deadline source: once the budget expires, remaining drain/kill
@@ -35,10 +39,15 @@ use parmis::jobs::{
 };
 use parmis::prelude::*;
 use serde::Serialize;
+use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const FLEET: u64 = 4;
+
+/// Times one worker count's fleet may restart from an empty directory after a planned kill
+/// missed.
+const MAX_RESTARTS: usize = 3;
 
 fn die(message: &str) -> ! {
     eprintln!("job_soak: {message}");
@@ -228,15 +237,16 @@ fn phase_drive(
 }
 
 /// Flip one bit in the newest checkpoint generation of a random job — the in-place rot
-/// the quarantine path must absorb.
-fn corrupt_one_checkpoint(dir: &Path, rng: &mut SoakRng) {
+/// the quarantine path must absorb. Returns whether a bit was flipped: a kill before the
+/// first checkpoint landed leaves nothing to corrupt.
+fn corrupt_one_checkpoint(dir: &Path, rng: &mut SoakRng) -> bool {
     let store = parmis::jobs::CheckpointStore::open(dir, 32)
         .unwrap_or_else(|e| die(&format!("opening store for corruption drill failed: {e}")));
     let jobs = store
         .jobs_on_disk()
         .unwrap_or_else(|e| die(&format!("scanning store failed: {e}")));
     if jobs.is_empty() {
-        return; // killed before the first checkpoint ever landed
+        return false;
     }
     let job = &jobs[(rng.next() % jobs.len() as u64) as usize];
     let Some((seq, path)) = store
@@ -244,7 +254,7 @@ fn corrupt_one_checkpoint(dir: &Path, rng: &mut SoakRng) {
         .unwrap_or_else(|e| die(&format!("listing generations failed: {e}")))
         .pop()
     else {
-        return;
+        return false;
     };
     let mut bytes = std::fs::read(&path)
         .unwrap_or_else(|e| die(&format!("reading {} failed: {e}", path.display())));
@@ -253,6 +263,7 @@ fn corrupt_one_checkpoint(dir: &Path, rng: &mut SoakRng) {
     std::fs::write(&path, &bytes)
         .unwrap_or_else(|e| die(&format!("corrupting {} failed: {e}", path.display())));
     println!("orchestrator: corrupted {job} generation {seq} (bit flip at byte {offset})");
+    true
 }
 
 #[derive(Serialize)]
@@ -261,6 +272,7 @@ struct WorkerSoakReport {
     drain_drills: usize,
     kills: usize,
     attempts: usize,
+    restarts: usize,
     corruption_drills: usize,
     quarantined_files: usize,
     bitwise_match: bool,
@@ -378,9 +390,24 @@ fn orchestrate(quick: bool, seed: u64, max_seconds: Option<u64>, results_dir: &P
             }
         }
 
+        // A kill counts only when the drive died by a signal, and a corruption drill only
+        // when a bit was flipped. A planned kill can miss: its timer may fire, or its write
+        // index may lie, past the drive's last write. When one misses on a fleet still owed
+        // a kill or a corruption drill, the fleet restarts from an empty directory, whose
+        // first durable write (the journal `open` writes) always comes.
+        let mut restarts = 0usize;
         loop {
             attempts += 1;
-            let mode = if kills >= max_kills || budget_expired(&time_budget) {
+            let mode = if budget_expired(&time_budget) {
+                KillMode::Clean
+            } else if kills == 0 && restarts > 0 {
+                KillMode::Write(1, CrashStage::AfterRename)
+            } else if kills > 0 && corruption_drills == 0 && kills < max_kills + 2 {
+                // Nothing was on disk to corrupt, so nothing durable has happened yet: the
+                // journal writes of `open`, `run` and the first wave come before the first
+                // checkpoint, and a write index past them still comes.
+                KillMode::Write(rng.range(4, 8), CrashStage::AfterRename)
+            } else if kills >= max_kills {
                 KillMode::Clean
             } else if rng.next() % 2 == 0 {
                 KillMode::Timer(rng.range(5, if quick { 400 } else { 1500 }))
@@ -417,19 +444,49 @@ fn orchestrate(quick: bool, seed: u64, max_seconds: Option<u64>, results_dir: &P
                 .status()
                 .unwrap_or_else(|e| die(&format!("spawning drive failed: {e}")));
             if status.success() {
-                break;
+                let owed = kills == 0 || corruption_drills == 0;
+                if matches!(mode, KillMode::Clean)
+                    || !owed
+                    || restarts == MAX_RESTARTS
+                    || budget_expired(&time_budget)
+                {
+                    break;
+                }
+                restarts += 1;
+                println!(
+                    "orchestrator: workers={workers} planned kill {mode:?} missed (the drive \
+                     finished first) with {kills} kills and {corruption_drills} corruption \
+                     drills; restarting the fleet from an empty directory ({restarts} of \
+                     {MAX_RESTARTS})"
+                );
+                std::fs::remove_dir_all(&dir)
+                    .unwrap_or_else(|e| die(&format!("clearing {} failed: {e}", dir.display())));
+                kills = 0;
+                corruption_drills = 0;
+                continue;
             }
             if matches!(mode, KillMode::Clean) {
                 die(&format!(
                     "clean attempt (workers={workers}) failed with {status}: recovery is broken"
                 ));
             }
+            if status.signal().is_none() {
+                die(&format!(
+                    "attempt {attempts} (workers={workers}, {mode:?}) exited with {status} \
+                     instead of being killed: the drive failed"
+                ));
+            }
             kills += 1;
             println!("orchestrator: supervisor died ({status}); drilling recovery");
-            if kills == 1 {
-                corrupt_one_checkpoint(&dir, &mut rng);
+            if corruption_drills == 0 && corrupt_one_checkpoint(&dir, &mut rng) {
                 corruption_drills += 1;
             }
+        }
+        if !budget_expired(&time_budget) && (kills == 0 || corruption_drills == 0) {
+            die(&format!(
+                "workers={workers}: the fleet ended with {kills} kills and {corruption_drills} \
+                 corruption drills after {restarts} restarts while the time budget remained"
+            ));
         }
 
         let digests = read_digests(&dir);
@@ -446,14 +503,16 @@ fn orchestrate(quick: bool, seed: u64, max_seconds: Option<u64>, results_dir: &P
             .map(|q| q.len())
             .unwrap_or(0);
         println!(
-            "workers={workers}: {drain_drills} drains, {kills} kills, {attempts} attempts, \
-             {quarantined_files} quarantined, bitwise_match={matched}"
+            "workers={workers}: {drain_drills} drains, {kills} kills, {corruption_drills} \
+             corruption drills, {attempts} attempts, {restarts} restarts, {quarantined_files} \
+             quarantined, bitwise_match={matched}"
         );
         runs.push(WorkerSoakReport {
             workers,
             drain_drills,
             kills,
             attempts,
+            restarts,
             corruption_drills,
             quarantined_files,
             bitwise_match: matched,

@@ -14,11 +14,11 @@
 //! Error contract (enforced in `tests/accuracy.rs`): absolute error vs `f64::cos` is
 //! `<= 1e-12` over the whole fast domain; sweeps observe `<= 2` ULP.
 //!
-//! [`fast_cos_slice`] / [`fused_cos_axpy`] apply the same kernel over a slice with a
-//! straight-line (select-based, branch-free) main pass so the compiler can vectorize,
-//! and a separate patch-up pass for the rare out-of-domain lanes. They are
-//! **bit-identical to mapping [`fast_cos`] element-wise** — chunking never changes bits,
-//! which is what lets the fast tier commit stable goldens of its own.
+//! [`fast_cos_slice`] / [`fast_cos_block`] apply the same kernel over a slice or a
+//! fixed-size block with a straight-line (mask-based, branch-free) main pass so the
+//! compiler can vectorize, and a separate patch-up pass for the rare out-of-domain lanes.
+//! They are **bit-identical to mapping [`fast_cos`] element-wise** — chunking never changes
+//! bits, which is what lets the fast tier commit stable goldens of its own.
 
 // The reduction splits and polynomial coefficients are the published fdlibm/Cephes
 // double-precision values, kept verbatim — their extra decimal digits pin each constant
@@ -96,10 +96,12 @@ fn fast_cos_core(x: f64) -> f64 {
     let z = r * r;
     let s = sin_kernel(r, z);
     let c = cos_kernel(z);
-    // cos(n·π/2 + r): quadrants 0..3 give  c, -s, -c, s.
-    let v = if q & 1 == 0 { c } else { s };
+    // cos(n·π/2 + r): quadrants 0..3 give  c, -s, -c, s. The pick is a bit mask rather
+    // than a select, so a block of these vectorizes as integer and/or lanes.
+    let odd = 0u64.wrapping_sub(q & 1);
+    let v = (c.to_bits() & !odd) | (s.to_bits() & odd);
     let sign = ((q.wrapping_add(1)) & 2) << 62;
-    f64::from_bits(v.to_bits() ^ sign)
+    f64::from_bits(v ^ sign)
 }
 
 /// Whether `x` is inside the polynomial kernel's domain (finite and `|x| <= 1e6`).
@@ -134,50 +136,63 @@ pub fn fast_cos(x: f64) -> f64 {
 
 /// Replaces every element of `xs` with its [`fast_cos`], chunk-friendly.
 ///
-/// Bit-identical to `for v in xs { *v = fast_cos(*v) }`; the main pass is branch-free
-/// so the optimizer can vectorize it, and out-of-domain lanes (|x| > 1e6, NaN, ±∞) are
-/// patched with libm in a second pass.
+/// Bit-identical to `for v in xs { *v = fast_cos(*v) }`: whole 8-element blocks go through
+/// [`fast_cos_block`], and the tail through [`fast_cos`].
 pub fn fast_cos_slice(xs: &mut [f64]) {
-    const B: usize = 64;
-    let mut orig = [0.0f64; B];
-    let mut base = 0;
-    while base < xs.len() {
-        let n = B.min(xs.len() - base);
-        let chunk = &mut xs[base..base + n];
-        orig[..n].copy_from_slice(chunk);
-        // Unconditional core keeps this pass straight-line; the garbage it produces on
-        // out-of-domain lanes is overwritten by the patch pass below.
-        for v in chunk.iter_mut() {
-            *v = fast_cos_core(v.clamp(-MAX_FAST_ARG, MAX_FAST_ARG));
-        }
-        for (v, &x) in chunk.iter_mut().zip(orig[..n].iter()) {
-            if !in_fast_domain(x) {
-                *v = x.cos();
-            }
-        }
-        base += n;
+    let mut blocks = xs.chunks_exact_mut(8);
+    for block in &mut blocks {
+        fast_cos_block::<8>(
+            block
+                .try_into()
+                .expect("chunks_exact_mut yields 8 elements"),
+        );
+    }
+    for v in blocks.into_remainder() {
+        *v = fast_cos(*v);
     }
 }
 
-/// The fused RFF primitive: `out[i] += coeff · fast_cos(args[i])`, consuming `args`.
+/// Replaces every lane of `xs` with its [`fast_cos`]: one straight-line pass over the
+/// whole block, then libm for the out-of-domain lanes.
 ///
-/// `gp::rff::PosteriorSample::eval_batch_into` fills `args` with one feature's
-/// `w·x + b` over a chunk of query points and folds the weighted cosine straight into
-/// the objective accumulator — no intermediate feature matrix, no allocation.
-/// Bit-identical to the scalar sequence `out[i] += coeff * fast_cos(args[i])`.
+/// Bit-identical to `for v in xs { *v = fast_cos(*v) }`. The main pass runs the
+/// branch-free core over clamped arguments, so inlined into a function compiled for a wide
+/// SIMD target it vectorizes across the block; the rare lanes with `|x| > 1e6`, NaN or ±∞
+/// are patched with libm in a separate `#[cold]` pass. `gp::rff` runs it on each 8-feature
+/// tile of the fast tier's posterior-sample evaluation, inside the AVX2 + FMA copy of
+/// `linalg::RowPanels::fused_dots`.
 ///
-/// # Panics
+/// # Examples
 ///
-/// Panics if `args` and `out` have different lengths.
-pub fn fused_cos_axpy(args: &mut [f64], coeff: f64, out: &mut [f64]) {
-    assert_eq!(
-        args.len(),
-        out.len(),
-        "fused_cos_axpy requires matching slice lengths"
-    );
-    fast_cos_slice(args);
-    for (o, a) in out.iter_mut().zip(args.iter()) {
-        *o += coeff * *a;
+/// ```
+/// use fastmath::{fast_cos, fast_cos_block};
+///
+/// let mut block = [0.0, 1.0, -2.5, 3.0e7];
+/// fast_cos_block(&mut block);
+/// assert_eq!(block.map(f64::to_bits), [0.0, 1.0, -2.5, 3.0e7].map(|x| fast_cos(x).to_bits()));
+/// ```
+#[inline(always)]
+pub fn fast_cos_block<const N: usize>(xs: &mut [f64; N]) {
+    let args = *xs;
+    let mut any_outside = false;
+    for (v, x) in xs.iter_mut().zip(args) {
+        any_outside |= !in_fast_domain(x);
+        *v = fast_cos_core(x.clamp(-MAX_FAST_ARG, MAX_FAST_ARG));
+    }
+    if any_outside {
+        patch_out_of_domain(&args, xs);
+    }
+}
+
+/// Overwrites `xs[i]` with libm's `cos(args[i])` wherever `args[i]` is outside the
+/// polynomial's domain.
+#[cold]
+#[inline(never)]
+fn patch_out_of_domain(args: &[f64], xs: &mut [f64]) {
+    for (v, &x) in xs.iter_mut().zip(args) {
+        if !in_fast_domain(x) {
+            *v = x.cos();
+        }
     }
 }
 
@@ -227,24 +242,5 @@ mod tests {
         for (got, want) in xs.iter().zip(scalar.iter()) {
             assert_eq!(got.to_bits(), want.to_bits());
         }
-    }
-
-    #[test]
-    fn fused_axpy_accumulates() {
-        let mut args = [0.0, 1.0, 2.0];
-        let mut out = [10.0, 10.0, 10.0];
-        fused_cos_axpy(&mut args, 2.0, &mut out);
-        for (i, &x) in [0.0f64, 1.0, 2.0].iter().enumerate() {
-            let want = 10.0 + 2.0 * fast_cos(x);
-            assert_eq!(out[i].to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "matching slice lengths")]
-    fn fused_axpy_rejects_mismatched_lengths() {
-        let mut args = [0.0; 2];
-        let mut out = [0.0; 3];
-        fused_cos_axpy(&mut args, 1.0, &mut out);
     }
 }

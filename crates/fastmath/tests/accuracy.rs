@@ -8,7 +8,7 @@
 //! these are regression tests, not flaky statistical gates.
 
 use fastmath::normal::{fill_standard_normal, LogNormalBlock};
-use fastmath::{fast_cos, fast_exp, fast_ln};
+use fastmath::{fast_cos, fast_cos_block, fast_cos_slice, fast_exp, fast_ln};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use tolerance::{assert_close_abs, assert_close_ulps, ErrorStats};
@@ -126,6 +126,83 @@ proptest! {
         prop_assert_eq!(fast_cos(-x), 1.0);
         prop_assert_eq!(fast_exp(x), 1.0);
         prop_assert_eq!(fast_ln(x).to_bits(), x.ln().to_bits());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Block and slice kernels: bit-identical to the scalar kernel, lane by lane.
+// ---------------------------------------------------------------------------
+
+/// Whether `got` is `want` bit for bit, or both are NaN (Rust leaves a computed NaN's sign
+/// and payload unspecified).
+fn same_value(got: f64, want: f64) -> bool {
+    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+}
+
+/// Checks `fast_cos_block` and `fast_cos_slice` against `fast_cos` on every lane of `xs`.
+fn assert_block_matches_scalar<const N: usize>(xs: [f64; N]) {
+    let mut block = xs;
+    fast_cos_block(&mut block);
+    let mut slice = xs.to_vec();
+    fast_cos_slice(&mut slice);
+    for (lane, x) in xs.iter().enumerate() {
+        let want = fast_cos(*x);
+        assert!(same_value(block[lane], want), "block lane {lane} of {xs:?}");
+        assert!(same_value(slice[lane], want), "slice lane {lane} of {xs:?}");
+    }
+}
+
+/// Lanes outside the polynomial's domain or on its edges: NaN, ±∞, |x| > 1e6, the domain
+/// boundary and its successor, ±0, subnormals and the smallest normal.
+const EDGE_LANES: [f64; 12] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.0e6,
+    1.000_000_000_000_000_1e6,
+    -3.5e9,
+    1.0e300,
+    0.0,
+    -0.0,
+    5e-324,
+    -2.2e-310,
+    f64::MIN_POSITIVE,
+];
+
+#[test]
+fn block_cos_mixes_edge_lanes_with_in_domain_lanes_bit_identically() {
+    // Every edge value in every lane of an 8-lane block of ordinary arguments, then
+    // blocks made only of edge values, then blocks of 1 and 3 lanes.
+    let ordinary = [0.5, -1.25, 3.0, 7.5, -40.0, 123.456, 999_999.0, -2.0e5];
+    for edge in EDGE_LANES {
+        for lane in 0..8 {
+            let mut xs = ordinary;
+            xs[lane] = edge;
+            assert_block_matches_scalar(xs);
+        }
+    }
+    for window in EDGE_LANES.windows(8) {
+        assert_block_matches_scalar::<8>(window.try_into().unwrap());
+    }
+    assert_block_matches_scalar([f64::NAN]);
+    assert_block_matches_scalar([1.0, 2.0e7, -0.0]);
+    assert_block_matches_scalar(ordinary);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn block_cos_is_fast_cos_on_every_lane(
+        xs in prop::collection::vec(-2.0e6f64..2.0e6, 8),
+        edges in prop::collection::vec(0usize..(4 * EDGE_LANES.len()), 8),
+    ) {
+        // About one lane in four replaced by an edge value.
+        let mut block = [0.0; 8];
+        for ((lane, x), e) in block.iter_mut().zip(xs).zip(edges) {
+            *lane = EDGE_LANES.get(e).copied().unwrap_or(x);
+        }
+        assert_block_matches_scalar(block);
     }
 }
 

@@ -23,17 +23,30 @@
 //! work, ~1000 flops per feature and point against one `cos`.
 //!
 //! [`RffSampler::new`] therefore stores the frequencies only once, as [`RowPanels`]: `k`-major
-//! panels of 8 features, drawn in the same RNG order as a row-major matrix. One step of
-//! [`RowPanels::dots`] updates 8 features × 4 points, 32 independent sums, on AVX2 when the
-//! CPU has it (checked at run time). Every sum runs in the same order as [`vector::dot`]
-//! over the frequency row as drawn, and every point takes its features in ascending order,
-//! so batched answers are **bit-identical** to the per-point [`PosteriorSample::eval`],
-//! which runs the same kernel on a one-point tile, on either instruction set. The
-//! training-set feature matrix Φ inside [`RffSampler::new`] goes through the same kernel.
-//! Sampler and sample share the panels and phases through `Arc`, and
-//! [`RffSampler::sample_with`] reuses a caller-provided [`WeightScratch`] across draws, so
-//! a warm acquisition loop draws and evaluates sample functions without reallocating its
-//! feature machinery; `crates/bench/tests/allocation_contracts.rs` counts the allocations.
+//! panels of 8 features, drawn in the same RNG order as a row-major matrix. Each row is
+//! drawn with `fastmath`'s blocked Box–Muller ([`fastmath::normal::fill_standard_normal`]),
+//! which takes the same uniforms in the same order as per-element `StandardNormal` draws;
+//! the draw is the same on both precision tiers.
+//!
+//! The two tiers walk the panels differently:
+//!
+//! - [`Precision::SeedExact`], the reference tier, takes [`RowPanels::dots`]: one step
+//!   updates 8 features × 4 points on AVX2 when the CPU has it (checked at run time), and
+//!   every sum runs in the same order as [`vector::dot`] over the frequency row as drawn.
+//!   Each term is `(scale·cos(wx + b))·w` with libm `cos`.
+//! - [`Precision::Fast`] takes [`RowPanels::fused_dots`]: in-order `mul_add` chains,
+//!   8 features × 6 points per step on AVX2 + FMA. The phases are added to a whole
+//!   8-feature tile and [`fastmath::fast_cos_block`] runs over it inside the walk's SIMD
+//!   copy; each term is `(scale·w)·cos`.
+//!
+//! On both, every point takes its features in ascending order, so batched answers are
+//! **bit-identical** to the per-point [`PosteriorSample::eval`], which runs the same walk on
+//! a one-point tile, on any instruction set. The training-set feature matrix Φ inside
+//! [`RffSampler::new`] is tier-independent: unfused products and libm `cos`. Sampler and
+//! sample share the panels and phases through `Arc`, and [`RffSampler::sample_with`] reuses
+//! a caller-provided [`WeightScratch`] across draws, so a warm acquisition loop draws and
+//! evaluates sample functions without reallocating its feature machinery;
+//! `crates/bench/tests/allocation_contracts.rs` counts the allocations.
 
 use crate::kernel::{Kernel, KernelFamily};
 use crate::{GaussianProcess, GpError, Result};
@@ -80,7 +93,8 @@ pub struct RffSampler {
     /// Constant added back to every prediction (training-target mean).
     offset: f64,
     /// Which math tier drawn samples evaluate on (construction and weight draws are
-    /// tier-independent; only the cosine in `eval`/`eval_batch_into` differs).
+    /// tier-independent; only the products and the cosine in `eval`/`eval_batch_into`
+    /// differ).
     precision: Precision,
 }
 
@@ -143,9 +157,11 @@ impl RffSampler {
         frequencies.dots(
             n,
             |i| &xs[i],
-            |j, first, projections| {
-                for (i, wx) in (first..).zip(projections) {
-                    phi[(i, j)] = feature_scale * (*wx + phases[j]).cos();
+            |rows, first, sums| {
+                for (i, projections) in (first..).zip(sums.iter()) {
+                    for (j, wx) in rows.clone().zip(projections) {
+                        phi[(i, j)] = feature_scale * (*wx + phases[j]).cos();
+                    }
                 }
             },
         );
@@ -180,9 +196,10 @@ impl RffSampler {
     /// Returns this sampler drawing samples that evaluate on the given math tier.
     ///
     /// Frequencies, phases and the weight posterior are identical across tiers (the
-    /// spectral draw happens at construction, before the knob applies); only the cosine
-    /// inside [`PosteriorSample::eval`] / [`PosteriorSample::eval_batch_into`] switches,
-    /// to [`fastmath::fast_cos`] under [`Precision::Fast`] (absolute error `<= 1e-12`).
+    /// spectral draw happens at construction, before the knob applies); only
+    /// [`PosteriorSample::eval`] / [`PosteriorSample::eval_batch_into`] switch, under
+    /// [`Precision::Fast`] to fused feature products and [`fastmath::fast_cos_block`]
+    /// (each cosine within `1e-12` absolute of libm's).
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
         self
@@ -252,8 +269,10 @@ impl RffSampler {
         self.frequencies.dots(
             1,
             |_| x,
-            |j, _, wx| {
-                acc += (self.feature_scale * (wx[0] + self.phases[j]).cos()) * self.weight_mean[j];
+            |rows, _, sums| {
+                for (j, wx) in rows.zip(&sums[0]) {
+                    acc += (self.feature_scale * (wx + self.phases[j]).cos()) * self.weight_mean[j];
+                }
             },
         );
         acc + self.offset
@@ -285,8 +304,9 @@ impl PosteriorSample {
     /// Evaluates the sampled function at a whole row-major block of query points at once,
     /// writing one value per point into `out` (`points.len() == out.len() * dim`).
     ///
-    /// One `frequencies × Xᵀ` product through [`RowPanels::dots`], each projection folded
-    /// straight into its point's sum. Per point the operation order matches
+    /// One `frequencies × Xᵀ` product through [`RowPanels::dots`] (on the fast tier
+    /// [`RowPanels::fused_dots`]), each tile of projections folded straight into its
+    /// points' sums. Per point the operation order matches
     /// [`eval`](Self::eval) exactly, so results are bit-identical; the pass allocates
     /// nothing.
     ///
@@ -307,29 +327,51 @@ impl PosteriorSample {
     /// Writes the sampled function's value at `point(p)` into `out[p]` for every `p`: the
     /// features' terms summed per point in ascending feature order from `0.0`, then the
     /// offset.
+    ///
+    /// The exact tier takes unfused products, libm `cos` and `(scale·cos)·w`. The fast tier
+    /// takes fused products, adds the phases to a whole 8-feature tile, runs
+    /// [`fastmath::fast_cos_block`] over it (inlined into the walk's SIMD copy) and adds
+    /// `(scale·w)·cos`.
     fn eval_points<'a>(&self, point: impl Fn(usize) -> &'a [f64], out: &mut [f64]) {
         out.fill(0.0);
+        let (scale, phases, weights) = (self.feature_scale, &self.phases[..], &self.weights[..]);
         match self.precision {
             Precision::SeedExact => {
                 self.frequencies
-                    .dots(out.len(), point, |j, first, projections| {
-                        let (phase, weight) = (self.phases[j], self.weights[j]);
-                        for (out_p, wx) in out[first..].iter_mut().zip(projections) {
-                            *out_p += (self.feature_scale * (*wx + phase).cos()) * weight;
+                    .dots(out.len(), point, |rows, first, sums| {
+                        for (out_p, projections) in out[first..].iter_mut().zip(sums.iter()) {
+                            for (j, wx) in rows.clone().zip(projections) {
+                                *out_p += (scale * (wx + phases[j]).cos()) * weights[j];
+                            }
                         }
                     });
             }
             Precision::Fast => {
-                // The projections buffer becomes the cosine arguments in place, so the
-                // fast tier stays as allocation-free as the exact one. The coefficient
-                // association ((scale·w)·cos instead of (scale·cos)·w) is the fast tier's.
-                self.frequencies.dots(out.len(), point, |j, first, args| {
-                    for arg in args.iter_mut() {
-                        *arg += self.phases[j];
-                    }
-                    let coeff = self.feature_scale * self.weights[j];
-                    fastmath::fused_cos_axpy(args, coeff, &mut out[first..first + args.len()]);
-                });
+                // Forced inline: only inside the walk's AVX2 + FMA copy does the block
+                // cosine vectorize. Left to the inliner, the visitor stayed a call into
+                // code compiled for the baseline target, at about twice the cost per cosine.
+                self.frequencies.fused_dots(
+                    out.len(),
+                    point,
+                    #[inline(always)]
+                    |rows, first, sums| {
+                        // Padding lanes get phase and coefficient 0 and are never summed.
+                        let lane = |v: &[f64], l: usize| v.get(rows.start + l).map_or(0.0, |v| *v);
+                        let phase: [f64; RowPanels::LANES] =
+                            std::array::from_fn(|l| lane(phases, l));
+                        let coeff: [f64; RowPanels::LANES] =
+                            std::array::from_fn(|l| scale * lane(weights, l));
+                        for (out_p, args) in out[first..].iter_mut().zip(sums.iter_mut()) {
+                            for (arg, phase) in args.iter_mut().zip(phase) {
+                                *arg += phase;
+                            }
+                            fastmath::fast_cos_block(args);
+                            for (coeff, cos) in coeff[..rows.len()].iter().zip(args.iter()) {
+                                *out_p += coeff * cos;
+                            }
+                        }
+                    },
+                );
             }
         }
         for v in out.iter_mut() {
@@ -356,9 +398,11 @@ fn draw_frequencies(kernel: &Kernel, rng: &mut StdRng, row: &mut [f64]) {
             (5.0 / u).sqrt()
         }
     };
+    // The blocked Box–Muller of `fastmath` draws the same uniforms in the same order as
+    // per-element `StandardNormal` draws, each within 1e-9 of the scalar value.
+    fastmath::normal::fill_standard_normal(rng, row);
     for w in row.iter_mut() {
-        let z: f64 = StandardNormal.sample(rng);
-        *w = t_scale * z / kernel.lengthscale();
+        *w = t_scale * *w / kernel.lengthscale();
     }
 }
 
@@ -509,11 +553,19 @@ mod tests {
             .collect()
     }
 
+    /// The fast tier's feature product: an in-order `mul_add` chain from `-0.0`.
+    fn fused_dot(row: &[f64], x: &[f64]) -> f64 {
+        row.iter()
+            .zip(x)
+            .fold(-0.0, |acc, (w, x)| w.mul_add(*x, acc))
+    }
+
     /// Checks `eval_batch_into` and per-point `eval` bit for bit on `precision` against a
-    /// reference that takes `vector::dot` over the frequency rows as drawn, so the packing
-    /// and the kernel are both checked: on a 2-D GP for feature counts below, on and past
-    /// one and two 8-lane panels and point counts on every remainder of a 4-point tile, and
-    /// at the paper's shape of 150 features × 40 points × 501 dimensions.
+    /// reference that takes `vector::dot` (on the fast tier the scalar `mul_add` fold) over
+    /// the frequency rows as drawn, so the packing and the kernel are both checked: on a
+    /// 2-D GP for feature counts below, on and past one and two 8-lane panels and point
+    /// counts on every remainder of a 4- and a 6-point tile, and at the paper's shape of
+    /// 150 features × 40 points × 501 dimensions.
     fn assert_batch_matches_per_point(precision: Precision) {
         fn check(
             gp: &GaussianProcess,
@@ -531,10 +583,13 @@ mod tests {
             let reference = |x: &[f64]| {
                 let mut acc = 0.0;
                 for (j, row) in rows.iter().enumerate() {
-                    let arg = vector::dot(row, x) + f.phases[j];
                     acc += match precision {
-                        Precision::SeedExact => (f.feature_scale * arg.cos()) * f.weights[j],
+                        Precision::SeedExact => {
+                            let arg = vector::dot(row, x) + f.phases[j];
+                            (f.feature_scale * arg.cos()) * f.weights[j]
+                        }
                         Precision::Fast => {
+                            let arg = fused_dot(row, x) + f.phases[j];
                             (f.feature_scale * f.weights[j]) * fastmath::fast_cos(arg)
                         }
                     };
@@ -571,7 +626,7 @@ mod tests {
         for kernel in [Kernel::rbf(1.0, 0.8), Kernel::matern52(1.2, 0.9)] {
             let gp = GaussianProcess::fit(xs.clone(), ys.clone(), kernel, 1e-4).unwrap();
             for features in [1, 7, 8, 9, 16, 17] {
-                for count in [1, 2, 3, 4, 5, 8, 17] {
+                for count in [1, 2, 3, 4, 5, 6, 7, 8, 13, 17] {
                     let queries: Vec<Vec<f64>> = (0..count)
                         .map(|i| vec![-1.0 + 0.17 * i as f64, 2.0 - 0.21 * i as f64])
                         .collect();
@@ -656,6 +711,37 @@ mod tests {
         }
         // 200 features, each cosine within 1e-12 abs, scaled by feature weights: the
         // accumulated divergence stays far below any modelling tolerance.
+        stats.assert_max_abs(1e-9);
+    }
+
+    #[test]
+    fn fast_tier_tracks_exact_tier_at_the_paper_shape() {
+        // 150 features × 40 points × 501 dimensions, 20 draws: the fused products and the
+        // polynomial cosine together stay within 1e-9 of the exact tier's values.
+        let dim = 501;
+        let point = |i: usize| -> Vec<f64> {
+            (0..dim)
+                .map(|d| ((i * 7919 + d * 104_729) % 1000) as f64 / 1000.0 - 0.5)
+                .collect()
+        };
+        let xs: Vec<Vec<f64>> = (0..30).map(point).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<f64>().sin()).collect();
+        let gp = GaussianProcess::fit(xs, ys, Kernel::matern52(1.0, 3.0), 1e-3).unwrap();
+        let exact = RffSampler::new(&gp, 150, 21).unwrap();
+        let fast = exact.clone().with_precision(Precision::Fast);
+        let queries: Vec<f64> = (200..240).flat_map(point).collect();
+        let (mut e, mut f) = (vec![0.0; 40], vec![0.0; 40]);
+        let mut stats = tolerance::ErrorStats::new("fast-vs-exact rff sample at 150 × 40 × 501");
+        for draw in 0..20u64 {
+            exact
+                .sample(draw)
+                .unwrap()
+                .eval_batch_into(&queries, &mut e);
+            fast.sample(draw).unwrap().eval_batch_into(&queries, &mut f);
+            for (p, (fv, ev)) in f.iter().zip(&e).enumerate() {
+                stats.record((draw as usize * 40 + p) as f64, *fv, *ev);
+            }
+        }
         stats.assert_max_abs(1e-9);
     }
 

@@ -9,8 +9,9 @@
 //! * [`Cholesky`] — lower-triangular factorization of symmetric positive-definite matrices,
 //!   with solves, log-determinant and sampling support.
 //! * [`vector`] — free functions over `&[f64]` slices (dot products, norms, axpy, …).
-//! * [`RowPanels`] — matrix rows packed for SIMD dot products against many points, with a
-//!   kernel that runs on AVX2 where the CPU has it.
+//! * [`RowPanels`] — matrix rows packed for SIMD dot products against many points, with an
+//!   unfused walk that runs on AVX2 and a fused multiply-add walk that runs on AVX2 + FMA
+//!   where the CPU has them.
 //!
 //! # Examples
 //!
@@ -28,7 +29,7 @@
 //! # }
 //! ```
 
-// One item opts out: the call into the AVX2 copy of the `RowPanels` kernel.
+// One item opts out: the calls into the SIMD copies of the `RowPanels` walks.
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 #![warn(missing_docs)]

@@ -5,32 +5,77 @@
 //! [`RowPanels`] stores the rows `k`-major in panels of 8 rows instead, so the
 //! `k`-th entries of a panel's 8 rows sit side by side and one step of the kernel updates 8
 //! independent sums with a pair of 256-bit AVX2 operations (four 128-bit ones on the
-//! baseline x86-64 target). Each lane stays its own in-order sum from `-0.0`, so every
-//! product is bit-identical to [`vector::dot`](crate::vector::dot).
+//! baseline x86-64 target).
 //!
-//! The kernel is written once and compiled twice: for the build target, and with AVX2
-//! enabled. [`RowPanels::dots`] picks the AVX2 copy when `is_x86_feature_detected!("avx2")`
-//! says the CPU runs it; the two give the same bits, since Rust never fuses a multiply and
-//! an add into an FMA. They differ only in how many points one kernel call takes, which
-//! changes no sum.
+//! # Two walks
+//!
+//! - [`RowPanels::dots`] is unfused: each lane is the in-order sum `acc + a·b` from
+//!   `-0.0`, so every product is bit-identical to [`vector::dot`](crate::vector::dot).
+//! - [`RowPanels::fused_dots`] steps each lane with one `f64::mul_add` instead, an in-order
+//!   fused chain from `-0.0`, so every product is bit-identical to the scalar fold
+//!   `a.iter().zip(b).fold(-0.0, |acc, (x, y)| x.mul_add(*y, acc))`. One rounding per step
+//!   instead of two, and one instruction.
+//!
+//! Both hand the caller one tile at a time: `visit(rows, first, sums)` with
+//! `sums[c][lane]` the product of row `rows.start + lane` with point `first + c`. Lanes
+//! past `rows.end` belong to the zero padding of the last panel, and callers ignore them.
+//! Every point sees the tiles of ascending rows in turn, so a visitor that accumulates per
+//! point over `rows` in ascending order sums in the same order as a loop over the rows.
+//! A visitor inlined into the copy of the walk that calls it is compiled for that copy's
+//! instruction set, so one written for 8 lanes runs at its SIMD width; the RFF fast tier
+//! forces that inlining for its block cosine.
+//!
+//! # Dispatch
+//!
+//! The walk is written once, with the fused step behind a const flag, and compiled per
+//! instruction set:
+//!
+//! | walk | copy | when | points per tile |
+//! |------|------|------|-----------------|
+//! | `dots` | AVX2 | `is_x86_feature_detected!("avx2")` | 4 |
+//! | `dots` | portable | otherwise | 2 |
+//! | `fused_dots` | AVX2 + FMA | `avx2` and `fma` detected | 6 |
+//! | `fused_dots` | portable | otherwise | 2 |
+//!
+//! Every copy gives the same bits: Rust never contracts a multiply and an add into an FMA,
+//! and `f64::mul_add` is always the correctly rounded fused operation. Where the build
+//! target has no FMA instruction (baseline x86-64), the portable `mul_add` is a call into
+//! the C library's software `fma`: the bits are right and the speed is low. x86 CPUs
+//! without FMA hardware predate AVX2, so on any AVX2 machine `fused_dots` runs the FMA
+//! copy. The tile width changes how many points one kernel call takes, which changes no
+//! sum.
 
 use crate::vector::DOT_SEED;
 use std::ops::Range;
 
 /// Rows per panel: one SIMD lane per row.
-const LANES: usize = 8;
+const LANES: usize = RowPanels::LANES;
 
-/// Points per kernel tile in the AVX2 copy: 4 points × [`LANES`] rows are 8 independent
-/// 256-bit sums, which hide the add latency and leave registers for the operands.
+/// Points per kernel tile in the AVX2 copy of the unfused walk: 4 points × [`LANES`] rows
+/// are 8 independent 256-bit sums, which hide the add latency and leave registers for the
+/// operands.
 const AVX2_POINTS: usize = 4;
+
+/// Points per kernel tile in the AVX2 + FMA copy of the fused walk: 6 points × [`LANES`]
+/// rows are 12 of AVX2's 16 registers, and one fused step per pair leaves room for the
+/// column and the broadcast point entry. At 150 rows × 40 points × 501 the walk took
+/// ~165 µs against ~173 µs for 4-point tiles, and the RFF fast tier's whole evaluation
+/// ~190 µs against ~198 µs (10th percentiles of 2,000 calls, one core of a shared Xeon VM).
+const FMA_POINTS: usize = 6;
 
 /// Points per kernel tile in the portable copy. On x86-64 without AVX2 the 4 × 8 tile needs
 /// all 16 of SSE2's registers for its sums and spills: at 150 rows × 40 points × 501 it took
 /// ~1.0 ms against ~0.65 ms for 2-point tiles (one core of a shared Xeon VM).
 const PORTABLE_POINTS: usize = 2;
 
-/// The rows of a `rows × row_len` matrix, packed `k`-major into zero-padded panels of 8
-/// rows for [`dots`](Self::dots).
+/// The most points any copy puts in one tile: the size of the walk's sums buffer. The
+/// match in [`walk`] has an arm for every narrower tile.
+const MAX_POINTS: usize = 6;
+const _: () = assert!(AVX2_POINTS <= MAX_POINTS && FMA_POINTS <= MAX_POINTS);
+
+/// The rows of a `rows × row_len` matrix, packed `k`-major into zero-padded panels of
+/// [`LANES`](Self::LANES) rows for [`dots`](Self::dots) and
+/// [`fused_dots`](Self::fused_dots).
 ///
 /// # Examples
 ///
@@ -41,7 +86,9 @@ const PORTABLE_POINTS: usize = 2;
 /// let panels = RowPanels::from_rows(3, 2, |r, row| row.copy_from_slice(&rows[r]));
 /// let point = [3.0, 4.0];
 /// let mut products = vec![];
-/// panels.dots(1, |_| &point[..], |r, _, sums| products.push((r, sums[0])));
+/// panels.dots(1, |_| &point[..], |rows, _, sums| {
+///     products.extend(rows.clone().zip(&sums[0]).map(|(r, s)| (r, *s)));
+/// });
 /// let expected: Vec<_> = (0..3).map(|r| (r, vector::dot(&rows[r], &point))).collect();
 /// assert_eq!(products, expected);
 /// ```
@@ -55,6 +102,9 @@ pub struct RowPanels {
 }
 
 impl RowPanels {
+    /// Rows per panel, and so lanes per tile row of `sums`: one SIMD lane per row.
+    pub const LANES: usize = 8;
+
     /// Packs `rows` rows of length `row_len`, calling `fill(r, row)` for `r` in ascending
     /// order to write row `r` into a zeroed `row_len`-long buffer.
     pub fn from_rows(rows: usize, row_len: usize, mut fill: impl FnMut(usize, &mut [f64])) -> Self {
@@ -83,11 +133,10 @@ impl RowPanels {
     /// Walks the dot products of every row with each of `count` points `point(p)`, each
     /// bit-identical to [`vector::dot`](crate::vector::dot)`(row r, point(p))`.
     ///
-    /// Calls `visit(r, first, sums)` with row `r`'s products with the points
-    /// `first..first + sums.len()` (at most 4 of them; `sums` is scratch the visitor may
-    /// overwrite). Every point sees the rows in ascending order, so a visitor that
-    /// accumulates per point sums in the same order as a loop over the rows. Nothing is
-    /// allocated.
+    /// Calls `visit(rows, first, sums)` once per tile: `sums[c][lane]` is the product of
+    /// row `rows.start + lane` with point `first + c`, for up to 6 points (`sums` is
+    /// scratch the visitor may overwrite). Lanes past `rows.end` are padding. Every point
+    /// sees its tiles in ascending row order. Nothing is allocated.
     ///
     /// # Panics
     ///
@@ -96,110 +145,146 @@ impl RowPanels {
         &self,
         count: usize,
         point: impl Fn(usize) -> &'a [f64],
-        visit: impl FnMut(usize, usize, &mut [f64]),
+        visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
     ) {
-        self.dots_on(true, count, point, visit);
+        self.walk_on::<false>(true, count, point, visit);
     }
 
-    /// [`dots`](Self::dots) on the AVX2 copy of the kernel when `allow_avx2` is set and
-    /// the CPU runs AVX2, and on the build target's copy otherwise.
-    #[allow(unsafe_code)]
-    fn dots_on<'a>(
+    /// [`dots`](Self::dots) with every lane an in-order fused multiply-add chain: each
+    /// product is bit-identical to the scalar fold
+    /// `row.iter().zip(point).fold(-0.0, |acc, (a, x)| a.mul_add(*x, acc))` on every CPU.
+    /// Runs on AVX2 + FMA when the CPU has both, and on the portable copy otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a point's length differs from [`row_len`](Self::row_len).
+    pub fn fused_dots<'a>(
         &self,
-        allow_avx2: bool,
         count: usize,
         point: impl Fn(usize) -> &'a [f64],
-        visit: impl FnMut(usize, usize, &mut [f64]),
+        visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
+    ) {
+        self.walk_on::<true>(true, count, point, visit);
+    }
+
+    /// The walk on its SIMD copy when `allow_simd` is set and the CPU runs it (AVX2 for the
+    /// unfused walk, AVX2 + FMA for the fused one), and on the build target's copy
+    /// otherwise.
+    #[allow(unsafe_code)]
+    fn walk_on<'a, const FUSED: bool>(
+        &self,
+        allow_simd: bool,
+        count: usize,
+        point: impl Fn(usize) -> &'a [f64],
+        visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
     ) {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if allow_avx2 && is_x86_feature_detected!("avx2") {
-            /// [`walk`] compiled with AVX2 enabled.
-            ///
-            /// # Safety
-            ///
-            /// The CPU running it must support AVX2.
-            #[target_feature(enable = "avx2")]
-            unsafe fn walk_avx2<'p>(
-                panels: &RowPanels,
-                count: usize,
-                point: impl Fn(usize) -> &'p [f64],
-                visit: impl FnMut(usize, usize, &mut [f64]),
-            ) {
-                walk::<AVX2_POINTS>(panels, count, point, visit);
+        if allow_simd && is_x86_feature_detected!("avx2") {
+            if !FUSED {
+                /// The unfused [`walk`] compiled with AVX2 enabled.
+                ///
+                /// # Safety
+                ///
+                /// The CPU running it must support AVX2.
+                #[target_feature(enable = "avx2")]
+                unsafe fn walk_avx2<'p>(
+                    panels: &RowPanels,
+                    count: usize,
+                    point: impl Fn(usize) -> &'p [f64],
+                    visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
+                ) {
+                    walk::<false, AVX2_POINTS>(panels, count, point, visit);
+                }
+                // SAFETY: `walk_avx2` only requires AVX2, and
+                // `is_x86_feature_detected!("avx2")` has just confirmed that this CPU
+                // supports it.
+                return unsafe { walk_avx2(self, count, point, visit) };
             }
-            // SAFETY: `walk_avx2` only requires AVX2, and `is_x86_feature_detected!("avx2")`
-            // has just confirmed that this CPU supports it.
-            return unsafe { walk_avx2(self, count, point, visit) };
+            if is_x86_feature_detected!("fma") {
+                /// The fused [`walk`] compiled with AVX2 and FMA enabled.
+                ///
+                /// # Safety
+                ///
+                /// The CPU running it must support AVX2 and FMA.
+                #[target_feature(enable = "avx2,fma")]
+                unsafe fn walk_avx2_fma<'p>(
+                    panels: &RowPanels,
+                    count: usize,
+                    point: impl Fn(usize) -> &'p [f64],
+                    visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
+                ) {
+                    walk::<true, FMA_POINTS>(panels, count, point, visit);
+                }
+                // SAFETY: `walk_avx2_fma` only requires AVX2 and FMA, and
+                // `is_x86_feature_detected!` has just confirmed both on this CPU.
+                return unsafe { walk_avx2_fma(self, count, point, visit) };
+            }
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        let _ = allow_avx2;
-        walk::<PORTABLE_POINTS>(self, count, point, visit);
+        let _ = allow_simd;
+        walk::<FUSED, PORTABLE_POINTS>(self, count, point, visit);
     }
 }
 
-/// The body of [`RowPanels::dots`]: every panel against every tile of up to `POINTS`
-/// points (at most 4). Inlined into both of its callers, so the kernel is compiled once per
-/// instruction set.
+/// The body of both walks: every panel against every tile of up to `POINTS` points, each
+/// tile's sums handed to `visit` from one call site. Inlined into each of its callers, so
+/// the kernel and the visitor are compiled once per instruction set.
 #[inline(always)]
-fn walk<'a, const POINTS: usize>(
+fn walk<'a, const FUSED: bool, const POINTS: usize>(
     panels: &RowPanels,
     count: usize,
     point: impl Fn(usize) -> &'a [f64],
-    mut visit: impl FnMut(usize, usize, &mut [f64]),
+    mut visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
 ) {
     let panel_len = panels.row_len * LANES;
+    let mut sums = [[0.0; LANES]; MAX_POINTS];
     for first_row in (0..panels.rows).step_by(LANES) {
         let panel = &panels.data[first_row * panels.row_len..][..panel_len];
         let rows = first_row..(first_row + LANES).min(panels.rows);
         for first in (0..count).step_by(POINTS) {
-            let rows = rows.clone();
-            match (count - first).min(POINTS) {
-                1 => tile::<1>(panel, rows, first, &point, &mut visit),
-                2 => tile::<2>(panel, rows, first, &point, &mut visit),
-                3 => tile::<3>(panel, rows, first, &point, &mut visit),
-                _ => tile::<POINTS>(panel, rows, first, &point, &mut visit),
+            let width = (count - first).min(POINTS);
+            match width {
+                1 => tile::<FUSED, 1>(panel, first, &point, &mut sums),
+                2 => tile::<FUSED, 2>(panel, first, &point, &mut sums),
+                3 => tile::<FUSED, 3>(panel, first, &point, &mut sums),
+                4 => tile::<FUSED, 4>(panel, first, &point, &mut sums),
+                5 => tile::<FUSED, 5>(panel, first, &point, &mut sums),
+                _ => tile::<FUSED, POINTS>(panel, first, &point, &mut sums),
             }
+            visit(rows.clone(), first, &mut sums[..width]);
         }
     }
 }
 
-/// Runs [`kernel`] on `panel`, which holds `rows`, and the points `first..first + C`, and
-/// hands each row's products to `visit`.
+/// Runs [`kernel`] on `panel` and the points `first..first + C`, and stores the tile's
+/// sums in `sums[..C]`.
 #[inline(always)]
-fn tile<'a, const C: usize>(
+fn tile<'a, const FUSED: bool, const C: usize>(
     panel: &[f64],
-    rows: Range<usize>,
     first: usize,
     point: &impl Fn(usize) -> &'a [f64],
-    visit: &mut impl FnMut(usize, usize, &mut [f64]),
+    sums: &mut [[f64; LANES]; MAX_POINTS],
 ) {
-    // `black_box` makes the kernel store its sums whole before the visitor reads them.
-    // Without it, in the copy the fast tier's visitor (an inlined polynomial cosine) is
-    // compiled into, LLVM's SLP vectorizer grouped the accumulators across lanes and spilled
-    // them: that tier's `eval_batch_into` at the paper's shape took 0.8–1.0 ms instead of
-    // 0.3–0.4 ms.
-    let sums = std::hint::black_box(kernel::<C>(
-        panel,
-        std::array::from_fn(|c| point(first + c)),
-    ));
-    for (lane, r) in rows.enumerate() {
-        let mut products: [f64; C] = std::array::from_fn(|c| sums[c][lane]);
-        visit(r, first, &mut products);
-    }
+    let points = std::array::from_fn(|c| point(first + c));
+    sums[..C].copy_from_slice(&kernel::<FUSED, C>(panel, points));
 }
 
 /// The micro-kernel: the dot products of the [`LANES`] rows of `panel` with each of `C`
 /// points.
 ///
-/// Lane `l` of point `c` is the chain `acc = acc + row_l[k] · x_c[k]` for ascending `k`
-/// from [`DOT_SEED`], exactly the steps of [`vector::dot`](crate::vector::dot); the
+/// Lane `l` of point `c` is the chain `acc = acc + row_l[k] · x_c[k]` (with `FUSED`,
+/// `acc = row_l[k].mul_add(x_c[k], acc)`) for ascending `k` from [`DOT_SEED`], exactly the
+/// steps of [`vector::dot`](crate::vector::dot) (of the scalar `mul_add` fold); the
 /// `LANES · C` chains only run side by side.
 ///
 /// # Panics
 ///
 /// Panics if a point's length differs from the panel's row length.
 #[inline(always)]
-fn kernel<const C: usize>(panel: &[f64], points: [&[f64]; C]) -> [[f64; LANES]; C] {
+fn kernel<const FUSED: bool, const C: usize>(
+    panel: &[f64],
+    points: [&[f64]; C],
+) -> [[f64; LANES]; C] {
     let len = panel.len() / LANES;
     assert!(
         points.iter().all(|x| x.len() == len),
@@ -215,7 +300,11 @@ fn kernel<const C: usize>(panel: &[f64], points: [&[f64]; C]) -> [[f64; LANES]; 
         for c in 0..C {
             let x_k = points[c][k];
             for l in 0..LANES {
-                acc[c][l] += column[l] * x_k;
+                acc[c][l] = if FUSED {
+                    column[l].mul_add(x_k, acc[c][l])
+                } else {
+                    acc[c][l] + column[l] * x_k
+                };
             }
         }
     }
@@ -233,31 +322,48 @@ mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
-    /// Runs one copy of the kernel over `rows × points` and checks that every product is
-    /// visited once, in ascending row order per point, bit-identical to `dot`.
-    fn assert_dots_match(allow_avx2: bool, rows: &[Vec<f64>], points: &[Vec<f64>]) {
+    /// The scalar reference of [`RowPanels::fused_dots`]: an in-order `mul_add` chain from
+    /// `-0.0`.
+    fn fused_dot(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).fold(-0.0, |acc, (x, y)| x.mul_add(*y, acc))
+    }
+
+    /// Runs one copy of the unfused (`FUSED` unset) or fused walk over `rows × points` and
+    /// checks that every product is visited once, in ascending row order per point,
+    /// bit-identical to `dot` (to [`fused_dot`]).
+    fn assert_dots_match<const FUSED: bool>(
+        allow_simd: bool,
+        rows: &[Vec<f64>],
+        points: &[Vec<f64>],
+    ) {
+        let reference = if FUSED { fused_dot } else { dot };
         let len = points.first().or(rows.first()).map_or(0, Vec::len);
         let panels = RowPanels::from_rows(rows.len(), len, |r, row| {
             row.copy_from_slice(&rows[r]);
         });
         let mut next_row = vec![0; points.len()];
-        panels.dots_on(
-            allow_avx2,
+        panels.walk_on::<FUSED>(
+            allow_simd,
             points.len(),
             |p| &points[p],
-            |r, first, sums| {
-                assert!(sums.len() <= AVX2_POINTS && first + sums.len() <= points.len());
-                for (p, got) in (first..).zip(sums.iter()) {
-                    assert_eq!(next_row[p], r, "point {p} saw row {r} out of order");
-                    next_row[p] += 1;
-                    let want = dot(&rows[r], &points[p]);
-                    assert!(
-                        same_sum(*got, want),
-                        "avx2 {allow_avx2}: row {r} of {}, point {p} of {}, length {len}: \
-                         {got:e} vs {want:e}",
-                        rows.len(),
-                        points.len()
-                    );
+            |tile_rows, first, sums| {
+                assert!(!sums.is_empty() && sums.len() <= MAX_POINTS);
+                assert!(first + sums.len() <= points.len());
+                assert!(tile_rows.start % LANES == 0 && tile_rows.len() <= LANES);
+                assert!(!tile_rows.is_empty() && tile_rows.end <= rows.len());
+                for (p, point_sums) in (first..).zip(sums.iter()) {
+                    for (r, got) in tile_rows.clone().zip(point_sums) {
+                        assert_eq!(next_row[p], r, "point {p} saw row {r} out of order");
+                        next_row[p] += 1;
+                        let want = reference(&rows[r], &points[p]);
+                        assert!(
+                            same_sum(*got, want),
+                            "fused {FUSED}, simd {allow_simd}: row {r} of {}, point {p} of \
+                             {}, length {len}: {got:e} vs {want:e}",
+                            rows.len(),
+                            points.len()
+                        );
+                    }
                 }
             },
         );
@@ -289,15 +395,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn both_kernel_copies_match_dot_bitwise_on_every_lane_and_tile_edge() {
-        // Row counts below, on and past one and two panels, and the paper's 150 features;
-        // point counts on every tile remainder; lengths from empty to θ ∈ ℝ⁵⁰¹. The AVX2
-        // copy runs where the CPU has it; elsewhere both runs take the portable copy.
+    /// Runs `check` on a grid of rows and points: row counts below, on and past one and two
+    /// panels, and the paper's 150 features; point counts on every tile remainder of both
+    /// tile widths; lengths from empty to θ ∈ ℝ⁵⁰¹; ordinary and edge-float data.
+    fn for_each_grid_case(mut check: impl FnMut(&[Vec<f64>], &[Vec<f64>])) {
         let mut state = 7;
         for edges in [false, true] {
             for rows in [1, 7, 8, 9, 16, 17, 150] {
-                for count in [0, 1, 2, 3, 4, 5, 40] {
+                for count in [0, 1, 2, 3, 4, 5, 6, 7, 13, 40] {
                     for len in [0, 1, 7, 501] {
                         let mut draw = |n: usize| -> Vec<Vec<f64>> {
                             (0..n)
@@ -305,12 +410,48 @@ mod tests {
                                 .collect()
                         };
                         let (rows, points) = (draw(rows), draw(count));
-                        assert_dots_match(false, &rows, &points);
-                        assert_dots_match(true, &rows, &points);
+                        check(&rows, &points);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn both_kernel_copies_match_dot_bitwise_on_every_lane_and_tile_edge() {
+        // The AVX2 copy runs where the CPU has it; elsewhere both runs take the portable
+        // copy.
+        for_each_grid_case(|rows, points| {
+            assert_dots_match::<false>(false, rows, points);
+            assert_dots_match::<false>(true, rows, points);
+        });
+    }
+
+    #[test]
+    fn both_fused_copies_match_the_scalar_mul_add_fold_bitwise() {
+        // The AVX2 + FMA copy runs where the CPU has both; elsewhere both runs take the
+        // portable copy, whose `mul_add` is the C library's `fma` on targets without the
+        // instruction.
+        for_each_grid_case(|rows, points| {
+            assert_dots_match::<true>(false, rows, points);
+            assert_dots_match::<true>(true, rows, points);
+        });
+    }
+
+    #[test]
+    fn fused_and_unfused_walks_round_differently() {
+        // −(1 + 2ε) + (1 + ε)² is ε² exactly when fused, and 0 unfused, where the product
+        // rounds to 1 + 2ε first.
+        let e = f64::EPSILON;
+        let row = [-1.0, 1.0 + e];
+        let point = [1.0 + 2.0 * e, 1.0 + e];
+        let panels = RowPanels::from_rows(1, 2, |_, out| out.copy_from_slice(&row));
+        let mut got = [0.0; 2];
+        panels.dots(1, |_| &point[..], |_, _, sums| got[0] = sums[0][0]);
+        panels.fused_dots(1, |_| &point[..], |_, _, sums| got[1] = sums[0][0]);
+        assert_eq!(got[0].to_bits(), dot(&row, &point).to_bits());
+        assert_eq!(got[1].to_bits(), fused_dot(&row, &point).to_bits());
+        assert_eq!((got[0], got[1]), (0.0, e * e));
     }
 
     #[test]
@@ -340,5 +481,12 @@ mod tests {
     fn dots_length_mismatch_panics() {
         let panels = RowPanels::from_rows(2, 2, |_, row| row.fill(1.0));
         panels.dots(1, |_| &[1.0, 2.0, 3.0][..], |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "RowPanels::dots length mismatch")]
+    fn fused_dots_length_mismatch_panics() {
+        let panels = RowPanels::from_rows(2, 2, |_, row| row.fill(1.0));
+        panels.fused_dots(1, |_| &[1.0][..], |_, _, _| {});
     }
 }

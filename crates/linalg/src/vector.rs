@@ -257,8 +257,12 @@ mod tests {
         panels.dots(
             2,
             |p| &rows[1 - p][..],
-            |r, first, products| {
-                sums[r][first..first + products.len()].copy_from_slice(products);
+            |tile_rows, first, products| {
+                for (p, point_sums) in (first..).zip(products.iter()) {
+                    for r in tile_rows.clone() {
+                        sums[r][p] = point_sums[r - tile_rows.start];
+                    }
+                }
             },
         );
         assert_eq!(sums[0][0].to_bits(), (-0.0f64).to_bits());
@@ -268,7 +272,7 @@ mod tests {
             1,
             |_| &[],
             |_, _, sums| {
-                assert_eq!(sums[0].to_bits(), (-0.0f64).to_bits());
+                assert_eq!(sums[0][0].to_bits(), (-0.0f64).to_bits());
             },
         );
     }

@@ -18,8 +18,9 @@ fn matrix_strategy(n: usize) -> impl Strategy<Value = Matrix> {
 const MAX_TILE_LEN: usize = 12;
 /// Most rows the packed-panel property draws: two panels of 8 and one more.
 const MAX_PANEL_ROWS: usize = 17;
-/// Most points the packed-panel property draws: two kernel tiles of 4 and one more.
-const MAX_PANEL_POINTS: usize = 9;
+/// Most points the packed-panel properties draw: two of the fused walk's 6-point tiles and
+/// one more.
+const MAX_PANEL_POINTS: usize = 13;
 
 /// Strategy producing floats that are mostly ordinary and otherwise a signed zero, a
 /// subnormal, a huge value, ±∞ or NaN, so tile and panel sums can cancel to a signed zero,
@@ -41,6 +42,43 @@ fn edge_float() -> impl Strategy<Value = f64> {
 /// sign and payload of a NaN produced by arithmetic unspecified.
 fn same_sum(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Walks `rows` rows and `count` points, each the first `len` entries of its own
+/// [`MAX_TILE_LEN`]-long stretch of `data`, through `RowPanels::fused_dots` (with `fused`)
+/// or `RowPanels::dots`, and checks every product once against the scalar `mul_add` fold
+/// (against `vector::dot`).
+fn assert_panel_walk_matches(fused: bool, rows: usize, count: usize, len: usize, data: &[f64]) {
+    let row = |i: usize| &data[i * MAX_TILE_LEN..i * MAX_TILE_LEN + len];
+    let point = |p: usize| row(MAX_PANEL_ROWS + p);
+    let reference = |a: &[f64], b: &[f64]| {
+        if fused {
+            a.iter().zip(b).fold(-0.0, |acc, (x, y)| x.mul_add(*y, acc))
+        } else {
+            vector::dot(a, b)
+        }
+    };
+    let panels = RowPanels::from_rows(rows, len, |r, out| out.copy_from_slice(row(r)));
+    let mut seen = 0;
+    let visit = |tile_rows: std::ops::Range<usize>, first: usize, sums: &mut [[f64; 8]]| {
+        for (p, point_sums) in (first..).zip(sums.iter()) {
+            for (r, got) in tile_rows.clone().zip(point_sums) {
+                let want = reference(row(r), point(p));
+                assert!(
+                    same_sum(*got, want),
+                    "fused {fused}: row {r} of {rows}, point {p} of {count}, length {len}: \
+                     {got:e} vs {want:e}"
+                );
+                seen += 1;
+            }
+        }
+    };
+    if fused {
+        panels.fused_dots(count, point, visit);
+    } else {
+        panels.dots(count, point, visit);
+    }
+    assert_eq!(seen, rows * count);
 }
 
 /// An `R × C` tile kernel of `linalg::vector`.
@@ -207,23 +245,20 @@ proptest! {
             (MAX_PANEL_ROWS + MAX_PANEL_POINTS) * MAX_TILE_LEN,
         ),
     ) {
-        // Rows across two panel edges and points across two tile edges, each row or point
-        // the first `len` entries of its own stretch of `data`.
-        let row = |i: usize| &data[i * MAX_TILE_LEN..i * MAX_TILE_LEN + len];
-        let point = |p: usize| row(MAX_PANEL_ROWS + p);
-        let panels = RowPanels::from_rows(rows, len, |r, out| out.copy_from_slice(row(r)));
-        let mut seen = 0;
-        panels.dots(count, point, |r, first, sums| {
-            for (p, got) in (first..).zip(sums.iter()) {
-                let want = vector::dot(row(r), point(p));
-                assert!(
-                    same_sum(*got, want),
-                    "row {r} of {rows}, point {p} of {count}, length {len}: {got:e} vs {want:e}"
-                );
-                seen += 1;
-            }
-        });
-        prop_assert_eq!(seen, rows * count);
+        assert_panel_walk_matches(false, rows, count, len, &data);
+    }
+
+    #[test]
+    fn row_panel_fused_dots_equal_mul_add_fold_bitwise(
+        rows in 0usize..=MAX_PANEL_ROWS,
+        count in 0usize..=MAX_PANEL_POINTS,
+        len in 0usize..=MAX_TILE_LEN,
+        data in prop::collection::vec(
+            edge_float(),
+            (MAX_PANEL_ROWS + MAX_PANEL_POINTS) * MAX_TILE_LEN,
+        ),
+    ) {
+        assert_panel_walk_matches(true, rows, count, len, &data);
     }
 
     #[test]

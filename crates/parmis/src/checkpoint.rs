@@ -478,12 +478,12 @@ mod tests {
             assert_ne!(config_digest(&changed), digest);
         }
 
-        // The fast precision tier changes the trajectory and must move the digest.
-        let fast = ParmisConfig {
-            precision: fastmath::Precision::Fast,
+        // The exact precision tier changes the trajectory and must move the digest.
+        let exact = ParmisConfig {
+            precision: fastmath::Precision::SeedExact,
             ..base.clone()
         };
-        assert_ne!(config_digest(&fast), digest);
+        assert_ne!(config_digest(&exact), digest);
 
         // …the scheduling knob does not.
         let rescheduled = ParmisConfig {

@@ -59,12 +59,13 @@ pub struct ParmisConfig {
     /// pure, the Pareto front is **bit-identical for any worker count** — this knob trades
     /// wall-clock time only.
     pub num_workers: usize,
-    /// Numeric precision tier of the model-side math: [`Precision::SeedExact`] (the
-    /// default) reproduces the seed trajectory bit for bit, while [`Precision::Fast`]
-    /// switches the RFF posterior-sample cosines inside the Pareto-front sampling step to
-    /// the [`fastmath`] kernels (bounded, contract-tested error; still deterministic and
-    /// seeded, but a *different* deterministic trajectory than the exact tier). Folded into
-    /// the configuration digest, so a checkpoint never resumes on the other tier.
+    /// Numeric precision tier of the model-side math. [`Precision::Fast`] (the default)
+    /// evaluates the RFF posterior samples of the Pareto-front sampling step with fused
+    /// feature products and the [`fastmath`] block cosine (bounded, contract-tested error;
+    /// deterministic and seeded). [`Precision::SeedExact`] is the reference tier: unfused
+    /// products and libm `cos`, a different deterministic trajectory. Both tiers draw the
+    /// same frequencies and weights. Folded into the configuration digest, so a checkpoint
+    /// never resumes on the other tier.
     pub precision: Precision,
 }
 
@@ -82,7 +83,7 @@ impl Default for ParmisConfig {
             seed: 0x9a92_0c1e,
             batch_size: 1,
             num_workers: 1,
-            precision: Precision::SeedExact,
+            precision: Precision::Fast,
         }
     }
 }

@@ -448,14 +448,13 @@ fn fuel_suspends_a_segment_and_never_a_plain_run() {
     assert_eq!(outcome.stop_reason, StopReason::BudgetExhausted);
 }
 
-/// `config_digest(&ParmisConfig::default())`, recorded when the digest began to fold the
-/// precision tier of every configuration (checkpoint format 2). Every stored checkpoint
-/// carries its configuration's digest, and resume refuses a mismatch, so moving this value
-/// orphans every checkpoint on disk.
-const DEFAULT_CONFIG_DIGEST: u64 = 0xf50e_0b13_586e_76d3;
+/// `config_digest(&ParmisConfig::default())`, recorded when the default precision tier
+/// became `Fast`. Every stored checkpoint carries its configuration's digest, and resume
+/// refuses a mismatch, so moving this value orphans every checkpoint on disk.
+const DEFAULT_CONFIG_DIGEST: u64 = 0x0ca8_d51d_fcc6_82d0;
 
 /// Final trace hash of the uninterrupted `tiny_config(7, 11)` search.
-const TINY_SEARCH_FINAL_HASH: u64 = 0x1217_047d_afcf_065a;
+const TINY_SEARCH_FINAL_HASH: u64 = 0xb6f1_9b16_9f9c_5a3d;
 
 /// A checkpoint written by an earlier build still loads, verifies and resumes to the
 /// recorded trajectory: the fixture is the fuel-6 suspension of `tiny_config(7, 11)`.
@@ -496,11 +495,11 @@ fn stored_checkpoint_fixture_resumes_to_the_pinned_trace_hash() {
 }
 
 /// Final trace hashes of the paper-shape searches below: the front-sampling shape once per
-/// precision tier and the refit-cycle shape, recorded when RFF weight draws became
-/// `μ + σ_n·L⁻ᵀz`.
-const PAPER_SHAPE_FINAL_HASH_EXACT: u64 = 0x082e_4115_09fd_8812;
-const PAPER_SHAPE_FINAL_HASH_FAST: u64 = 0x4cfb_8e78_05dc_0222;
-const PAPER_SHAPE_REFIT_CYCLES_FINAL_HASH: u64 = 0x171c_130e_b446_2896;
+/// precision tier and the refit-cycle shape, recorded when RFF frequencies became blocked
+/// Box–Muller draws and the fast tier's feature products became fused.
+const PAPER_SHAPE_FINAL_HASH_EXACT: u64 = 0x1045_d92f_b1f0_f429;
+const PAPER_SHAPE_FINAL_HASH_FAST: u64 = 0x882b_cde5_017c_326b;
+const PAPER_SHAPE_REFIT_CYCLES_FINAL_HASH: u64 = 0x204b_008a_90e1_c1a2;
 
 /// Searches at the paper's dimension end on their recorded trajectories: θ ∈ ℝ⁵⁰¹ on
 /// `spectral`. The front-sampling shape runs on both precision tiers with 150 features and a
