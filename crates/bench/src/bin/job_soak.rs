@@ -7,9 +7,11 @@
 //! The orchestrator (no `--phase` flag) first computes reference outcome digests by
 //! running a 4-job fleet uninterrupted in-process. Then, for worker counts {1, 2, 4},
 //! it first drills the **graceful path** — a supervisor child armed with
-//! [`SupervisorConfig::drain_on_signals`] receives a real `SIGTERM` mid-fleet, drains
-//! every job to a checkpoint boundary, and must exit 0 with only resumable phases and
-//! zero quarantined files (a polite shutdown is not a crash) — and then the **crash
+//! [`SupervisorConfig::drain_on_signals`] raises a real `SIGTERM` against itself during
+//! the fleet's N-th evaluation batch (N seeded, and small enough that every drive still
+//! has batches to run), drains every job to a checkpoint boundary, and must exit 0 with
+//! only resumable phases, no completed fleet and zero quarantined files (a polite shutdown
+//! is not a crash; a drill that did not drain fails the soak) — and then the **crash
 //! path**: it repeatedly spawns itself as a supervisor process over the same checkpoint
 //! directory and kills it at a randomized point (seed logged; rerun with `--seed` to
 //! reproduce):
@@ -42,6 +44,8 @@ use serde::Serialize;
 use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const FLEET: u64 = 4;
 
@@ -105,6 +109,57 @@ fn evaluator_factory(_spec: &JobSpec) -> Result<Box<dyn PolicyEvaluator>, Parmis
     Ok(Box::new(evaluator()?))
 }
 
+/// The soak's evaluator, raising a real `SIGTERM` against its own process when the
+/// fleet-wide count of evaluation batches, shared by every job's copy, reaches `term_at`.
+///
+/// The signal lands inside a batch of the running fleet, so it can never arrive after the
+/// fleet has finished; the results are the inner evaluator's, unchanged.
+struct SignalAtBatch {
+    inner: SocEvaluator,
+    batches: Arc<AtomicU64>,
+    term_at: u64,
+}
+
+impl PolicyEvaluator for SignalAtBatch {
+    fn parameter_dim(&self) -> usize {
+        self.inner.parameter_dim()
+    }
+
+    fn parameter_bound(&self) -> f64 {
+        self.inner.parameter_bound()
+    }
+
+    fn objectives(&self) -> &[Objective] {
+        self.inner.objectives()
+    }
+
+    fn evaluate(&self, theta: &[f64]) -> Result<Vec<f64>, ParmisError> {
+        self.inner.evaluate(theta)
+    }
+
+    fn evaluate_batch(&self, thetas: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, ParmisError> {
+        if self.batches.fetch_add(1, Ordering::SeqCst) + 1 == self.term_at {
+            let pid = std::process::id().to_string();
+            println!(
+                "drive: raising SIGTERM during evaluation batch {}",
+                self.term_at
+            );
+            // `kill` returns once the signal is sent; the drain handler sees it before the
+            // search reaches its next round boundary.
+            let _ = Command::new("kill").args(["-TERM", &pid]).status();
+        }
+        self.inner.evaluate_batch(thetas)
+    }
+}
+
+/// Evaluation batches one `quick` (or full) soak job runs: one for the initial design and
+/// one per round of two evaluations.
+fn batches_per_job(quick: bool) -> u64 {
+    let config = job_config(quick, 0);
+    let rounds = (config.max_iterations - config.initial_samples).div_ceil(config.batch_size);
+    1 + rounds as u64
+}
+
 /// Seeded xorshift64* — all kill-schedule randomness flows from the logged seed.
 struct SoakRng(u64);
 
@@ -135,17 +190,18 @@ enum KillMode {
 }
 
 /// Child phase: open the supervisor over `dir` (recovering whatever the previous
-/// process left), optionally arm a kill or a delayed `SIGTERM`, drive the fleet, and
-/// persist the per-job digests on completion. Under `term_after_ms` the supervisor is
-/// opened with [`SupervisorConfig::drain_on_signals`]: the signal drains the fleet to a
-/// checkpoint boundary and the process exits **0** with only resumable phases — the
-/// graceful path the orchestrator asserts is distinct from the SIGKILL crash path.
+/// process left), optionally arm a kill or a `SIGTERM` at the fleet's `term_at_batch`-th
+/// evaluation batch, drive the fleet, and persist the per-job digests on completion. Under
+/// `term_at_batch` the supervisor is opened with [`SupervisorConfig::drain_on_signals`]:
+/// the signal drains the fleet to a checkpoint boundary and the process exits **0** with
+/// only resumable phases — the graceful path the orchestrator asserts is distinct from the
+/// SIGKILL crash path. A drill whose fleet finished anyway exits non-zero.
 fn phase_drive(
     quick: bool,
     dir: &Path,
     workers: usize,
     kill: KillMode,
-    term_after_ms: Option<u64>,
+    term_at_batch: Option<u64>,
 ) {
     if let KillMode::Timer(ms) = kill {
         std::thread::spawn(move || {
@@ -158,7 +214,7 @@ fn phase_drive(
         });
     }
 
-    let config = supervisor_config(workers, term_after_ms.is_some());
+    let config = supervisor_config(workers, term_at_batch.is_some());
     let supervisor = match kill {
         KillMode::Write(on_write, stage) => {
             JobSupervisor::open_with_crash_plan(dir, config, CrashPlan { on_write, stage })
@@ -172,22 +228,30 @@ fn phase_drive(
         recovery.interrupted, recovery.quarantined, recovery.journal_rebuilt
     );
 
-    if let Some(ms) = term_after_ms {
-        // The drain handler is armed (the supervisor is open): a real SIGTERM from here
-        // on is a graceful drain, not a kill.
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            let pid = std::process::id().to_string();
-            let _ = Command::new("kill").args(["-TERM", &pid]).status();
-        });
-    }
-
     let specs = fleet_specs(quick);
-    let fleet = supervisor
-        .run(&specs, evaluator_factory)
-        .unwrap_or_else(|e| die(&format!("fleet run failed: {e}")));
+    let batches = Arc::new(AtomicU64::new(0));
+    let fleet = match term_at_batch {
+        // The drain handler is armed (the supervisor is open): the SIGTERM the evaluator
+        // raises is a graceful drain, not a kill.
+        Some(term_at) => supervisor.run(&specs, |_| {
+            Ok(Box::new(SignalAtBatch {
+                inner: evaluator()?,
+                batches: Arc::clone(&batches),
+                term_at,
+            }) as Box<dyn PolicyEvaluator>)
+        }),
+        None => supervisor.run(&specs, evaluator_factory),
+    }
+    .unwrap_or_else(|e| die(&format!("fleet run failed: {e}")));
 
-    if term_after_ms.is_some() && !fleet.all_done() {
+    if term_at_batch.is_some() {
+        if fleet.all_done() {
+            die(&format!(
+                "drain drill: the fleet finished after {} evaluation batches without \
+                 draining",
+                batches.load(Ordering::SeqCst)
+            ));
+        }
         // Drained mid-fleet: every job must have parked at a checkpoint boundary in a
         // resumable phase — nothing failed, nothing quarantined, journal flushed.
         for job in &fleet.jobs {
@@ -353,29 +417,37 @@ fn orchestrate(quick: bool, seed: u64, max_seconds: Option<u64>, results_dir: &P
 
         // Graceful-drain drill: a SIGTERM mid-fleet must come back exit-0 (the drain
         // path, unlike every SIGKILL below, is not a crash), leave only resumable
-        // phases in the journal, and quarantine nothing.
+        // phases in the journal and no completed fleet, and quarantine nothing.
         if !budget_expired(&time_budget) {
             attempts += 1;
-            drain_drills += 1;
-            // The handler is armed before the child's timer starts counting, so even a
-            // near-zero delay is a graceful drain, never a default-disposition kill.
-            let term_ms = rng.range(5, if quick { 100 } else { 1000 });
+            // At most a third of the fleet's batches: with every job owed batches after
+            // it, the signal always lands mid-fleet, whatever the worker count.
+            let term_at = rng.range(1, (FLEET * batches_per_job(quick) / 3).max(1));
             let mut cmd = Command::new(&exe);
             cmd.args(["--phase", "drive", "--dir"])
                 .arg(&dir)
                 .args(["--workers", &workers.to_string()])
-                .args(["--term-after-ms", &term_ms.to_string()]);
+                .args(["--term-at-batch", &term_at.to_string()]);
             if quick {
                 cmd.arg("--quick");
             }
-            println!("orchestrator: workers={workers} drain drill (SIGTERM after {term_ms} ms)");
+            println!(
+                "orchestrator: workers={workers} drain drill (SIGTERM at evaluation batch \
+                 {term_at})"
+            );
             let status = cmd
                 .status()
                 .unwrap_or_else(|e| die(&format!("spawning drain drill failed: {e}")));
             if !status.success() {
                 die(&format!(
                     "drain drill (workers={workers}) exited with {status}: SIGTERM must \
-                     drain gracefully, not crash"
+                     drain the fleet gracefully, not crash or miss it"
+                ));
+            }
+            if dir.join("digests.tsv").exists() {
+                die(&format!(
+                    "drain drill (workers={workers}) completed the fleet: the SIGTERM drained \
+                     nothing"
                 ));
             }
             let quarantined = parmis::jobs::CheckpointStore::open(&dir, 32)
@@ -388,6 +460,7 @@ fn orchestrate(quick: bool, seed: u64, max_seconds: Option<u64>, results_dir: &P
                      graceful drain must not tear state"
                 ));
             }
+            drain_drills += 1;
         }
 
         // A kill counts only when the drive died by a signal, and a corruption drill only
@@ -547,7 +620,7 @@ fn main() {
     let mut dir: Option<PathBuf> = None;
     let mut workers = 1usize;
     let mut kill_after_ms: Option<u64> = None;
-    let mut term_after_ms: Option<u64> = None;
+    let mut term_at_batch: Option<u64> = None;
     let mut crash_write: Option<u64> = None;
     let mut crash_stage = CrashStage::BeforeRename;
     let mut max_seconds: Option<u64> = None;
@@ -582,11 +655,11 @@ fn main() {
                         .unwrap_or_else(|_| die("--kill-after-ms needs a u64")),
                 )
             }
-            "--term-after-ms" => {
-                term_after_ms = Some(
-                    value(&args, &mut i, "--term-after-ms")
+            "--term-at-batch" => {
+                term_at_batch = Some(
+                    value(&args, &mut i, "--term-at-batch")
                         .parse()
-                        .unwrap_or_else(|_| die("--term-after-ms needs a u64")),
+                        .unwrap_or_else(|_| die("--term-at-batch needs a u64")),
                 )
             }
             "--max-seconds" => {
@@ -636,7 +709,7 @@ fn main() {
                 (None, Some(n)) => KillMode::Write(n, crash_stage),
                 (None, None) => KillMode::Clean,
             };
-            phase_drive(quick, &dir, workers, kill, term_after_ms);
+            phase_drive(quick, &dir, workers, kill, term_at_batch);
         }
         Some(other) => die(&format!("unknown phase {other}")),
     }

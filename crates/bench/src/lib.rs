@@ -13,6 +13,5 @@
 pub mod harness;
 pub mod report;
 pub mod seedpath;
-pub mod seedpath_acq;
 
 pub use harness::{ExperimentBudget, MethodFront, PhvSummary};

@@ -1,17 +1,21 @@
 //! Bit-identity contract of the flat-buffer batched acquisition engine.
 //!
-//! The flat NSGA-II engine (`moo::nsga2::Nsga2Engine`), the batched RFF evaluation
+//! The entry points of the flat NSGA-II engine (`moo::nsga2::Nsga2::run`, `run_batched` and
+//! a reused `Nsga2Engine::solve`), the batched RFF evaluation
 //! (`gp::PosteriorSample::eval_batch_into`) and the batched front sampler
-//! (`parmis::pareto_sampling::ParetoFrontSampler::sample_with`) must reproduce the seed
-//! per-point loop — preserved verbatim in [`bench::seedpath_acq`] — **bit for bit**, across
-//! seeds, dimensions, population sizes and both kernel families. Any `!=` here means the
-//! rewrite changed the numbers, not just the speed.
+//! (`parmis::pareto_sampling::ParetoFrontSampler::sample_with`) must agree with each other
+//! **bit for bit**, across seeds, dimensions, population sizes and both kernel families.
+//! Committed digests of a few final populations and sampled fronts pin the numbers
+//! themselves: they move only with a deliberate change to the variation step, the RFF
+//! sampler or the sort, and such a change records its old and new digests.
 
-use bench::seedpath_acq::{build_seed_samplers, nsga2_run_seed, sample_front_seed};
+use fastmath::Precision;
 use gp::kernel::Kernel;
 use gp::{GaussianProcess, RffSampler};
-use moo::nsga2::{Nsga2, Nsga2Config, Nsga2Engine};
-use parmis::pareto_sampling::{AcquisitionScratch, ParetoFrontSampler, ParetoSamplingConfig};
+use moo::nsga2::{Nsga2, Nsga2Config, Nsga2Engine, Population};
+use parmis::pareto_sampling::{
+    AcquisitionScratch, ParetoFrontSample, ParetoFrontSampler, ParetoSamplingConfig,
+};
 use proptest::prelude::*;
 
 /// A smooth, seed-parametrized bi-objective test function over `[-bound, bound]^d`.
@@ -52,16 +56,79 @@ fn kernel_for(family: u8, dim: usize) -> Kernel {
     }
 }
 
+/// FNV-1a over the bits of every value, in order.
+fn digest<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, v| {
+        v.to_bits().to_le_bytes().iter().fold(hash, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    })
+}
+
+fn population_digest(population: &Population) -> u64 {
+    digest(
+        population
+            .decisions
+            .iter()
+            .chain(&population.objectives)
+            .flatten(),
+    )
+}
+
+fn front_digest(sample: &ParetoFrontSample) -> u64 {
+    digest(
+        sample
+            .front
+            .iter()
+            .flatten()
+            .chain(&sample.per_objective_best),
+    )
+}
+
+/// Solves `objectives(·, shift)` over `[-2, 2]^dim` through all three entry points and
+/// checks that they agree bit for bit; returns the population.
+fn solve_three_ways(config: Nsga2Config, dim: usize, shift: f64) -> Population {
+    let solver = Nsga2::new(vec![-2.0; dim], vec![2.0; dim], config.clone()).unwrap();
+    let per_point = solver.run(|x| objectives(x, shift));
+
+    let batched_eval = |points: &moo::FlatPopulation<'_>, out: &mut [f64]| {
+        for i in 0..points.count() {
+            out[2 * i..2 * i + 2].copy_from_slice(&objectives(points.row(i), shift));
+        }
+    };
+    let batched = solver.run_batched(&mut Nsga2Engine::new(), 2, batched_eval);
+
+    // An engine warmed on another shape and seed, then solving this problem.
+    let mut engine = Nsga2Engine::new();
+    let warm_config = Nsga2Config {
+        seed: config.seed ^ 0x5a5a,
+        ..config
+    };
+    let warm = Nsga2::new(vec![-1.0; dim + 3], vec![3.0; dim + 3], warm_config).unwrap();
+    engine.solve(&warm, 2, batched_eval);
+    engine.solve(&solver, 2, batched_eval);
+    let reused = engine.to_population();
+
+    for other in [&batched, &reused] {
+        assert_eq!(per_point.decisions, other.decisions);
+        assert_eq!(per_point.objectives, other.objectives);
+    }
+    per_point
+}
+
+/// The decision-space dimensions the entry-point property draws from.
+const DIMENSIONS: [usize; 8] = [1, 2, 3, 4, 63, 64, 65, 130];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The engine-backed `Nsga2::run` and the batched `run_batched` both reproduce the
-    /// preserved seed loop exactly: same decisions, same objectives, for any seed, any
-    /// dimension, any (even) population size and generation count.
+    /// `Nsga2::run`, `run_batched` and a reused `Nsga2Engine::solve` give the same final
+    /// population, bit for bit, for any seed, any dimension (below, on and past a coin
+    /// word's 64 genes), any (even) population size and generation count.
     #[test]
-    fn flat_nsga2_is_bit_identical_to_the_seed_loop(
+    fn nsga2_entry_points_are_bit_identical(
         seed in 0u64..u64::MAX,
-        dim in 1usize..5,
+        dim in 0usize..DIMENSIONS.len(),
         pop_half in 2usize..9,
         generations in 1usize..7,
         shift in -1.5f64..1.5,
@@ -71,24 +138,7 @@ proptest! {
             generations,
             seed,
         };
-        let lower = vec![-2.0; dim];
-        let upper = vec![2.0; dim];
-
-        let seed_pop = nsga2_run_seed(&lower, &upper, &config, |x| objectives(x, shift));
-
-        let solver = Nsga2::new(lower, upper, config).unwrap();
-        let flat_pop = solver.run(|x| objectives(x, shift));
-        prop_assert_eq!(&seed_pop.decisions, &flat_pop.decisions);
-        prop_assert_eq!(&seed_pop.objectives, &flat_pop.objectives);
-
-        let mut engine = Nsga2Engine::new();
-        let batched_pop = solver.run_batched(&mut engine, 2, |points, out| {
-            for i in 0..points.count() {
-                out[2 * i..2 * i + 2].copy_from_slice(&objectives(points.row(i), shift));
-            }
-        });
-        prop_assert_eq!(&seed_pop.decisions, &batched_pop.decisions);
-        prop_assert_eq!(&seed_pop.objectives, &batched_pop.objectives);
+        solve_three_ways(config, DIMENSIONS[dim], shift);
     }
 }
 
@@ -121,11 +171,11 @@ proptest! {
         }
     }
 
-    /// End to end: the batched front sampler reproduces the seed path's sampled Pareto
-    /// front and per-objective extrema bit for bit — with a fresh scratch *and* with a
-    /// warm scratch reused across draws (the framework's usage pattern).
+    /// The front sampler gives the same sampled Pareto front and per-objective extrema
+    /// with a warm scratch reused across draws (the framework's usage pattern) as with a
+    /// fresh scratch per draw, bit for bit.
     #[test]
-    fn sampled_fronts_are_bit_identical_to_the_seed_path(
+    fn warm_scratch_fronts_are_bit_identical_to_fresh_scratch_fronts(
         family in 0u8..2,
         sampler_seed in 0u64..u64::MAX,
         sample_seed in 0u64..u64::MAX,
@@ -138,18 +188,78 @@ proptest! {
             nsga_population: 16,
             nsga_generations: 6,
         };
-        let bound = 3.0;
-
-        let seed_samplers = build_seed_samplers(&models, config.rff_features, sampler_seed);
-        let sampler = ParetoFrontSampler::new(&models, bound, config.clone(), sampler_seed).unwrap();
+        let sampler = ParetoFrontSampler::new(&models, 3.0, config, sampler_seed).unwrap();
 
         let mut scratch = AcquisitionScratch::default();
         for offset in 0..3u64 {
             let s = sample_seed.wrapping_add(offset * 104729);
-            let seed_sample = sample_front_seed(&seed_samplers, bound, &config, s);
-            let flat_sample = sampler.sample_with(&mut scratch, s).unwrap();
-            prop_assert_eq!(&seed_sample.front, &flat_sample.front);
-            prop_assert_eq!(&seed_sample.per_objective_best, &flat_sample.per_objective_best);
+            let fresh = sampler.sample(s).unwrap();
+            let warm = sampler.sample_with(&mut scratch, s).unwrap();
+            prop_assert_eq!(&fresh.front, &warm.front);
+            prop_assert_eq!(&fresh.per_objective_best, &warm.per_objective_best);
         }
+    }
+}
+
+/// Final populations at fixed cases: a small box, and a 131-gene box whose crossing coins
+/// fill two 64-bit words and part of a third.
+#[test]
+fn final_populations_match_their_committed_digests() {
+    let cases = [
+        (
+            Nsga2Config {
+                population_size: 16,
+                generations: 6,
+                seed: 0x5eed,
+            },
+            3,
+            0.4,
+            0x56cd_fd28_a563_2505u64,
+        ),
+        (
+            Nsga2Config {
+                population_size: 20,
+                generations: 5,
+                seed: 2_593_262_622,
+            },
+            131,
+            -0.7,
+            0xe20e_b32e_3839_4e04u64,
+        ),
+    ];
+    for (config, dim, shift, expected) in cases {
+        let population = solve_three_ways(config.clone(), dim, shift);
+        let got = population_digest(&population);
+        assert_eq!(
+            got, expected,
+            "population digest of {config:?} at dimension {dim} moved: {got:#018x}"
+        );
+    }
+}
+
+/// Sampled fronts at fixed cases: both kernel families on the exact tier, and the Matérn
+/// models on the fast tier the search defaults to.
+#[test]
+fn sampled_fronts_match_their_committed_digests() {
+    let config = ParetoSamplingConfig {
+        rff_features: 60,
+        nsga_population: 16,
+        nsga_generations: 6,
+    };
+    let cases = [
+        (0u8, Precision::SeedExact, 0x2fe0_07ce_3546_8d16u64),
+        (1, Precision::SeedExact, 0x45c9_9d89_635b_d447),
+        (1, Precision::Fast, 0x404d_3f00_ccdc_afff),
+    ];
+    for (family, precision, expected) in cases {
+        let models = toy_models(2, &kernel_for(family, 2));
+        let sampler =
+            ParetoFrontSampler::new_with_precision(&models, 3.0, config.clone(), 7, precision)
+                .unwrap();
+        let got = front_digest(&sampler.sample(11).unwrap());
+        assert_eq!(
+            got, expected,
+            "front digest of family {family} on {precision:?} moved: {got:#018x}"
+        );
     }
 }

@@ -12,11 +12,11 @@
 //! threads.
 
 use bench::seedpath::{probe_app, FixedDecisionController as FixedController};
-use bench::seedpath_acq::{build_seed_samplers, probe_models, probe_sampling_config};
 use fastmath::Precision;
 use gp::kernel::Kernel;
 use gp::{GaussianProcess, PosteriorSample, RffSampler, WeightScratch};
 use moo::nsga2::{Nsga2, Nsga2Config, Nsga2Engine};
+use parmis::pareto_sampling::ParetoSamplingConfig;
 use policy::drm_policy::{DrmPolicy, PolicyArchitecture};
 use soc_sim::config::DrmDecision;
 use soc_sim::platform::Platform;
@@ -122,8 +122,13 @@ fn streaming_runs_allocate_nothing_per_epoch_on_both_tiers() {
 fn warm_nsga2_solves_allocate_nothing_per_generation() {
     let models = probe_models();
     let config = probe_sampling_config();
-    let sampler_seed = 11u64;
-    let samplers = build_seed_samplers(&models, config.rff_features, sampler_seed);
+    let samplers: Vec<RffSampler> = models
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            RffSampler::new(m, config.rff_features, 11 + i as u64).expect("valid sampler")
+        })
+        .collect();
     let functions: Vec<PosteriorSample> = samplers
         .iter()
         .map(|s| s.sample(3).expect("valid draw"))
@@ -239,6 +244,38 @@ fn fast_tier_eval_batch80_allocates_nothing() {
         fast_allocs, 0,
         "the fast-tier batched posterior evaluation must stay allocation-free"
     );
+}
+
+/// Two 3-dimensional GP models with opposing trends (a genuine model Pareto trade-off),
+/// fitted on a deterministic design: the probe problem of the NSGA-II and fast-tier
+/// contracts.
+fn probe_models() -> Vec<GaussianProcess> {
+    let dim = 3;
+    let xs: Vec<Vec<f64>> = (0..30)
+        .map(|i| {
+            let t = i as f64 / 29.0 * 6.0 - 3.0;
+            (0..dim)
+                .map(|d| t * (1.0 - 0.3 * d as f64) + 0.15 * d as f64)
+                .collect()
+        })
+        .collect();
+    let y1: Vec<f64> = xs.iter().map(|x| x[0] + 0.1 * x[2] + 0.05 * x[1]).collect();
+    let y2: Vec<f64> = xs.iter().map(|x| -x[0] + 0.2 * x[1]).collect();
+    let kernel = Kernel::matern52(1.0, 2.0);
+    vec![
+        GaussianProcess::fit(xs.clone(), y1, kernel.clone(), 1e-4).expect("valid fit"),
+        GaussianProcess::fit(xs, y2, kernel, 1e-4).expect("valid fit"),
+    ]
+}
+
+/// The probe's sampling shape: 200 random features, a 40-individual population evolved
+/// for 30 generations.
+fn probe_sampling_config() -> ParetoSamplingConfig {
+    ParetoSamplingConfig {
+        rff_features: 200,
+        nsga_population: 40,
+        nsga_generations: 30,
+    }
 }
 
 /// Query point `i` in θ ∈ ℝ⁵⁰¹ for the paper-shape contracts.

@@ -138,6 +138,7 @@ pub fn fast_cos(x: f64) -> f64 {
 ///
 /// Bit-identical to `for v in xs { *v = fast_cos(*v) }`: whole 8-element blocks go through
 /// [`fast_cos_block`], and the tail through [`fast_cos`].
+#[inline(always)]
 pub fn fast_cos_slice(xs: &mut [f64]) {
     let mut blocks = xs.chunks_exact_mut(8);
     for block in &mut blocks {

@@ -78,8 +78,12 @@ fn fast_exp_core(x: f64) -> f64 {
     let p = r * ((EXP_P[0] * z + EXP_P[1]) * z + EXP_P[2]);
     let q = ((EXP_Q[0] * z + EXP_Q[1]) * z + EXP_Q[2]) * z + EXP_Q[3];
     let e = 1.0 + 2.0 * p / (q - p);
-    // 2ᵏ via the exponent field: k ∈ [-1011, 1011], so 1023 + k stays in (0, 2047).
-    let two_k = f64::from_bits(((1023 + k as i64) as u64) << 52);
+    // 2ᵏ via the exponent field: k ∈ [-1011, 1011], so 1023 + k stays in (0, 2047). The
+    // integer k is read off t's mantissa (t = MAGIC + k holds it in its low bits), which
+    // is `k as i64` exactly but stays in integer lanes where AVX2 has no f64 → i64
+    // conversion.
+    let k_int = (t.to_bits() as i64).wrapping_sub(MAGIC.to_bits() as i64);
+    let two_k = f64::from_bits(((1023 + k_int) as u64) << 52);
     e * two_k
 }
 
@@ -114,6 +118,7 @@ pub fn fast_exp(x: f64) -> f64 {
 
 /// Replaces every element of `xs` with its [`fast_exp`]; bit-identical to the scalar
 /// map, with a branch-free main pass and a libm patch-up pass for out-of-domain lanes.
+#[inline(always)]
 pub fn fast_exp_slice(xs: &mut [f64]) {
     const B: usize = 64;
     let mut orig = [0.0f64; B];
@@ -154,7 +159,9 @@ fn fast_ln_core(x: f64) -> f64 {
     let t1 = w * (LG[1] + w * (LG[3] + w * LG[5]));
     let t2 = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6])));
     let r = t2 + t1;
-    let dk = k as f64;
+    // `k as f64`, exactly, through the mantissa of MAGIC + k (|k| < 2⁵¹), for the same
+    // reason as in the exp core.
+    let dk = f64::from_bits((MAGIC.to_bits() as i64).wrapping_add(k) as u64) - MAGIC;
     dk * LOG_LN2_HI - ((s * (f - r) - dk * LOG_LN2_LO) - f)
 }
 
@@ -188,6 +195,7 @@ pub fn fast_ln(x: f64) -> f64 {
 /// Replaces every element of `xs` with its [`fast_ln`]; bit-identical to the scalar
 /// map. The mantissa-shift branch in the core is a select, so the main pass stays
 /// straight-line; out-of-domain lanes are patched with libm in a second pass.
+#[inline(always)]
 pub fn fast_ln_slice(xs: &mut [f64]) {
     const B: usize = 64;
     let mut orig = [0.0f64; B];

@@ -30,6 +30,10 @@ const TWO_PI: f64 = std::f64::consts::TAU;
 /// same two uniforms (in the same order) as `i` scalar draws would, and differs from
 /// the scalar value only by the fast-kernel error (`<= 1e-9` absolute, enforced by the
 /// accuracy suite; distribution-level moment/KS bounds are tested on top).
+///
+/// Inlined with its slice kernels, so a caller that runs it inside
+/// `linalg::simd::dispatch` gets it compiled for the wide copy, with the same bits.
+#[inline(always)]
 pub fn fill_standard_normal<R: RngCore + ?Sized>(rng: &mut R, out: &mut [f64]) {
     let mut u2 = [0.0f64; NOISE_BLOCK];
     let mut base = 0;

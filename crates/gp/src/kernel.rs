@@ -5,7 +5,7 @@
 //! input dimension.
 
 use crate::{GpError, Result};
-use linalg::{vector, Matrix};
+use linalg::{vector, Matrix, RowPanels};
 
 /// Family of the stationary kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +154,8 @@ impl Kernel {
     /// [`eval`](Self::eval) on its pair.
     ///
     /// The kernel depends on its inputs only through their squared distance, so it maps the
-    /// pairwise squared distances, computed in register tiles of 4 × 4 pairs, through its
-    /// covariance.
+    /// pairwise squared distances, the lower triangle walked by
+    /// [`RowPanels::lower_squared_distances`] and mirrored, through its covariance.
     ///
     /// # Panics
     ///
@@ -196,15 +196,15 @@ impl Kernel {
     /// allocation, every entry bit-identical to [`eval`](Self::eval) on its pair.
     ///
     /// This is the batched counterpart of [`cross`](Self::cross), ready to be handed to a
-    /// blocked triangular solve. It computes the squared distances in register tiles of
-    /// 4 inputs × 4 queries and maps them through its covariance in place.
+    /// blocked triangular solve. It packs the training inputs once, walks the queries
+    /// against them in point tiles ([`RowPanels::squared_distances`]) and maps the squared
+    /// distances through its covariance in place.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`eval`](Self::eval).
     pub fn cross_matrix(&self, xs: &[Vec<f64>], queries: &[Vec<f64>]) -> Matrix {
-        let mut k = Matrix::zeros(xs.len(), queries.len());
-        fill_squared_distances(xs, queries, false, &mut k);
+        let mut k = squared_distances(xs, queries);
         for entry in k.as_mut_slice() {
             *entry = self.covariance(self.scaled(*entry));
         }
@@ -212,66 +212,67 @@ impl Kernel {
     }
 }
 
-/// Inputs per register tile of the pair walker [`fill_squared_distances`].
-///
-/// Chosen by measurement at d = 501: `cross_matrix` over 300 inputs × 128 queries took
-/// 6–7.4 ms with 4 × 4 tiles against ~15 ms one pair at a time (one core of a shared 2-vCPU
-/// Xeon VM, default x86-64 target); 2 × 4, 3 × 4, 4 × 2, 4 × 8 and 8 × 4 tiles were slower
-/// or tied.
-const TILE_ROWS: usize = 4;
-/// Queries per register tile of [`fill_squared_distances`] (see [`TILE_ROWS`]).
-const TILE_COLS: usize = 4;
-
 /// Pairwise squared distances `‖xs[i] − xs[j]‖²` as a symmetric matrix, every entry
-/// bit-identical to [`vector::squared_distance`] on its pair. Only the lower triangle of
-/// tiles is computed; it is mirrored, which is exact because `(x − y)²` and `(y − x)²`
-/// round identically.
+/// bit-identical to [`vector::squared_distance`] on its pair, in either order: the lower
+/// triangle walked by [`RowPanels::lower_squared_distances`] and mirrored.
 ///
 /// # Panics
 ///
 /// Panics if the inputs differ in dimension.
 pub(crate) fn squared_distance_matrix(xs: &[Vec<f64>]) -> Matrix {
-    let mut squared_distances = Matrix::zeros(xs.len(), xs.len());
-    fill_squared_distances(xs, xs, true, &mut squared_distances);
-    squared_distances
+    let n = xs.len();
+    let mut out = Matrix::zeros(n, n);
+    let data = out.as_mut_slice();
+    packed(xs).lower_squared_distances(
+        |j| &xs[j],
+        |rows, first, sums| {
+            for (j, column) in (first..).zip(sums.iter()) {
+                for (i, entry) in rows.clone().zip(column) {
+                    data[i * n + j] = *entry;
+                    data[j * n + i] = *entry;
+                }
+            }
+        },
+    );
+    out
 }
 
-/// The pair walker: writes [`vector::squared_distance`]`(xs[i], ys[j])` into `out[(i, j)]`
-/// for every pair, bit for bit.
+/// `xs` packed into [`RowPanels`].
 ///
-/// Full `TILE_ROWS × TILE_COLS` blocks go through one [`vector::squared_distance_tile`];
-/// blocks on the ragged edges fall back to plain [`vector::squared_distance`]. With
-/// `mirror` (`ys` is `xs`), only blocks that reach the diagonal or lie below it are computed,
-/// and each entry is written to `out[(j, i)]` too. Nothing is allocated.
-fn fill_squared_distances(xs: &[Vec<f64>], ys: &[Vec<f64>], mirror: bool, out: &mut Matrix) {
-    for i0 in (0..xs.len()).step_by(TILE_ROWS) {
-        let rows = i0..(i0 + TILE_ROWS).min(xs.len());
-        let cols_end = if mirror { rows.end } else { ys.len() };
-        for j0 in (0..cols_end).step_by(TILE_COLS) {
-            let cols = j0..(j0 + TILE_COLS).min(cols_end);
-            let mut block = [[0.0; TILE_COLS]; TILE_ROWS];
-            if rows.len() == TILE_ROWS && cols.len() == TILE_COLS {
-                block = vector::squared_distance_tile(
-                    std::array::from_fn(|r| xs[i0 + r].as_slice()),
-                    std::array::from_fn(|c| ys[j0 + c].as_slice()),
-                );
-            } else {
-                for (i, block_row) in rows.clone().zip(&mut block) {
-                    for (j, entry) in cols.clone().zip(block_row) {
-                        *entry = vector::squared_distance(&xs[i], &ys[j]);
-                    }
+/// # Panics
+///
+/// Panics if the inputs differ in dimension.
+fn packed(xs: &[Vec<f64>]) -> RowPanels {
+    let dim = xs.first().map_or(0, Vec::len);
+    RowPanels::from_rows(xs.len(), dim, |i, row| {
+        assert_eq!(xs[i].len(), dim, "kernel inputs must share dimension");
+        row.copy_from_slice(&xs[i]);
+    })
+}
+
+/// The `xs.len() × ys.len()` matrix of squared distances `‖xs[i] − ys[j]‖²`, every entry
+/// bit-identical to [`vector::squared_distance`]`(xs[i], ys[j])`: `xs` packed into
+/// [`RowPanels`] and walked against every `ys[j]`.
+///
+/// # Panics
+///
+/// Panics if the inputs differ in dimension.
+fn squared_distances(xs: &[Vec<f64>], ys: &[Vec<f64>]) -> Matrix {
+    let mut out = Matrix::zeros(xs.len(), ys.len());
+    let cols = ys.len();
+    let data = out.as_mut_slice();
+    packed(xs).squared_distances(
+        cols,
+        |j| &ys[j],
+        |rows, first, sums| {
+            for (j, column) in (first..).zip(sums.iter()) {
+                for (i, entry) in rows.clone().zip(column) {
+                    data[i * cols + j] = *entry;
                 }
             }
-            for (i, block_row) in rows.clone().zip(&block) {
-                for (j, &entry) in cols.clone().zip(block_row) {
-                    out[(i, j)] = entry;
-                    if mirror {
-                        out[(j, i)] = entry;
-                    }
-                }
-            }
-        }
-    }
+        },
+    );
+    out
 }
 
 #[cfg(test)]
@@ -341,16 +342,23 @@ mod tests {
             .collect()
     }
 
-    /// Point counts that hit full 4 × 4 tiles, ragged edges, or both.
-    const TILE_EDGE_SIZES: [usize; 6] = [1, 3, 4, 6, 8, 17];
+    /// Point counts below, on and past one 8-row panel and every tile width of the packed
+    /// walk.
+    const TILE_EDGE_SIZES: [usize; 7] = [1, 3, 4, 6, 8, 9, 17];
 
     /// Kernels of both families, for 3-dimensional inputs.
     fn three_dimensional_kernels() -> [Kernel; 2] {
         [Kernel::rbf(1.5, 0.7), Kernel::matern52(0.8, 1.2)]
     }
 
+    /// Checks the Gram matrix against `eval` on the copy this CPU dispatches to and on the
+    /// portable one.
     fn assert_gram_matches_eval(kernel: &Kernel, xs: &[Vec<f64>]) {
-        let g = kernel.gram(xs);
+        assert_gram_copy_matches_eval(kernel, xs, kernel.gram(xs));
+        assert_gram_copy_matches_eval(kernel, xs, linalg::simd::portable(|| kernel.gram(xs)));
+    }
+
+    fn assert_gram_copy_matches_eval(kernel: &Kernel, xs: &[Vec<f64>], g: Matrix) {
         let n = xs.len();
         assert_eq!(g.shape(), (n, n));
         for i in 0..n {
@@ -374,12 +382,17 @@ mod tests {
         assert_gram_matches_eval(&Kernel::matern52(1.0, 12.0), &irregular_points(300, 501, 0));
     }
 
+    /// Checks `cross_matrix` against `cross` on the copy this CPU dispatches to and on the
+    /// portable one.
     fn assert_cross_matrix_matches_cross(kernel: &Kernel, xs: &[Vec<f64>], queries: &[Vec<f64>]) {
-        let m = kernel.cross_matrix(xs, queries);
-        assert_eq!(m.shape(), (xs.len(), queries.len()));
-        for (j, q) in queries.iter().enumerate() {
-            for (i, ci) in kernel.cross(q, xs).iter().enumerate() {
-                assert_eq!(m[(i, j)].to_bits(), ci.to_bits(), "mismatch at ({i},{j})");
+        let dispatched = kernel.cross_matrix(xs, queries);
+        let portable = linalg::simd::portable(|| kernel.cross_matrix(xs, queries));
+        for m in [dispatched, portable] {
+            assert_eq!(m.shape(), (xs.len(), queries.len()));
+            for (j, q) in queries.iter().enumerate() {
+                for (i, ci) in kernel.cross(q, xs).iter().enumerate() {
+                    assert_eq!(m[(i, j)].to_bits(), ci.to_bits(), "mismatch at ({i},{j})");
+                }
             }
         }
     }

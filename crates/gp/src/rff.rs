@@ -150,17 +150,18 @@ impl RffSampler {
             .collect();
         let feature_scale = (2.0 * kernel.signal_variance() / m as f64).sqrt();
 
-        // Feature matrix over the training inputs.
+        // Feature matrix over the training inputs, stored transposed: row j of Φᵀ is
+        // feature j at every training input.
         let xs = gp.training_inputs();
         let n = xs.len();
-        let mut phi = Matrix::zeros(n, m);
+        let mut phi_t = Matrix::zeros(m, n);
         frequencies.dots(
             n,
             |i| &xs[i],
             |rows, first, sums| {
                 for (i, projections) in (first..).zip(sums.iter()) {
                     for (j, wx) in rows.clone().zip(projections) {
-                        phi[(i, j)] = feature_scale * (*wx + phases[j]).cos();
+                        phi_t[(j, i)] = feature_scale * (*wx + phases[j]).cos();
                     }
                 }
             },
@@ -168,8 +169,7 @@ impl RffSampler {
 
         // Weight posterior: A = ΦᵀΦ + σ_n² I = L Lᵀ, mean = A⁻¹ Φᵀ y_c, cov = σ_n² A⁻¹.
         let noise = gp.noise_variance().max(1e-8);
-        let phi_t = phi.transpose();
-        let mut a = phi_t.mat_mul(&phi)?;
+        let mut a = row_products(&phi_t);
         a.add_diagonal(noise);
         let chol_a = Cholesky::new_with_jitter(&a, 1e-10, 10)?;
 
@@ -398,12 +398,43 @@ fn draw_frequencies(kernel: &Kernel, rng: &mut StdRng, row: &mut [f64]) {
             (5.0 / u).sqrt()
         }
     };
+    let lengthscale = kernel.lengthscale();
     // The blocked Box–Muller of `fastmath` draws the same uniforms in the same order as
-    // per-element `StandardNormal` draws, each within 1e-9 of the scalar value.
-    fastmath::normal::fill_standard_normal(rng, row);
-    for w in row.iter_mut() {
-        *w = t_scale * *w / kernel.lengthscale();
-    }
+    // per-element `StandardNormal` draws, each within 1e-9 of the scalar value. Its slice
+    // kernels inline into the dispatched copy, which gives the portable copy's bits.
+    linalg::simd::dispatch(
+        #[inline(always)]
+        |_| {
+            fastmath::normal::fill_standard_normal(rng, row);
+            for w in row.iter_mut() {
+                *w = t_scale * *w / lengthscale;
+            }
+        },
+    );
+}
+
+/// The Gram matrix of the rows of `rows`: entry `(i, j)` is the dot product of rows `i` and
+/// `j`, the same ascending sum as entry `(i, j)` of `rows.mat_mul(&rows.transpose())` (which
+/// starts from `+0.0` and skips zero terms, so only an entry made of signed zeros, or of a
+/// zero times an infinity, can differ). With `rows` = Φᵀ it is `ΦᵀΦ`, walked by
+/// [`RowPanels::lower_dots`] over Φ's columns and mirrored, which is exact: each term
+/// `a·b` rounds as `b·a`.
+fn row_products(rows: &Matrix) -> Matrix {
+    let (m, n) = rows.shape();
+    let panels = RowPanels::from_rows(m, n, |i, row| row.copy_from_slice(rows.row(i)));
+    let mut out = Matrix::zeros(m, m);
+    panels.lower_dots(
+        |j| rows.row(j),
+        |tile_rows, first, sums| {
+            for (j, column) in (first..).zip(sums.iter()) {
+                for (i, entry) in tile_rows.clone().zip(column) {
+                    out[(i, j)] = *entry;
+                    out[(j, i)] = *entry;
+                }
+            }
+        },
+    );
+    out
 }
 
 #[cfg(test)]
@@ -551,6 +582,80 @@ mod tests {
                 row
             })
             .collect()
+    }
+
+    #[test]
+    fn dispatched_spectral_draws_match_the_portable_fill_standard_normal_bitwise() {
+        // Both kernel families, at a toy dimension and at θ's: the copy this CPU
+        // dispatches to, the forced-portable copy and `fill_standard_normal` called
+        // outside any dispatch (so compiled for the baseline target), scaled the same way.
+        for kernel in [Kernel::rbf(1.3, 0.7), Kernel::matern52(0.9, 2.5)] {
+            for dim in [1, 3, 129, 501] {
+                let draw = |seed: u64| {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut row = vec![0.0; dim];
+                    draw_frequencies(&kernel, &mut rng, &mut row);
+                    (row, rng.state())
+                };
+                let reference = |seed: u64| {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let t_scale = match kernel.family() {
+                        KernelFamily::SquaredExponential => 1.0,
+                        KernelFamily::Matern52 => {
+                            (5.0 / ChiSquared::new(5.0).unwrap().sample(&mut rng)).sqrt()
+                        }
+                    };
+                    let mut row = vec![0.0; dim];
+                    fastmath::normal::fill_standard_normal(&mut rng, &mut row);
+                    for w in row.iter_mut() {
+                        *w = t_scale * *w / kernel.lengthscale();
+                    }
+                    (row, rng.state())
+                };
+                for seed in [0, 7, 2_593_262_622] {
+                    let bits = |(row, state): (Vec<f64>, [u64; 4])| {
+                        (row.iter().map(|w| w.to_bits()).collect::<Vec<_>>(), state)
+                    };
+                    let want = bits(reference(seed));
+                    assert_eq!(bits(draw(seed)), want, "dispatched, dim {dim}, seed {seed}");
+                    let portable = linalg::simd::portable(|| draw(seed));
+                    assert_eq!(bits(portable), want, "portable, dim {dim}, seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_row_products_match_mat_mul_bitwise_on_both_copies() {
+        // Ragged feature (row) counts around one and two 8-row panels and ragged training
+        // set sizes, on the copy this CPU dispatches to and on the portable one.
+        let mut rng = StdRng::seed_from_u64(3);
+        for m in [1, 7, 8, 9, 13, 17, 150] {
+            for n in [1, 2, 5, 13, 55] {
+                let rows = Matrix::from_fn(m, n, |_, _| {
+                    let z: f64 = StandardNormal.sample(&mut rng);
+                    z
+                });
+                let want = rows.mat_mul(&rows.transpose()).unwrap();
+                for portable in [false, true] {
+                    let got = if portable {
+                        linalg::simd::portable(|| row_products(&rows))
+                    } else {
+                        row_products(&rows)
+                    };
+                    assert_eq!(got.shape(), (m, m));
+                    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "m {m}, n {n}, portable {portable}: entry ({}, {})",
+                            i / m,
+                            i % m
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// The fast tier's feature product: an in-order `mul_add` chain from `-0.0`.

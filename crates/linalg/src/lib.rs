@@ -9,9 +9,10 @@
 //! * [`Cholesky`] — lower-triangular factorization of symmetric positive-definite matrices,
 //!   with solves, log-determinant and sampling support.
 //! * [`vector`] — free functions over `&[f64]` slices (dot products, norms, axpy, …).
-//! * [`RowPanels`] — matrix rows packed for SIMD dot products against many points, with an
-//!   unfused walk that runs on AVX2 and a fused multiply-add walk that runs on AVX2 + FMA
-//!   where the CPU has them.
+//! * [`RowPanels`] — matrix rows packed for SIMD dot products and squared distances against
+//!   many points: an unfused, a fused multiply-add and a squared-distance walk.
+//! * [`simd`] — the one run-time dispatch: runs a kernel in a copy compiled with AVX2 and
+//!   FMA where the CPU has both, and in the portable copy otherwise.
 //!
 //! # Examples
 //!
@@ -29,7 +30,7 @@
 //! # }
 //! ```
 
-// One item opts out: the calls into the SIMD copies of the `RowPanels` walks.
+// One item opts out: `simd::dispatch`, the call into the AVX2 + FMA copy of a kernel.
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 #![warn(missing_docs)]
@@ -38,6 +39,7 @@ mod cholesky;
 mod error;
 mod matrix;
 mod panels;
+pub mod simd;
 pub mod vector;
 
 pub use cholesky::Cholesky;

@@ -1,4 +1,4 @@
-//! Rows packed for SIMD dot products against many points.
+//! Rows packed for SIMD dot products and squared distances against many points.
 //!
 //! A row-major matrix hands a dot-product kernel one contiguous row at a time, so the
 //! compiler finds no lanes to fill: every product is its own add-latency-bound chain.
@@ -7,17 +7,24 @@
 //! independent sums with a pair of 256-bit AVX2 operations (four 128-bit ones on the
 //! baseline x86-64 target).
 //!
-//! # Two walks
+//! # Three walks
 //!
-//! - [`RowPanels::dots`] is unfused: each lane is the in-order sum `acc + a·b` from
-//!   `-0.0`, so every product is bit-identical to [`vector::dot`](crate::vector::dot).
-//! - [`RowPanels::fused_dots`] steps each lane with one `f64::mul_add` instead, an in-order
-//!   fused chain from `-0.0`, so every product is bit-identical to the scalar fold
+//! One micro-kernel runs three kinds of step, each lane an in-order chain from `-0.0`:
+//!
+//! - [`RowPanels::dots`] steps `acc + a·x`, so every product is bit-identical to
+//!   [`vector::dot`](crate::vector::dot).
+//! - [`RowPanels::fused_dots`] steps `a.mul_add(x, acc)`, so every product is
+//!   bit-identical to the scalar fold
 //!   `a.iter().zip(b).fold(-0.0, |acc, (x, y)| x.mul_add(*y, acc))`. One rounding per step
 //!   instead of two, and one instruction.
+//! - [`RowPanels::squared_distances`] steps `acc + (a − x)·(a − x)`, unfused, so every
+//!   entry is bit-identical to
+//!   [`vector::squared_distance`](crate::vector::squared_distance) in either argument
+//!   order (`a − x` and `x − a` round to the same magnitude). The GP kernel's Gram and
+//!   cross-covariance matrices walk it.
 //!
-//! Both hand the caller one tile at a time: `visit(rows, first, sums)` with
-//! `sums[c][lane]` the product of row `rows.start + lane` with point `first + c`. Lanes
+//! All three hand the caller one tile at a time: `visit(rows, first, sums)` with
+//! `sums[c][lane]` the result of row `rows.start + lane` with point `first + c`. Lanes
 //! past `rows.end` belong to the zero padding of the last panel, and callers ignore them.
 //! Every point sees the tiles of ascending rows in turn, so a visitor that accumulates per
 //! point over `rows` in ascending order sums in the same order as a loop over the rows.
@@ -27,21 +34,21 @@
 //!
 //! # Dispatch
 //!
-//! The walk is written once, with the fused step behind a const flag, and compiled per
-//! instruction set:
+//! The walk is written once, generic over its step, and runs through
+//! [`simd::dispatch`](crate::simd::dispatch): in the copy compiled with AVX2 and FMA when
+//! the CPU has both, and in the portable copy otherwise. Only the tile width differs:
 //!
-//! | walk | copy | when | points per tile |
-//! |------|------|------|-----------------|
-//! | `dots` | AVX2 | `is_x86_feature_detected!("avx2")` | 4 |
-//! | `dots` | portable | otherwise | 2 |
-//! | `fused_dots` | AVX2 + FMA | `avx2` and `fma` detected | 6 |
-//! | `fused_dots` | portable | otherwise | 2 |
+//! | walk | AVX2 + FMA copy | portable copy |
+//! |------|-----------------|---------------|
+//! | `dots` | 4 points per tile | 2 |
+//! | `fused_dots` | 6 | 2 |
+//! | `squared_distances` | 4 | 2 |
 //!
 //! Every copy gives the same bits: Rust never contracts a multiply and an add into an FMA,
 //! and `f64::mul_add` is always the correctly rounded fused operation. Where the build
 //! target has no FMA instruction (baseline x86-64), the portable `mul_add` is a call into
 //! the C library's software `fma`: the bits are right and the speed is low. x86 CPUs
-//! without FMA hardware predate AVX2, so on any AVX2 machine `fused_dots` runs the FMA
+//! without FMA hardware predate AVX2, so on any AVX2 machine every walk runs the wide
 //! copy. The tile width changes how many points one kernel call takes, which changes no
 //! sum.
 
@@ -51,18 +58,6 @@ use std::ops::Range;
 /// Rows per panel: one SIMD lane per row.
 const LANES: usize = RowPanels::LANES;
 
-/// Points per kernel tile in the AVX2 copy of the unfused walk: 4 points × [`LANES`] rows
-/// are 8 independent 256-bit sums, which hide the add latency and leave registers for the
-/// operands.
-const AVX2_POINTS: usize = 4;
-
-/// Points per kernel tile in the AVX2 + FMA copy of the fused walk: 6 points × [`LANES`]
-/// rows are 12 of AVX2's 16 registers, and one fused step per pair leaves room for the
-/// column and the broadcast point entry. At 150 rows × 40 points × 501 the walk took
-/// ~165 µs against ~173 µs for 4-point tiles, and the RFF fast tier's whole evaluation
-/// ~190 µs against ~198 µs (10th percentiles of 2,000 calls, one core of a shared Xeon VM).
-const FMA_POINTS: usize = 6;
-
 /// Points per kernel tile in the portable copy. On x86-64 without AVX2 the 4 × 8 tile needs
 /// all 16 of SSE2's registers for its sums and spills: at 150 rows × 40 points × 501 it took
 /// ~1.0 ms against ~0.65 ms for 2-point tiles (one core of a shared Xeon VM).
@@ -71,11 +66,69 @@ const PORTABLE_POINTS: usize = 2;
 /// The most points any copy puts in one tile: the size of the walk's sums buffer. The
 /// match in [`walk`] has an arm for every narrower tile.
 const MAX_POINTS: usize = 6;
-const _: () = assert!(AVX2_POINTS <= MAX_POINTS && FMA_POINTS <= MAX_POINTS);
+
+/// One step of a lane's chain, and the tile width of the wide copy that runs it.
+trait Step {
+    /// Points per kernel tile in the AVX2 + FMA copy, at most [`MAX_POINTS`].
+    const WIDE_POINTS: usize;
+
+    /// The lane's next partial sum after row entry `a` meets point entry `x`.
+    fn step(acc: f64, a: f64, x: f64) -> f64;
+}
+
+/// The unfused product step of [`RowPanels::dots`]. 4 points × [`LANES`] rows are 8
+/// independent 256-bit sums on AVX2, which hide the add latency and leave registers for
+/// the operands.
+struct Dot;
+
+impl Step for Dot {
+    const WIDE_POINTS: usize = 4;
+
+    #[inline(always)]
+    fn step(acc: f64, a: f64, x: f64) -> f64 {
+        acc + a * x
+    }
+}
+
+/// The fused step of [`RowPanels::fused_dots`]. 6 points × [`LANES`] rows are 12 of AVX2's
+/// 16 registers, and one fused step per pair leaves room for the column and the broadcast
+/// point entry. At 150 rows × 40 points × 501 the walk took ~165 µs against ~173 µs for
+/// 4-point tiles, and the RFF fast tier's whole evaluation ~190 µs against ~198 µs (10th
+/// percentiles of 2,000 calls, one core of a shared Xeon VM).
+struct Fused;
+
+impl Step for Fused {
+    const WIDE_POINTS: usize = 6;
+
+    #[inline(always)]
+    fn step(acc: f64, a: f64, x: f64) -> f64 {
+        a.mul_add(x, acc)
+    }
+}
+
+/// The squared-distance step of [`RowPanels::squared_distances`]. Each step holds a
+/// difference besides the sums, so the wide copy keeps the unfused walk's 4-point tiles.
+struct Distance;
+
+impl Step for Distance {
+    const WIDE_POINTS: usize = 4;
+
+    #[inline(always)]
+    fn step(acc: f64, a: f64, x: f64) -> f64 {
+        acc + (a - x) * (a - x)
+    }
+}
+
+const _: () = assert!(
+    Dot::WIDE_POINTS <= MAX_POINTS
+        && Fused::WIDE_POINTS <= MAX_POINTS
+        && Distance::WIDE_POINTS <= MAX_POINTS
+        && PORTABLE_POINTS <= MAX_POINTS
+);
 
 /// The rows of a `rows × row_len` matrix, packed `k`-major into zero-padded panels of
-/// [`LANES`](Self::LANES) rows for [`dots`](Self::dots) and
-/// [`fused_dots`](Self::fused_dots).
+/// [`LANES`](Self::LANES) rows for [`dots`](Self::dots),
+/// [`fused_dots`](Self::fused_dots) and [`squared_distances`](Self::squared_distances).
 ///
 /// # Examples
 ///
@@ -147,13 +200,12 @@ impl RowPanels {
         point: impl Fn(usize) -> &'a [f64],
         visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
     ) {
-        self.walk_on::<false>(true, count, point, visit);
+        self.walk_on::<Dot>(count, false, point, visit);
     }
 
     /// [`dots`](Self::dots) with every lane an in-order fused multiply-add chain: each
     /// product is bit-identical to the scalar fold
     /// `row.iter().zip(point).fold(-0.0, |acc, (a, x)| a.mul_add(*x, acc))` on every CPU.
-    /// Runs on AVX2 + FMA when the CPU has both, and on the portable copy otherwise.
     ///
     /// # Panics
     ///
@@ -164,75 +216,86 @@ impl RowPanels {
         point: impl Fn(usize) -> &'a [f64],
         visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
     ) {
-        self.walk_on::<true>(true, count, point, visit);
+        self.walk_on::<Fused>(count, false, point, visit);
     }
 
-    /// The walk on its SIMD copy when `allow_simd` is set and the CPU runs it (AVX2 for the
-    /// unfused walk, AVX2 + FMA for the fused one), and on the build target's copy
-    /// otherwise.
-    #[allow(unsafe_code)]
-    fn walk_on<'a, const FUSED: bool>(
+    /// [`dots`](Self::dots) with every lane the squared distance of its row to the point,
+    /// bit-identical to [`vector::squared_distance`](crate::vector::squared_distance)
+    /// `(row r, point(p))` (and to the same with the arguments swapped).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a point's length differs from [`row_len`](Self::row_len).
+    pub fn squared_distances<'a>(
         &self,
-        allow_simd: bool,
         count: usize,
         point: impl Fn(usize) -> &'a [f64],
         visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
     ) {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if allow_simd && is_x86_feature_detected!("avx2") {
-            if !FUSED {
-                /// The unfused [`walk`] compiled with AVX2 enabled.
-                ///
-                /// # Safety
-                ///
-                /// The CPU running it must support AVX2.
-                #[target_feature(enable = "avx2")]
-                unsafe fn walk_avx2<'p>(
-                    panels: &RowPanels,
-                    count: usize,
-                    point: impl Fn(usize) -> &'p [f64],
-                    visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
-                ) {
-                    walk::<false, AVX2_POINTS>(panels, count, point, visit);
-                }
-                // SAFETY: `walk_avx2` only requires AVX2, and
-                // `is_x86_feature_detected!("avx2")` has just confirmed that this CPU
-                // supports it.
-                return unsafe { walk_avx2(self, count, point, visit) };
-            }
-            if is_x86_feature_detected!("fma") {
-                /// The fused [`walk`] compiled with AVX2 and FMA enabled.
-                ///
-                /// # Safety
-                ///
-                /// The CPU running it must support AVX2 and FMA.
-                #[target_feature(enable = "avx2,fma")]
-                unsafe fn walk_avx2_fma<'p>(
-                    panels: &RowPanels,
-                    count: usize,
-                    point: impl Fn(usize) -> &'p [f64],
-                    visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
-                ) {
-                    walk::<true, FMA_POINTS>(panels, count, point, visit);
-                }
-                // SAFETY: `walk_avx2_fma` only requires AVX2 and FMA, and
-                // `is_x86_feature_detected!` has just confirmed both on this CPU.
-                return unsafe { walk_avx2_fma(self, count, point, visit) };
-            }
-        }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        let _ = allow_simd;
-        walk::<FUSED, PORTABLE_POINTS>(self, count, point, visit);
+        self.walk_on::<Distance>(count, false, point, visit);
+    }
+
+    /// [`dots`](Self::dots) of the rows with themselves, lower triangle only: `point(p)`
+    /// must be row `p`, and each panel of rows meets only the points up to its last row,
+    /// so every product `(r, p)` with `p ≤ r` is visited once (with the rest of the
+    /// panel's diagonal block). A Gram matrix of the rows needs only these, mirrored; it
+    /// takes about half the steps of `dots(rows, …)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a point's length differs from [`row_len`](Self::row_len).
+    pub fn lower_dots<'a>(
+        &self,
+        point: impl Fn(usize) -> &'a [f64],
+        visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
+    ) {
+        self.walk_on::<Dot>(self.rows, true, point, visit);
+    }
+
+    /// [`squared_distances`](Self::squared_distances) of the rows with themselves, lower
+    /// triangle only, as [`lower_dots`](Self::lower_dots) walks the products.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a point's length differs from [`row_len`](Self::row_len).
+    pub fn lower_squared_distances<'a>(
+        &self,
+        point: impl Fn(usize) -> &'a [f64],
+        visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
+    ) {
+        self.walk_on::<Distance>(self.rows, true, point, visit);
+    }
+
+    /// The walk of step `S` through [`simd::dispatch`](crate::simd::dispatch), at the tile
+    /// width of the copy it runs in; with `lower`, each panel stops at the point of its
+    /// last row.
+    fn walk_on<'a, S: Step>(
+        &self,
+        count: usize,
+        lower: bool,
+        point: impl Fn(usize) -> &'a [f64],
+        visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
+    ) {
+        crate::simd::dispatch(
+            #[inline(always)]
+            |wide| match (wide, S::WIDE_POINTS) {
+                (false, _) => walk::<S, PORTABLE_POINTS>(self, count, lower, point, visit),
+                (true, 6) => walk::<S, 6>(self, count, lower, point, visit),
+                (true, _) => walk::<S, 4>(self, count, lower, point, visit),
+            },
+        );
     }
 }
 
-/// The body of both walks: every panel against every tile of up to `POINTS` points, each
-/// tile's sums handed to `visit` from one call site. Inlined into each of its callers, so
-/// the kernel and the visitor are compiled once per instruction set.
+/// The body of every walk: every panel against every tile of up to `POINTS` points, each
+/// tile's sums handed to `visit` from one call site. Inlined into each copy of
+/// [`RowPanels::walk_on`], so the kernel and the visitor are compiled once per instruction
+/// set.
 #[inline(always)]
-fn walk<'a, const FUSED: bool, const POINTS: usize>(
+fn walk<'a, S: Step, const POINTS: usize>(
     panels: &RowPanels,
     count: usize,
+    lower: bool,
     point: impl Fn(usize) -> &'a [f64],
     mut visit: impl FnMut(Range<usize>, usize, &mut [[f64; LANES]]),
 ) {
@@ -241,15 +304,16 @@ fn walk<'a, const FUSED: bool, const POINTS: usize>(
     for first_row in (0..panels.rows).step_by(LANES) {
         let panel = &panels.data[first_row * panels.row_len..][..panel_len];
         let rows = first_row..(first_row + LANES).min(panels.rows);
+        let count = if lower { rows.end.min(count) } else { count };
         for first in (0..count).step_by(POINTS) {
             let width = (count - first).min(POINTS);
             match width {
-                1 => tile::<FUSED, 1>(panel, first, &point, &mut sums),
-                2 => tile::<FUSED, 2>(panel, first, &point, &mut sums),
-                3 => tile::<FUSED, 3>(panel, first, &point, &mut sums),
-                4 => tile::<FUSED, 4>(panel, first, &point, &mut sums),
-                5 => tile::<FUSED, 5>(panel, first, &point, &mut sums),
-                _ => tile::<FUSED, POINTS>(panel, first, &point, &mut sums),
+                1 => tile::<S, 1>(panel, first, &point, &mut sums),
+                2 => tile::<S, 2>(panel, first, &point, &mut sums),
+                3 => tile::<S, 3>(panel, first, &point, &mut sums),
+                4 => tile::<S, 4>(panel, first, &point, &mut sums),
+                5 => tile::<S, 5>(panel, first, &point, &mut sums),
+                _ => tile::<S, POINTS>(panel, first, &point, &mut sums),
             }
             visit(rows.clone(), first, &mut sums[..width]);
         }
@@ -259,32 +323,27 @@ fn walk<'a, const FUSED: bool, const POINTS: usize>(
 /// Runs [`kernel`] on `panel` and the points `first..first + C`, and stores the tile's
 /// sums in `sums[..C]`.
 #[inline(always)]
-fn tile<'a, const FUSED: bool, const C: usize>(
+fn tile<'a, S: Step, const C: usize>(
     panel: &[f64],
     first: usize,
     point: &impl Fn(usize) -> &'a [f64],
     sums: &mut [[f64; LANES]; MAX_POINTS],
 ) {
     let points = std::array::from_fn(|c| point(first + c));
-    sums[..C].copy_from_slice(&kernel::<FUSED, C>(panel, points));
+    sums[..C].copy_from_slice(&kernel::<S, C>(panel, points));
 }
 
-/// The micro-kernel: the dot products of the [`LANES`] rows of `panel` with each of `C`
-/// points.
+/// The micro-kernel: the chains of the [`LANES`] rows of `panel` with each of `C` points.
 ///
-/// Lane `l` of point `c` is the chain `acc = acc + row_l[k] · x_c[k]` (with `FUSED`,
-/// `acc = row_l[k].mul_add(x_c[k], acc)`) for ascending `k` from [`DOT_SEED`], exactly the
-/// steps of [`vector::dot`](crate::vector::dot) (of the scalar `mul_add` fold); the
-/// `LANES · C` chains only run side by side.
+/// Lane `l` of point `c` is the chain `acc = S::step(acc, row_l[k], x_c[k])` for ascending
+/// `k` from [`DOT_SEED`], exactly the steps of the scalar reference (for [`Dot`]
+/// [`vector::dot`](crate::vector::dot)); the `LANES · C` chains only run side by side.
 ///
 /// # Panics
 ///
 /// Panics if a point's length differs from the panel's row length.
 #[inline(always)]
-fn kernel<const FUSED: bool, const C: usize>(
-    panel: &[f64],
-    points: [&[f64]; C],
-) -> [[f64; LANES]; C] {
+fn kernel<S: Step, const C: usize>(panel: &[f64], points: [&[f64]; C]) -> [[f64; LANES]; C] {
     let len = panel.len() / LANES;
     assert!(
         points.iter().all(|x| x.len() == len),
@@ -300,11 +359,7 @@ fn kernel<const FUSED: bool, const C: usize>(
         for c in 0..C {
             let x_k = points[c][k];
             for l in 0..LANES {
-                acc[c][l] = if FUSED {
-                    column[l].mul_add(x_k, acc[c][l])
-                } else {
-                    acc[c][l] + column[l] * x_k
-                };
+                acc[c][l] = S::step(acc[c][l], column[l], x_k);
             }
         }
     }
@@ -314,7 +369,7 @@ fn kernel<const FUSED: bool, const C: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::dot;
+    use crate::vector::{dot, squared_distance};
 
     /// Whether two sums agree bit for bit. A NaN result only has to be NaN: Rust leaves the
     /// sign and payload of a NaN produced by arithmetic unspecified.
@@ -328,45 +383,54 @@ mod tests {
         a.iter().zip(b).fold(-0.0, |acc, (x, y)| x.mul_add(*y, acc))
     }
 
-    /// Runs one copy of the unfused (`FUSED` unset) or fused walk over `rows × points` and
-    /// checks that every product is visited once, in ascending row order per point,
-    /// bit-identical to `dot` (to [`fused_dot`]).
-    fn assert_dots_match<const FUSED: bool>(
-        allow_simd: bool,
+    /// Runs one walk of step `S` over `rows × points`, on the portable copy when
+    /// `portable` is set and on the dispatched one otherwise, and checks that every entry
+    /// is visited once, in ascending row order per point, bit-identical to
+    /// `reference(row, point)`.
+    fn assert_walk_matches<S: Step>(
+        portable: bool,
+        reference: fn(&[f64], &[f64]) -> f64,
         rows: &[Vec<f64>],
         points: &[Vec<f64>],
     ) {
-        let reference = if FUSED { fused_dot } else { dot };
         let len = points.first().or(rows.first()).map_or(0, Vec::len);
         let panels = RowPanels::from_rows(rows.len(), len, |r, row| {
             row.copy_from_slice(&rows[r]);
         });
         let mut next_row = vec![0; points.len()];
-        panels.walk_on::<FUSED>(
-            allow_simd,
-            points.len(),
-            |p| &points[p],
-            |tile_rows, first, sums| {
-                assert!(!sums.is_empty() && sums.len() <= MAX_POINTS);
-                assert!(first + sums.len() <= points.len());
-                assert!(tile_rows.start % LANES == 0 && tile_rows.len() <= LANES);
-                assert!(!tile_rows.is_empty() && tile_rows.end <= rows.len());
-                for (p, point_sums) in (first..).zip(sums.iter()) {
-                    for (r, got) in tile_rows.clone().zip(point_sums) {
-                        assert_eq!(next_row[p], r, "point {p} saw row {r} out of order");
-                        next_row[p] += 1;
-                        let want = reference(&rows[r], &points[p]);
-                        assert!(
-                            same_sum(*got, want),
-                            "fused {FUSED}, simd {allow_simd}: row {r} of {}, point {p} of \
-                             {}, length {len}: {got:e} vs {want:e}",
-                            rows.len(),
-                            points.len()
-                        );
+        let mut walk = || {
+            panels.walk_on::<S>(
+                points.len(),
+                false,
+                |p| &points[p],
+                |tile_rows, first, sums| {
+                    assert!(!sums.is_empty() && sums.len() <= MAX_POINTS);
+                    assert!(first + sums.len() <= points.len());
+                    assert!(tile_rows.start % LANES == 0 && tile_rows.len() <= LANES);
+                    assert!(!tile_rows.is_empty() && tile_rows.end <= rows.len());
+                    for (p, point_sums) in (first..).zip(sums.iter()) {
+                        for (r, got) in tile_rows.clone().zip(point_sums) {
+                            assert_eq!(next_row[p], r, "point {p} saw row {r} out of order");
+                            next_row[p] += 1;
+                            let want = reference(&rows[r], &points[p]);
+                            assert!(
+                                same_sum(*got, want),
+                                "{}, portable {portable}: row {r} of {}, point {p} of {}, \
+                                 length {len}: {got:e} vs {want:e}",
+                                std::any::type_name::<S>(),
+                                rows.len(),
+                                points.len()
+                            );
+                        }
                     }
-                }
-            },
-        );
+                },
+            )
+        };
+        if portable {
+            crate::simd::portable(walk);
+        } else {
+            walk();
+        }
         assert!(next_row.iter().all(|&seen| seen == rows.len()));
     }
 
@@ -419,23 +483,119 @@ mod tests {
 
     #[test]
     fn both_kernel_copies_match_dot_bitwise_on_every_lane_and_tile_edge() {
-        // The AVX2 copy runs where the CPU has it; elsewhere both runs take the portable
-        // copy.
+        // The AVX2 + FMA copy runs where the CPU has both; elsewhere both runs take the
+        // portable copy.
         for_each_grid_case(|rows, points| {
-            assert_dots_match::<false>(false, rows, points);
-            assert_dots_match::<false>(true, rows, points);
+            assert_walk_matches::<Dot>(true, dot, rows, points);
+            assert_walk_matches::<Dot>(false, dot, rows, points);
         });
     }
 
     #[test]
     fn both_fused_copies_match_the_scalar_mul_add_fold_bitwise() {
-        // The AVX2 + FMA copy runs where the CPU has both; elsewhere both runs take the
-        // portable copy, whose `mul_add` is the C library's `fma` on targets without the
+        // The portable copy's `mul_add` is the C library's `fma` on targets without the
         // instruction.
         for_each_grid_case(|rows, points| {
-            assert_dots_match::<true>(false, rows, points);
-            assert_dots_match::<true>(true, rows, points);
+            assert_walk_matches::<Fused>(true, fused_dot, rows, points);
+            assert_walk_matches::<Fused>(false, fused_dot, rows, points);
         });
+    }
+
+    #[test]
+    fn both_distance_copies_match_squared_distance_bitwise() {
+        // Row and point counts below, on and past one panel and every tile width, at the
+        // dimensions of the tests' toy inputs and of θ; each entry against the reference in
+        // both argument orders.
+        let swapped = |a: &[f64], b: &[f64]| squared_distance(b, a);
+        let mut state = 11;
+        for edges in [false, true] {
+            for rows in [1, 7, 8, 9, 13, 17] {
+                for count in [1, 7, 8, 9, 13, 17] {
+                    for len in [1, 3, 501] {
+                        let mut draw = |n: usize| -> Vec<Vec<f64>> {
+                            (0..n)
+                                .map(|_| (0..len).map(|_| value(&mut state, edges)).collect())
+                                .collect()
+                        };
+                        let (rows, points) = (draw(rows), draw(count));
+                        for portable in [true, false] {
+                            assert_walk_matches::<Distance>(
+                                portable,
+                                squared_distance,
+                                &rows,
+                                &points,
+                            );
+                            assert_walk_matches::<Distance>(portable, swapped, &rows, &points);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lower_walks_visit_each_panel_up_to_its_last_row_bitwise_on_both_copies() {
+        let mut state = 13;
+        for edges in [false, true] {
+            for count in [0, 1, 7, 8, 9, 13, 17, 150] {
+                for len in [0, 3, 55] {
+                    let rows: Vec<Vec<f64>> = (0..count)
+                        .map(|_| (0..len).map(|_| value(&mut state, edges)).collect())
+                        .collect();
+                    let panels = RowPanels::from_rows(count, len, |r, row| {
+                        row.copy_from_slice(&rows[r]);
+                    });
+                    for portable in [true, false] {
+                        for distances in [false, true] {
+                            let mut seen = vec![vec![false; count]; count];
+                            let visit =
+                                |tile_rows: Range<usize>,
+                                 first: usize,
+                                 sums: &mut [[f64; LANES]]| {
+                                    for (p, point_sums) in (first..).zip(sums.iter()) {
+                                        assert!(
+                                            p < tile_rows.end,
+                                            "point {p} past row {}",
+                                            tile_rows.end
+                                        );
+                                        for (r, got) in tile_rows.clone().zip(point_sums) {
+                                            let want = if distances {
+                                                squared_distance(&rows[r], &rows[p])
+                                            } else {
+                                                dot(&rows[r], &rows[p])
+                                            };
+                                            assert!(
+                                                same_sum(*got, want),
+                                                "({r}, {p}): {got:e} vs {want:e}"
+                                            );
+                                            assert!(!seen[r][p], "({r}, {p}) visited twice");
+                                            seen[r][p] = true;
+                                        }
+                                    }
+                                };
+                            let walk = || {
+                                if distances {
+                                    panels.lower_squared_distances(|p| &rows[p], visit);
+                                } else {
+                                    panels.lower_dots(|p| &rows[p], visit);
+                                }
+                            };
+                            if portable {
+                                crate::simd::portable(walk);
+                            } else {
+                                walk();
+                            }
+                            for (r, seen_r) in seen.iter().enumerate() {
+                                let panel_end = (r / LANES * LANES + LANES).min(count);
+                                for (p, &seen_rp) in seen_r.iter().enumerate() {
+                                    assert_eq!(seen_rp, p < panel_end, "({r}, {p}) of {count}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -481,6 +641,13 @@ mod tests {
     fn dots_length_mismatch_panics() {
         let panels = RowPanels::from_rows(2, 2, |_, row| row.fill(1.0));
         panels.dots(1, |_| &[1.0, 2.0, 3.0][..], |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "RowPanels::dots length mismatch")]
+    fn squared_distances_length_mismatch_panics() {
+        let panels = RowPanels::from_rows(2, 2, |_, row| row.fill(1.0));
+        panels.squared_distances(1, |_| &[1.0][..], |_, _, _| {});
     }
 
     #[test]

@@ -26,56 +26,14 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).fold(DOT_SEED, |acc, (x, y)| acc + x * y)
 }
 
-/// Every squared distance `‖a[r] − b[c]‖²` of an `R × C` tile, each bit-identical to
-/// [`squared_distance`]`(a[r], b[c])`.
-///
-/// Each entry is its own in-order sum from the same seed as [`squared_distance`]; the tile
-/// only runs its `R·C` independent chains side by side, so the adds overlap instead of each
-/// waiting on the previous one. Every operand row is read once per tile rather than once
-/// per pair, and nothing is allocated.
-///
-/// # Panics
-///
-/// Panics if the slices do not all have the same length.
-///
-/// # Examples
-///
-/// ```
-/// use linalg::vector::{squared_distance, squared_distance_tile};
-///
-/// let (a0, b0, b1) = ([1.0, 2.0], [3.0, 4.0], [0.5, -1.0]);
-/// let tile = squared_distance_tile([&a0[..]], [&b0[..], &b1[..]]);
-/// assert_eq!(tile, [[squared_distance(&a0, &b0), squared_distance(&a0, &b1)]]);
-/// ```
-pub fn squared_distance_tile<const R: usize, const C: usize>(
-    a: [&[f64]; R],
-    b: [&[f64]; C],
-) -> [[f64; C]; R] {
-    let len = shared_len(&a, &b, "squared_distance_tile length mismatch");
-    fold_tile(len, [[DOT_SEED; C]; R], a, b, |acc, x, y| {
-        acc + (x - y) * (x - y)
-    })
-}
-
-/// The length every slice of a tile shares.
-///
-/// # Panics
-///
-/// Panics with `message` if the slices differ in length.
-fn shared_len(a: &[&[f64]], b: &[&[f64]], message: &str) -> usize {
-    let len = a.iter().chain(b).next().map_or(0, |s| s.len());
-    assert!(a.iter().chain(b).all(|s| s.len() == len), "{message}");
-    len
-}
-
 /// The one tile loop of the crate: runs the `R·C` chains
 /// `acc[r][c] = step(acc[r][c], a[r][k], b[c][k])` for `k` in `0..len`, each in ascending
 /// `k` from its own seed, side by side.
 ///
 /// Each chain takes exactly the steps a scalar loop over `k` would, so it is bit-identical
-/// to that loop; running the chains together lets their latencies overlap.
-/// [`squared_distance_tile`] and the Cholesky factorization differ only in the seeds and
-/// `step` they pass. Only the first `len` entries of each slice are read.
+/// to that loop; running the chains together lets their latencies overlap. The Cholesky
+/// factorization runs its tiles through it. Only the first `len` entries of each slice are
+/// read.
 ///
 /// # Panics
 ///
@@ -279,22 +237,21 @@ mod tests {
 
     #[test]
     fn empty_squared_distances_are_negative_zero() {
-        // Every term is >= +0.0, so the seed only shows when there is no term.
+        // Every term is >= +0.0, so the seed only shows when there is no term, in the
+        // scalar chain and in the packed walk alike.
         assert_eq!(squared_distance(&[], &[]).to_bits(), (-0.0f64).to_bits());
-        assert_eq!(
-            squared_distance_tile([&[][..]], [&[][..], &[][..]])[0][1].to_bits(),
-            (-0.0f64).to_bits()
+        let empty = crate::RowPanels::from_rows(1, 0, |_, _| {});
+        empty.squared_distances(
+            2,
+            |_| &[],
+            |_, _, sums| {
+                assert!(sums.iter().all(|s| s[0].to_bits() == (-0.0f64).to_bits()));
+            },
         );
         assert_eq!(
             squared_distance(&[-0.0], &[0.0]).to_bits(),
             0.0f64.to_bits()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "squared_distance_tile length mismatch")]
-    fn squared_distance_tile_length_mismatch_panics() {
-        squared_distance_tile([&[1.0][..], &[1.0, 2.0][..]], [&[1.0][..]]);
     }
 
     #[test]

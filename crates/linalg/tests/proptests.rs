@@ -44,19 +44,25 @@ fn same_sum(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
+/// The three packed walks of `RowPanels`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Walk {
+    Dots,
+    FusedDots,
+    SquaredDistances,
+}
+
 /// Walks `rows` rows and `count` points, each the first `len` entries of its own
-/// [`MAX_TILE_LEN`]-long stretch of `data`, through `RowPanels::fused_dots` (with `fused`)
-/// or `RowPanels::dots`, and checks every product once against the scalar `mul_add` fold
-/// (against `vector::dot`).
-fn assert_panel_walk_matches(fused: bool, rows: usize, count: usize, len: usize, data: &[f64]) {
+/// [`MAX_TILE_LEN`]-long stretch of `data`, through `walk`, and checks every entry once
+/// against its scalar reference: `vector::dot`, the scalar `mul_add` fold or
+/// `vector::squared_distance`.
+fn assert_panel_walk_matches(walk: Walk, rows: usize, count: usize, len: usize, data: &[f64]) {
     let row = |i: usize| &data[i * MAX_TILE_LEN..i * MAX_TILE_LEN + len];
     let point = |p: usize| row(MAX_PANEL_ROWS + p);
-    let reference = |a: &[f64], b: &[f64]| {
-        if fused {
-            a.iter().zip(b).fold(-0.0, |acc, (x, y)| x.mul_add(*y, acc))
-        } else {
-            vector::dot(a, b)
-        }
+    let reference = |a: &[f64], b: &[f64]| match walk {
+        Walk::Dots => vector::dot(a, b),
+        Walk::FusedDots => a.iter().zip(b).fold(-0.0, |acc, (x, y)| x.mul_add(*y, acc)),
+        Walk::SquaredDistances => vector::squared_distance(a, b),
     };
     let panels = RowPanels::from_rows(rows, len, |r, out| out.copy_from_slice(row(r)));
     let mut seen = 0;
@@ -66,45 +72,19 @@ fn assert_panel_walk_matches(fused: bool, rows: usize, count: usize, len: usize,
                 let want = reference(row(r), point(p));
                 assert!(
                     same_sum(*got, want),
-                    "fused {fused}: row {r} of {rows}, point {p} of {count}, length {len}: \
+                    "{walk:?}: row {r} of {rows}, point {p} of {count}, length {len}: \
                      {got:e} vs {want:e}"
                 );
                 seen += 1;
             }
         }
     };
-    if fused {
-        panels.fused_dots(count, point, visit);
-    } else {
-        panels.dots(count, point, visit);
+    match walk {
+        Walk::Dots => panels.dots(count, point, visit),
+        Walk::FusedDots => panels.fused_dots(count, point, visit),
+        Walk::SquaredDistances => panels.squared_distances(count, point, visit),
     }
     assert_eq!(seen, rows * count);
-}
-
-/// An `R × C` tile kernel of `linalg::vector`.
-type Tile<const R: usize, const C: usize> = fn([&[f64]; R], [&[f64]; C]) -> [[f64; C]; R];
-
-/// Checks every entry of an `R × C` `tile` over rows of `data` (each [`MAX_TILE_LEN`] long,
-/// truncated to `len`) against the per-pair reference `pair`.
-fn assert_tile_matches<const R: usize, const C: usize>(
-    data: &[f64],
-    len: usize,
-    tile: Tile<R, C>,
-    pair: fn(&[f64], &[f64]) -> f64,
-) {
-    let row = |i: usize| &data[i * MAX_TILE_LEN..i * MAX_TILE_LEN + len];
-    let a: [&[f64]; R] = std::array::from_fn(row);
-    let b: [&[f64]; C] = std::array::from_fn(|c| row(R + c));
-    let sums = tile(a, b);
-    for (r, a_r) in a.iter().enumerate() {
-        for (c, b_c) in b.iter().enumerate() {
-            let (got, want) = (sums[r][c], pair(a_r, b_c));
-            assert!(
-                same_sum(got, want),
-                "{R}x{C} tile entry ({r}, {c}) at length {len}: {got:e} vs {want:e}"
-            );
-        }
-    }
 }
 
 /// Builds a symmetric positive-definite matrix as B Bᵀ + n·I from arbitrary B.
@@ -245,7 +225,7 @@ proptest! {
             (MAX_PANEL_ROWS + MAX_PANEL_POINTS) * MAX_TILE_LEN,
         ),
     ) {
-        assert_panel_walk_matches(false, rows, count, len, &data);
+        assert_panel_walk_matches(Walk::Dots, rows, count, len, &data);
     }
 
     #[test]
@@ -258,21 +238,19 @@ proptest! {
             (MAX_PANEL_ROWS + MAX_PANEL_POINTS) * MAX_TILE_LEN,
         ),
     ) {
-        assert_panel_walk_matches(true, rows, count, len, &data);
+        assert_panel_walk_matches(Walk::FusedDots, rows, count, len, &data);
     }
 
     #[test]
-    fn squared_distance_tile_entries_equal_squared_distance_bitwise(
+    fn row_panel_squared_distances_equal_squared_distance_bitwise(
+        rows in 0usize..=MAX_PANEL_ROWS,
+        count in 0usize..=MAX_PANEL_POINTS,
         len in 0usize..=MAX_TILE_LEN,
-        data in prop::collection::vec(edge_float(), 8 * MAX_TILE_LEN),
+        data in prop::collection::vec(
+            edge_float(),
+            (MAX_PANEL_ROWS + MAX_PANEL_POINTS) * MAX_TILE_LEN,
+        ),
     ) {
-        let (tile_4x4, tile_3x2, tile_1x1): (Tile<4, 4>, Tile<3, 2>, Tile<1, 1>) = (
-            vector::squared_distance_tile,
-            vector::squared_distance_tile,
-            vector::squared_distance_tile,
-        );
-        assert_tile_matches(&data, len, tile_4x4, vector::squared_distance);
-        assert_tile_matches(&data, len, tile_3x2, vector::squared_distance);
-        assert_tile_matches(&data, len, tile_1x1, vector::squared_distance);
+        assert_panel_walk_matches(Walk::SquaredDistances, rows, count, len, &data);
     }
 }

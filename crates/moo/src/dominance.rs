@@ -249,13 +249,17 @@ pub struct DominanceScratch {
     order: Vec<usize>,
     /// Merge buffer of the stable index sort.
     merge: Vec<usize>,
+    /// Per front of the two-objective sweep: the smallest second objective among its
+    /// members so far, and the first objective of the member that holds it.
+    front_minima: Vec<(f64, f64)>,
 }
 
 /// [`fast_non_dominated_sort`] over a row-major flat objective block.
 ///
 /// Writes the front index of every point into `ranks` (resized to `count`). Produces
 /// exactly the ranks of the `Vec<Vec<f64>>` version; with a warm `scratch` it allocates
-/// nothing.
+/// nothing. Two NaN-free objectives (PaRMIS's trade-off) take a lexicographic sort and one
+/// sweep over the fronts instead of the pairwise pass.
 ///
 /// # Panics
 ///
@@ -274,6 +278,10 @@ pub fn fast_non_dominated_sort_flat(
 
     ranks.clear();
     ranks.resize(count, 0);
+    if k == 2 && objectives.iter().all(|v| !v.is_nan()) {
+        two_objective_sweep(objectives, count, ranks, scratch);
+        return;
+    }
     scratch.domination_count.clear();
     scratch.domination_count.resize(count, 0);
     if scratch.dominated.len() < count {
@@ -287,37 +295,17 @@ pub fn fast_non_dominated_sort_flat(
     // Every unordered pair once, both directions per pass. The dominated-set *order*
     // differs from the seed's all-`j` sweep, but the peeling below assigns each point the
     // same front index regardless of the order its dominators release it.
-    if k == 2 {
-        // Bi-objective fast path (the PaRMIS trade-off shape): both rows live in
-        // registers and the per-pair relation reduces to four branchless compares.
-        for i in 0..count {
-            let (i0, i1) = (objectives[i * 2], objectives[i * 2 + 1]);
-            for j in (i + 1)..count {
-                let (j0, j1) = (objectives[j * 2], objectives[j * 2 + 1]);
-                let i_less = (i0 < j0) | (i1 < j1);
-                let j_less = (j0 < i0) | (j1 < i1);
-                if i_less & !j_less {
-                    scratch.dominated[i].push(j);
-                    scratch.domination_count[j] += 1;
-                } else if j_less & !i_less {
-                    scratch.dominated[j].push(i);
-                    scratch.domination_count[i] += 1;
-                }
-            }
-        }
-    } else {
-        for i in 0..count {
-            let row_i = &objectives[i * k..(i + 1) * k];
-            for j in (i + 1)..count {
-                let row_j = &objectives[j * k..(j + 1) * k];
-                let (i_dominates, j_dominates) = compare_rows(row_i, row_j);
-                if i_dominates {
-                    scratch.dominated[i].push(j);
-                    scratch.domination_count[j] += 1;
-                } else if j_dominates {
-                    scratch.dominated[j].push(i);
-                    scratch.domination_count[i] += 1;
-                }
+    for i in 0..count {
+        let row_i = &objectives[i * k..(i + 1) * k];
+        for j in (i + 1)..count {
+            let row_j = &objectives[j * k..(j + 1) * k];
+            let (i_dominates, j_dominates) = compare_rows(row_i, row_j);
+            if i_dominates {
+                scratch.dominated[i].push(j);
+                scratch.domination_count[j] += 1;
+            } else if j_dominates {
+                scratch.dominated[j].push(i);
+                scratch.domination_count[i] += 1;
             }
         }
     }
@@ -344,6 +332,49 @@ pub fn fast_non_dominated_sort_flat(
         }
         front_idx += 1;
         std::mem::swap(&mut scratch.current_front, &mut scratch.next_front);
+    }
+}
+
+/// The ranks of [`fast_non_dominated_sort_flat`] for two NaN-free objectives, in
+/// `O(n log n + n·fronts)` instead of `O(n²)`.
+///
+/// The points are visited in lexicographic order of `(f₀, f₁)`, so every dominator of a
+/// point comes before it, and each takes the first front none of whose members so far
+/// dominates it. That is its rank: a point of rank `r` has a dominator in every front below
+/// `r` (the links of its longest dominance chain) and none in front `r` or above. A member
+/// `q` visited before `p` has `q.f₀ ≤ p.f₀`, so it dominates `p` exactly when
+/// `q.f₁ ≤ p.f₁` and the two differ; checking the front's member with the smallest `f₁` is
+/// enough, because members of one front that share `f₁` also share `f₀`.
+fn two_objective_sweep(
+    objectives: &[f64],
+    count: usize,
+    ranks: &mut [usize],
+    scratch: &mut DominanceScratch,
+) {
+    let point = |i: usize| (objectives[2 * i], objectives[2 * i + 1]);
+    scratch.order.clear();
+    scratch.order.extend(0..count);
+    stable_sort_indices(&mut scratch.order, &mut scratch.merge, |a, b| {
+        let (a, b) = (point(a), point(b));
+        a.0.partial_cmp(&b.0)
+            .expect("NaN-free objectives")
+            .then(a.1.partial_cmp(&b.1).expect("NaN-free objectives"))
+    });
+    scratch.front_minima.clear();
+    for &p in &scratch.order {
+        let (p0, p1) = point(p);
+        let dominated_by = |&(min1, at0): &(f64, f64)| min1 < p1 || (min1 == p1 && at0 < p0);
+        let front = scratch
+            .front_minima
+            .iter()
+            .position(|minimum| !dominated_by(minimum))
+            .unwrap_or(scratch.front_minima.len());
+        match scratch.front_minima.get_mut(front) {
+            Some(minimum) if p1 < minimum.0 => *minimum = (p1, p0),
+            Some(_) => {}
+            None => scratch.front_minima.push((p1, p0)),
+        }
+        ranks[p] = front;
     }
 }
 
@@ -639,6 +670,39 @@ mod tests {
         // A warm scratch must reproduce the result (buffers are reset, not stale).
         fast_non_dominated_sort_flat(&flat, n, k, &mut ranks, &mut scratch);
         assert_eq!(ranks, fast_non_dominated_sort(&points));
+    }
+
+    #[test]
+    fn two_objective_sweep_matches_the_pairwise_sort_with_ties_and_duplicates() {
+        // Values from a small grid, so equal coordinates, duplicate points and signed zeros
+        // are common; infinities too. NaN rows take the pairwise pass and are checked by
+        // `flat_sort_matches_nested_sort`.
+        let grid = [
+            -1.0,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            grid[(state % grid.len() as u64) as usize]
+        };
+        let (mut ranks, mut scratch) = (Vec::new(), DominanceScratch::default());
+        for n in [0, 1, 2, 3, 7, 16, 17, 40, 80] {
+            for _ in 0..40 {
+                let points: Vec<Vec<f64>> = (0..n).map(|_| vec![next(), next()]).collect();
+                let (flat, count, k) = flatten(&points);
+                fast_non_dominated_sort_flat(&flat, count, k, &mut ranks, &mut scratch);
+                assert_eq!(ranks, fast_non_dominated_sort(&points), "{points:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //! * [`hypervolume`](mod@hypervolume) — the Pareto hypervolume (PHV) quality indicator used throughout the
 //!   paper's evaluation (exact 2-D sweep plus a recursive WFG-style algorithm for `k > 2`).
 //! * [`nsga2`] — the NSGA-II evolutionary algorithm used by PaRMIS to solve the cheap
-//!   multi-objective problem over sampled GP posterior functions (paper §IV-B step 1).
+//!   multi-objective problem over sampled GP posterior functions (paper §IV-B step 1):
+//!   SBX crossover (p_c = 0.9 per pair, ½ per gene, η_c = 15) and polynomial mutation
+//!   (1/d per gene, η_m = 20), bred by a variation step that draws one coin word per 64
+//!   genes, one uniform per crossed gene and geometric mutation gaps, and computes the
+//!   spread factors and children in branch-free passes (see the module docs for the draw
+//!   schedule).
 //! * [`scalarize`] — linear and Tchebycheff scalarizations used by the RL/IL baselines.
 //!
 //! # Examples

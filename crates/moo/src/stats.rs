@@ -22,10 +22,10 @@ pub struct OpCounts {
     /// NSGA-II generations evolved by the flat engine (one per selection + variation +
     /// environmental-selection round, across every `run`/`solve` call).
     pub nsga2_generations: u64,
-    /// Unordered candidate pairs examined by flat non-dominated sorting: each
-    /// [`crate::dominance::fast_non_dominated_sort_flat`] pass over `n` points adds
-    /// `n·(n−1)/2` (every pair is compared once, in both directions, with a single pass —
-    /// half the work of the seed's ordered-pair sweep).
+    /// Unordered candidate pairs whose dominance relation flat non-dominated sorting
+    /// resolves: each [`crate::dominance::fast_non_dominated_sort_flat`] pass over `n`
+    /// points adds `n·(n−1)/2`. With three or more objectives every pair is compared once,
+    /// in both directions; with two, a sort and one sweep settle the same pairs.
     pub dominance_comparisons: u64,
     /// Flat index-based non-dominated sorts performed by the engine.
     pub flat_sorts: u64,

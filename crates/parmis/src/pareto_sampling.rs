@@ -16,9 +16,10 @@
 //! `population × k` per-point feature recomputations. An [`AcquisitionScratch`] carries the
 //! engine, the RFF weight-draw buffers and the per-objective output column across
 //! [`sample`](ParetoFrontSampler::sample) calls (the framework keeps one alive across
-//! iterations), so a warm sampler evolves each generation with zero heap allocation. The
-//! sampled fronts are **bit-identical** to the original per-point loop for every seed; the
-//! `acq_equivalence` suite in the bench crate pins this against the preserved seed path.
+//! iterations), so a warm sampler evolves each generation with zero heap allocation. A
+//! warm and a fresh scratch give **bit-identical** fronts for every seed; the
+//! `acq_equivalence` suite in the bench crate pins this, and committed digests of sampled
+//! fronts pin the numbers.
 
 use crate::{ParmisError, Result};
 use fastmath::Precision;

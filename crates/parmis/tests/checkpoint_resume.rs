@@ -453,8 +453,9 @@ fn fuel_suspends_a_segment_and_never_a_plain_run() {
 /// refuses a mismatch, so moving this value orphans every checkpoint on disk.
 const DEFAULT_CONFIG_DIGEST: u64 = 0x0ca8_d51d_fcc6_82d0;
 
-/// Final trace hash of the uninterrupted `tiny_config(7, 11)` search.
-const TINY_SEARCH_FINAL_HASH: u64 = 0xb6f1_9b16_9f9c_5a3d;
+/// Final trace hash of the uninterrupted `tiny_config(7, 11)` search, recorded with the
+/// paper-shape hashes below.
+const TINY_SEARCH_FINAL_HASH: u64 = 0x910c_1182_b13e_7a20;
 
 /// A checkpoint written by an earlier build still loads, verifies and resumes to the
 /// recorded trajectory: the fixture is the fuel-6 suspension of `tiny_config(7, 11)`.
@@ -495,11 +496,12 @@ fn stored_checkpoint_fixture_resumes_to_the_pinned_trace_hash() {
 }
 
 /// Final trace hashes of the paper-shape searches below: the front-sampling shape once per
-/// precision tier and the refit-cycle shape, recorded when RFF frequencies became blocked
-/// Box–Muller draws and the fast tier's feature products became fused.
-const PAPER_SHAPE_FINAL_HASH_EXACT: u64 = 0x1045_d92f_b1f0_f429;
-const PAPER_SHAPE_FINAL_HASH_FAST: u64 = 0x882b_cde5_017c_326b;
-const PAPER_SHAPE_REFIT_CYCLES_FINAL_HASH: u64 = 0x204b_008a_90e1_c1a2;
+/// precision tier and the refit-cycle shape, recorded when NSGA-II's variation step took
+/// its block draw schedule (coin words, one uniform per crossed gene, geometric mutation
+/// gaps).
+const PAPER_SHAPE_FINAL_HASH_EXACT: u64 = 0x83cc_09f7_eb91_5394;
+const PAPER_SHAPE_FINAL_HASH_FAST: u64 = 0x64f5_574a_eaf4_159d;
+const PAPER_SHAPE_REFIT_CYCLES_FINAL_HASH: u64 = 0x7f76_dbdc_033b_52d8;
 
 /// Searches at the paper's dimension end on their recorded trajectories: θ ∈ ℝ⁵⁰¹ on
 /// `spectral`. The front-sampling shape runs on both precision tiers with 150 features and a
