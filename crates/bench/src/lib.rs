@@ -6,12 +6,15 @@
 //! post-processing). This library holds the pieces they share: experiment configuration from
 //! the command line, PaRMIS/baseline runners with consistent budgets, PHV bookkeeping with a
 //! common reference point, and plain-text table printing.
+//!
+//! The crate's tests hold the workspace-wide performance contracts: the heap-allocation
+//! counts of the hot loops (`tests/allocation_contracts.rs`) and the bit identity and
+//! committed digests of the batched front-sampling engine (`tests/acq_equivalence.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;
 pub mod report;
-pub mod seedpath;
 
 pub use harness::{ExperimentBudget, MethodFront, PhvSummary};

@@ -1,18 +1,19 @@
 //! Bit-identity contract of the flat-buffer batched acquisition engine.
 //!
-//! The entry points of the flat NSGA-II engine (`moo::nsga2::Nsga2::run`, `run_batched` and
-//! a reused `Nsga2Engine::solve`), the batched RFF evaluation
-//! (`gp::PosteriorSample::eval_batch_into`) and the batched front sampler
-//! (`parmis::pareto_sampling::ParetoFrontSampler::sample_with`) must agree with each other
-//! **bit for bit**, across seeds, dimensions, population sizes and both kernel families.
-//! Committed digests of a few final populations and sampled fronts pin the numbers
-//! themselves: they move only with a deliberate change to the variation step, the RFF
-//! sampler or the sort, and such a change records its old and new digests.
+//! A reused NSGA-II engine (`moo::nsga2::Nsga2Engine::solve` after a solve of another shape
+//! and seed) must solve like a fresh one, the batched RFF evaluation
+//! (`gp::PosteriorSample::eval_batch_into`) must answer like the per-point `eval`, and the
+//! front sampler (`parmis::pareto_sampling::ParetoFrontSampler::sample_with`) must draw the
+//! same front with a warm scratch as with a fresh one, **bit for bit**, across seeds,
+//! dimensions, population sizes and both kernel families. Committed digests of a few final
+//! populations and sampled fronts pin the numbers themselves: they move only with a
+//! deliberate change to the variation step, the RFF sampler or the sort, and such a change
+//! records its old and new digests.
 
 use fastmath::Precision;
 use gp::kernel::Kernel;
 use gp::{GaussianProcess, RffSampler};
-use moo::nsga2::{Nsga2, Nsga2Config, Nsga2Engine, Population};
+use moo::nsga2::{Nsga2, Nsga2Config, Nsga2Engine};
 use parmis::pareto_sampling::{
     AcquisitionScratch, ParetoFrontSample, ParetoFrontSampler, ParetoSamplingConfig,
 };
@@ -65,13 +66,14 @@ fn digest<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
     })
 }
 
-fn population_digest(population: &Population) -> u64 {
+/// Digest of a final population: its decisions, then its objectives, row-major.
+fn population_digest(engine: &Nsga2Engine) -> u64 {
     digest(
-        population
-            .decisions
+        engine
+            .decisions()
+            .as_slice()
             .iter()
-            .chain(&population.objectives)
-            .flatten(),
+            .chain(engine.objectives()),
     )
 }
 
@@ -85,48 +87,44 @@ fn front_digest(sample: &ParetoFrontSample) -> u64 {
     )
 }
 
-/// Solves `objectives(·, shift)` over `[-2, 2]^dim` through all three entry points and
-/// checks that they agree bit for bit; returns the population.
-fn solve_three_ways(config: Nsga2Config, dim: usize, shift: f64) -> Population {
+/// Solves `objectives(·, shift)` over `[-2, 2]^dim` on a fresh engine and on an engine
+/// warmed on another shape and seed, checks that the two agree bit for bit, and returns the
+/// fresh engine.
+fn solve_fresh_and_warm(config: Nsga2Config, dim: usize, shift: f64) -> Nsga2Engine {
     let solver = Nsga2::new(vec![-2.0; dim], vec![2.0; dim], config.clone()).unwrap();
-    let per_point = solver.run(|x| objectives(x, shift));
-
-    let batched_eval = |points: &moo::FlatPopulation<'_>, out: &mut [f64]| {
-        for i in 0..points.count() {
-            out[2 * i..2 * i + 2].copy_from_slice(&objectives(points.row(i), shift));
+    let evaluate = |points: &moo::FlatPopulation<'_>, out: &mut [f64]| {
+        for (i, o) in out.chunks_exact_mut(2).enumerate() {
+            o.copy_from_slice(&objectives(points.row(i), shift));
         }
     };
-    let batched = solver.run_batched(&mut Nsga2Engine::new(), 2, batched_eval);
+    let mut fresh = Nsga2Engine::new();
+    fresh.solve(&solver, 2, evaluate);
 
-    // An engine warmed on another shape and seed, then solving this problem.
-    let mut engine = Nsga2Engine::new();
+    let mut warm = Nsga2Engine::new();
     let warm_config = Nsga2Config {
         seed: config.seed ^ 0x5a5a,
         ..config
     };
-    let warm = Nsga2::new(vec![-1.0; dim + 3], vec![3.0; dim + 3], warm_config).unwrap();
-    engine.solve(&warm, 2, batched_eval);
-    engine.solve(&solver, 2, batched_eval);
-    let reused = engine.to_population();
+    let other = Nsga2::new(vec![-1.0; dim + 3], vec![3.0; dim + 3], warm_config).unwrap();
+    warm.solve(&other, 2, evaluate);
+    warm.solve(&solver, 2, evaluate);
 
-    for other in [&batched, &reused] {
-        assert_eq!(per_point.decisions, other.decisions);
-        assert_eq!(per_point.objectives, other.objectives);
-    }
-    per_point
+    assert_eq!(fresh.decisions().as_slice(), warm.decisions().as_slice());
+    assert_eq!(fresh.objectives(), warm.objectives());
+    fresh
 }
 
-/// The decision-space dimensions the entry-point property draws from.
+/// The decision-space dimensions the warm-engine property draws from.
 const DIMENSIONS: [usize; 8] = [1, 2, 3, 4, 63, 64, 65, 130];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Nsga2::run`, `run_batched` and a reused `Nsga2Engine::solve` give the same final
-    /// population, bit for bit, for any seed, any dimension (below, on and past a coin
+    /// An engine warmed on another shape and seed gives the same final population as a
+    /// fresh engine, bit for bit, for any seed, any dimension (below, on and past a coin
     /// word's 64 genes), any (even) population size and generation count.
     #[test]
-    fn nsga2_entry_points_are_bit_identical(
+    fn warm_engines_solve_like_fresh_engines(
         seed in 0u64..u64::MAX,
         dim in 0usize..DIMENSIONS.len(),
         pop_half in 2usize..9,
@@ -138,7 +136,7 @@ proptest! {
             generations,
             seed,
         };
-        solve_three_ways(config, DIMENSIONS[dim], shift);
+        solve_fresh_and_warm(config, DIMENSIONS[dim], shift);
     }
 }
 
@@ -188,12 +186,14 @@ proptest! {
             nsga_population: 16,
             nsga_generations: 6,
         };
-        let sampler = ParetoFrontSampler::new(&models, 3.0, config, sampler_seed).unwrap();
+        let sampler =
+            ParetoFrontSampler::new(&models, 3.0, config, sampler_seed, Precision::SeedExact)
+                .unwrap();
 
         let mut scratch = AcquisitionScratch::default();
         for offset in 0..3u64 {
             let s = sample_seed.wrapping_add(offset * 104729);
-            let fresh = sampler.sample(s).unwrap();
+            let fresh = sampler.sample_with(&mut AcquisitionScratch::default(), s).unwrap();
             let warm = sampler.sample_with(&mut scratch, s).unwrap();
             prop_assert_eq!(&fresh.front, &warm.front);
             prop_assert_eq!(&fresh.per_objective_best, &warm.per_objective_best);
@@ -228,8 +228,7 @@ fn final_populations_match_their_committed_digests() {
         ),
     ];
     for (config, dim, shift, expected) in cases {
-        let population = solve_three_ways(config.clone(), dim, shift);
-        let got = population_digest(&population);
+        let got = population_digest(&solve_fresh_and_warm(config.clone(), dim, shift));
         assert_eq!(
             got, expected,
             "population digest of {config:?} at dimension {dim} moved: {got:#018x}"
@@ -253,10 +252,9 @@ fn sampled_fronts_match_their_committed_digests() {
     ];
     for (family, precision, expected) in cases {
         let models = toy_models(2, &kernel_for(family, 2));
-        let sampler =
-            ParetoFrontSampler::new_with_precision(&models, 3.0, config.clone(), 7, precision)
-                .unwrap();
-        let got = front_digest(&sampler.sample(11).unwrap());
+        let sampler = ParetoFrontSampler::new(&models, 3.0, config.clone(), 7, precision).unwrap();
+        let sample = sampler.sample_with(&mut AcquisitionScratch::default(), 11);
+        let got = front_digest(&sample.unwrap());
         assert_eq!(
             got, expected,
             "front digest of family {family} on {precision:?} moved: {got:#018x}"

@@ -11,7 +11,6 @@
 //! only sees the allocations of the code it calls. None of the measured code spawns
 //! threads.
 
-use bench::seedpath::{probe_app, FixedDecisionController as FixedController};
 use fastmath::Precision;
 use gp::kernel::Kernel;
 use gp::{GaussianProcess, PosteriorSample, RffSampler, WeightScratch};
@@ -19,8 +18,9 @@ use moo::nsga2::{Nsga2, Nsga2Config, Nsga2Engine};
 use parmis::pareto_sampling::ParetoSamplingConfig;
 use policy::drm_policy::{DrmPolicy, PolicyArchitecture};
 use soc_sim::config::DrmDecision;
-use soc_sim::platform::Platform;
-use soc_sim::workload::Application;
+use soc_sim::counters::CounterSnapshot;
+use soc_sim::platform::{DrmController, Platform};
+use soc_sim::workload::{Application, ApplicationBuilder, PhaseSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -57,6 +57,39 @@ fn allocations_during<F: FnOnce()>(f: F) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// Controller pinning one fixed decision.
+struct FixedDecisionController(DrmDecision);
+
+impl DrmController for FixedDecisionController {
+    fn decide(&mut self, _: &CounterSnapshot, _: &DrmDecision) -> DrmDecision {
+        self.0
+    }
+
+    fn name(&self) -> &str {
+        "fixed"
+    }
+}
+
+/// A jittered `epochs`-epoch application over one balanced mixed phase: the streaming
+/// contract's workload.
+fn probe_app(epochs: usize) -> Application {
+    let phase = PhaseSpec {
+        name: "probe".into(),
+        instructions: 40e6,
+        parallel_fraction: 0.55,
+        memory_refs_per_instr: 0.25,
+        l2_miss_rate: 0.05,
+        branch_fraction: 0.1,
+        branch_miss_rate: 0.05,
+        ilp_scale: 0.85,
+    };
+    ApplicationBuilder::new(format!("sim-bench-{epochs}"))
+        .phase(phase, epochs)
+        .jitter(0.05)
+        .build()
+        .expect("valid probe application")
+}
+
 /// The zero-per-epoch-allocation contract of the streaming engine: a run's allocation
 /// count must not grow with the epoch count — under a fixed controller AND under a learned
 /// policy (whose four-head inference reuses the policy-owned `MlpScratch`).
@@ -70,7 +103,7 @@ fn assert_allocations_stay_flat(platform: &Platform) {
         little_freq_mhz: 1000,
     };
     let run = |app: &Application| {
-        let mut controller = FixedController(decision);
+        let mut controller = FixedDecisionController(decision);
         allocations_during(|| {
             platform
                 .run_application(app, &mut controller, 7)

@@ -270,51 +270,20 @@ impl GaussianProcess {
         data_fit + complexity + norm
     }
 
-    /// Returns the model extended with one additional observation, reusing the cached
-    /// Cholesky factor.
+    /// Returns the model extended with the inputs `new_xs`, with `ys` as the full
+    /// replacement target vector (old and new points alike), reusing the cached Cholesky
+    /// factor.
     ///
-    /// PaRMIS adds exactly one evaluation per iteration (Algorithm 1, line 6). Instead of the
-    /// seed's from-scratch `O(n³)` refit, the kernel matrix grows by one row/column via
-    /// [`linalg::Cholesky::extend`] in `O(n²)`, and the recentred weight vector `α` is
-    /// recovered with two triangular solves — no call to [`fit`](Self::fit). If the extension
-    /// is numerically degenerate (e.g. a near-duplicate input makes the new pivot
-    /// non-positive), the kernel matrix is refactorized from scratch with the standard jitter
-    /// policy, so the method never fails where `fit` would have succeeded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpError::InvalidData`] for a dimension mismatch or a non-finite target, and
-    /// [`GpError::Linalg`] if even the jittered fallback cannot factorize.
-    pub fn with_observation(&self, x: Vec<f64>, y: f64) -> Result<Self> {
-        self.with_observations(std::slice::from_ref(&x), &[y])
-    }
-
-    /// Returns the model extended with a batch of observations — the multi-point counterpart
-    /// of [`with_observation`](Self::with_observation), performing one `O(n²)` rank-one
-    /// extension per point and a single pair of triangular solves at the end.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`with_observation`](Self::with_observation).
-    pub fn with_observations(&self, new_xs: &[Vec<f64>], new_ys: &[f64]) -> Result<Self> {
-        if new_xs.len() != new_ys.len() {
-            return Err(GpError::InvalidData {
-                reason: format!("{} inputs but {} targets", new_xs.len(), new_ys.len()),
-            });
-        }
-        let mut ys = self.ys.clone();
-        ys.extend_from_slice(new_ys);
-        self.with_observations_and_targets(new_xs, ys)
-    }
-
-    /// Extends the inputs with `new_xs` and installs `ys` as the full replacement target
-    /// vector (old and new points alike) in one step.
-    ///
-    /// This is the search loop's per-iteration update: new evaluations arrive *and* every
-    /// target is re-standardized against the grown history. Folding both into one call does
-    /// the rank-one extensions plus a **single** pair of triangular solves, where
-    /// `with_observations(...)` followed by [`with_targets`](Self::with_targets) would solve
-    /// for an `α` that is immediately thrown away.
+    /// This is the search loop's per-iteration update (Algorithm 1, line 6): new
+    /// evaluations arrive *and* every target is re-standardized against the grown history.
+    /// Instead of the seed's from-scratch `O(n³)` refit, the kernel matrix grows by one
+    /// row/column per new input via [`linalg::Cholesky::extend`] in `O(n²)`, and the
+    /// recentred weight vector `α` is recovered with one pair of triangular solves at the
+    /// end — no call to [`fit`](Self::fit). The kernel matrix does not depend on the
+    /// targets, so with no new inputs this is a target swap at the cost of those two solves.
+    /// If an extension is numerically degenerate (e.g. a near-duplicate input makes the new
+    /// pivot non-positive), the kernel matrix is refactorized from scratch with the standard
+    /// jitter policy, so the method never fails where `fit` would have succeeded.
     ///
     /// # Errors
     ///
@@ -375,18 +344,6 @@ impl GaussianProcess {
             alpha,
             centred,
         })
-    }
-
-    /// Returns a model over the same inputs with a replacement target vector, reusing the
-    /// cached Cholesky factor (the kernel matrix does not depend on the targets, so swapping
-    /// them costs two triangular solves instead of a refit). This is what lets the search
-    /// loop re-standardize its objective values every iteration without ever refactorizing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpError::InvalidData`] if `ys` has the wrong length or non-finite entries.
-    pub fn with_targets(&self, ys: Vec<f64>) -> Result<Self> {
-        self.with_observations_and_targets(&[], ys)
     }
 }
 
@@ -503,10 +460,25 @@ mod tests {
         assert!(good > bad, "good {good} should exceed bad {bad}");
     }
 
+    /// `gp` extended with the observations `(new_xs, new_ys)`, its own targets kept.
+    fn with_observations(
+        gp: &GaussianProcess,
+        new_xs: &[Vec<f64>],
+        new_ys: &[f64],
+    ) -> Result<GaussianProcess> {
+        let ys = gp
+            .training_targets()
+            .iter()
+            .chain(new_ys)
+            .copied()
+            .collect();
+        gp.with_observations_and_targets(new_xs, ys)
+    }
+
     #[test]
     fn with_observation_extends_model() {
         let gp = toy_gp();
-        let updated = gp.with_observation(vec![5.0], -1.5).unwrap();
+        let updated = with_observations(&gp, &[vec![5.0]], &[-1.5]).unwrap();
         assert_eq!(updated.len(), gp.len() + 1);
         let (mean, var) = updated.predict(&[5.0]).unwrap();
         assert!((mean + 1.5).abs() < 1e-2);
@@ -518,7 +490,7 @@ mod tests {
     #[test]
     fn incremental_update_matches_full_refit() {
         let gp = toy_gp();
-        let incremental = gp.with_observation(vec![5.0], -1.5).unwrap();
+        let incremental = with_observations(&gp, &[vec![5.0]], &[-1.5]).unwrap();
         let mut xs: Vec<Vec<f64>> = gp.training_inputs().to_vec();
         let mut ys: Vec<f64> = gp.training_targets().to_vec();
         xs.push(vec![5.0]);
@@ -541,14 +513,12 @@ mod tests {
     #[test]
     fn with_observations_appends_a_batch() {
         let gp = toy_gp();
-        let updated = gp
-            .with_observations(&[vec![5.0], vec![6.0]], &[-1.5, -0.9])
-            .unwrap();
+        let updated = with_observations(&gp, &[vec![5.0], vec![6.0]], &[-1.5, -0.9]).unwrap();
         assert_eq!(updated.len(), 7);
         let (mean, _) = updated.predict(&[6.0]).unwrap();
         assert!((mean + 0.9).abs() < 1e-2);
         // Empty batch is the identity.
-        let same = gp.with_observations(&[], &[]).unwrap();
+        let same = with_observations(&gp, &[], &[]).unwrap();
         assert_eq!(same.len(), gp.len());
         assert_eq!(same.predict(&[1.3]).unwrap(), gp.predict(&[1.3]).unwrap());
     }
@@ -562,10 +532,9 @@ mod tests {
         let one_step = gp
             .with_observations_and_targets(&new_xs, full_ys.clone())
             .unwrap();
-        let two_step = gp
-            .with_observations(&new_xs, &full_ys[5..])
+        let two_step = with_observations(&gp, &new_xs, &full_ys[5..])
             .unwrap()
-            .with_targets(full_ys.clone())
+            .with_observations_and_targets(&[], full_ys.clone())
             .unwrap();
         assert_eq!(one_step.training_targets(), full_ys.as_slice());
         for q in [0.3, 2.1, 5.5, 7.0] {
@@ -583,9 +552,9 @@ mod tests {
     #[test]
     fn with_observations_validates_input() {
         let gp = toy_gp();
-        assert!(gp.with_observations(&[vec![1.0]], &[]).is_err());
-        assert!(gp.with_observations(&[vec![1.0, 2.0]], &[0.5]).is_err());
-        assert!(gp.with_observations(&[vec![1.0]], &[f64::NAN]).is_err());
+        assert!(with_observations(&gp, &[vec![1.0]], &[]).is_err());
+        assert!(with_observations(&gp, &[vec![1.0, 2.0]], &[0.5]).is_err());
+        assert!(with_observations(&gp, &[vec![1.0]], &[f64::NAN]).is_err());
     }
 
     #[test]
@@ -596,7 +565,7 @@ mod tests {
         let xs = vec![vec![0.0], vec![1.0]];
         let ys = vec![0.3, 0.9];
         let gp = GaussianProcess::fit(xs, ys, Kernel::rbf(1.0, 1.0), 0.0).unwrap();
-        let updated = gp.with_observation(vec![1.0], 0.9).unwrap();
+        let updated = with_observations(&gp, &[vec![1.0]], &[0.9]).unwrap();
         assert_eq!(updated.len(), 3);
         let (mean, _) = updated.predict(&[1.0]).unwrap();
         assert!((mean - 0.9).abs() < 1e-2);
@@ -606,7 +575,9 @@ mod tests {
     fn with_targets_swaps_targets_without_refactorizing() {
         let gp = toy_gp();
         let flipped: Vec<f64> = gp.training_targets().iter().map(|y| -y).collect();
-        let swapped = gp.with_targets(flipped.clone()).unwrap();
+        let swapped = gp
+            .with_observations_and_targets(&[], flipped.clone())
+            .unwrap();
         let refit = GaussianProcess::fit(
             gp.training_inputs().to_vec(),
             flipped,
@@ -620,8 +591,10 @@ mod tests {
             assert!((ms - mr).abs() < 1e-10);
             assert!((vs - vr).abs() < 1e-10);
         }
-        assert!(gp.with_targets(vec![1.0]).is_err());
-        assert!(gp.with_targets(vec![f64::INFINITY; 5]).is_err());
+        assert!(gp.with_observations_and_targets(&[], vec![1.0]).is_err());
+        assert!(gp
+            .with_observations_and_targets(&[], vec![f64::INFINITY; 5])
+            .is_err());
     }
 
     #[test]

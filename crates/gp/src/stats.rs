@@ -25,7 +25,7 @@ pub struct OpCounts {
     /// From-scratch `O(n³)` fits ([`crate::GaussianProcess::fit`]).
     pub full_fits: u64,
     /// Rank-one `O(n²)` Cholesky extensions performed by incremental updates
-    /// ([`crate::GaussianProcess::with_observation`] / `with_observations`).
+    /// ([`crate::GaussianProcess::with_observations_and_targets`]).
     pub incremental_updates: u64,
     /// Per-point posterior predictions ([`crate::GaussianProcess::predict`]).
     pub predict_points: u64,

@@ -102,12 +102,13 @@ proptest! {
         let ys: Vec<f64> = xs.iter().map(|x| (x * 0.6).sin()).collect();
         let kernel = Kernel::matern52(sv, ls);
         let base = GaussianProcess::fit(pts.clone(), ys.clone(), kernel.clone(), noise).unwrap();
-        let incremental = base.with_observation(vec![new_x], new_y).unwrap();
-
         let mut full_xs = pts;
         let mut full_ys = ys;
         full_xs.push(vec![new_x]);
         full_ys.push(new_y);
+        let incremental = base
+            .with_observations_and_targets(&[vec![new_x]], full_ys.clone())
+            .unwrap();
         let full = GaussianProcess::fit(full_xs, full_ys, kernel, noise).unwrap();
 
         let (mi, vi) = incremental.predict(&[query]).unwrap();

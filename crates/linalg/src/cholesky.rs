@@ -189,18 +189,6 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Returns the extension of this factorization with one row/column, leaving `self`
-    /// untouched. See [`extend`](Self::extend).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`extend`](Self::extend).
-    pub fn extended(&self, b: &[f64], d: f64) -> Result<Self> {
-        let mut out = self.clone();
-        out.extend(b, d)?;
-        Ok(out)
-    }
-
     /// Returns the lower-triangular factor `L`.
     pub fn factor(&self) -> &Matrix {
         &self.l
@@ -228,37 +216,14 @@ impl Cholesky {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != n`.
     pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut y = Vec::new();
-        self.solve_lower_into(b, &mut y)?;
+        self.check_rhs_len(b.len())?;
+        let mut y = b.to_vec();
+        self.forward_substitute_in_place(&mut y);
         Ok(y)
     }
 
-    /// Solves `L y = b` into a caller-supplied buffer, avoiding the per-call allocation of
-    /// [`solve_lower`](Self::solve_lower). The buffer is cleared and refilled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != n`.
-    pub fn solve_lower_into(&self, b: &[f64], y: &mut Vec<f64>) -> Result<()> {
-        self.check_rhs_len(b.len())?;
-        y.clear();
-        y.extend_from_slice(b);
-        self.forward_substitute_in_place(y);
-        Ok(())
-    }
-
-    /// Solves `Lᵀ x = y` (backward substitution).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `y.len() != n`.
-    pub fn solve_upper(&self, y: &[f64]) -> Result<Vec<f64>> {
-        let mut x = Vec::new();
-        self.solve_upper_into(y, &mut x)?;
-        Ok(x)
-    }
-
-    /// Solves `Lᵀ x = y` into a caller-supplied buffer. The buffer is cleared and refilled.
+    /// Solves `Lᵀ x = y` (backward substitution) into a caller-supplied buffer. The buffer
+    /// is cleared and refilled.
     ///
     /// # Errors
     ///
@@ -361,18 +326,6 @@ impl Cholesky {
             }
         }
         Ok(())
-    }
-
-    /// Solves `L Y = B`, returning the solution block. See
-    /// [`solve_lower_matrix_in_place`](Self::solve_lower_matrix_in_place).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `B.rows() != n`.
-    pub fn solve_lower_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let mut out = b.clone();
-        self.solve_lower_matrix_in_place(&mut out)?;
-        Ok(out)
     }
 
     /// Log-determinant of `A`, computed as `2 Σ log L_ii`.
@@ -532,7 +485,7 @@ mod tests {
         let chol = Cholesky::new(&spd3()).unwrap();
         assert!(chol.solve_vec(&[1.0, 2.0]).is_err());
         assert!(chol.solve_lower(&[1.0]).is_err());
-        assert!(chol.solve_upper(&[1.0]).is_err());
+        assert!(chol.solve_upper_into(&[1.0], &mut Vec::new()).is_err());
         assert!(chol
             .solve_lower_matrix_in_place(&mut Matrix::zeros(2, 2))
             .is_err());
@@ -561,19 +514,11 @@ mod tests {
     }
 
     #[test]
-    fn extended_leaves_original_untouched() {
-        let chol = Cholesky::new(&spd3()).unwrap();
-        let bigger = chol.extended(&[0.5, 0.25, 0.1], 7.0).unwrap();
-        assert_eq!(chol.dim(), 3);
-        assert_eq!(bigger.dim(), 4);
-    }
-
-    #[test]
     fn extend_rejects_indefinite_extension_and_bad_lengths() {
         let mut chol = Cholesky::new(&spd3()).unwrap();
         // A huge off-diagonal coupling with a tiny new diagonal cannot be SPD.
         assert!(matches!(
-            chol.extended(&[100.0, 0.0, 0.0], 1.0),
+            chol.extend(&[100.0, 0.0, 0.0], 1.0),
             Err(LinalgError::NotPositiveDefinite { pivot: 3 })
         ));
         assert!(chol.extend(&[1.0], 1.0).is_err());
@@ -589,14 +534,15 @@ mod tests {
         let a = spd4();
         let chol = Cholesky::new(&a).unwrap();
         let b = Matrix::from_fn(4, 5, |i, j| (i as f64 - 1.3) * (j as f64 + 0.7));
-        let lower = chol.solve_lower_matrix(&b).unwrap();
+        let mut lower = b.clone();
+        chol.solve_lower_matrix_in_place(&mut lower).unwrap();
         for j in 0..5 {
             let y = chol.solve_lower(&b.col(j)).unwrap();
             for i in 0..4 {
                 assert_eq!(
                     lower[(i, j)],
                     y[i],
-                    "solve_lower_matrix diverged at ({i},{j})"
+                    "the blocked solve diverged at ({i},{j})"
                 );
             }
         }
@@ -605,8 +551,9 @@ mod tests {
     #[test]
     fn blocked_solves_accept_zero_column_rhs() {
         let chol = Cholesky::new(&spd3()).unwrap();
-        let empty = Matrix::zeros(3, 0);
-        assert_eq!(chol.solve_lower_matrix(&empty).unwrap().shape(), (3, 0));
+        let mut empty = Matrix::zeros(3, 0);
+        chol.solve_lower_matrix_in_place(&mut empty).unwrap();
+        assert_eq!(empty.shape(), (3, 0));
     }
 
     #[test]
@@ -614,10 +561,10 @@ mod tests {
         let chol = Cholesky::new(&spd3()).unwrap();
         let b = [1.0, -2.0, 3.0];
         let mut buf = vec![99.0; 17]; // deliberately wrong size and contents
-        chol.solve_lower_into(&b, &mut buf).unwrap();
-        assert_eq!(buf, chol.solve_lower(&b).unwrap());
-        chol.solve_upper_into(&b, &mut buf).unwrap();
-        assert_eq!(buf, chol.solve_upper(&b).unwrap());
+        let y = chol.solve_lower(&b).unwrap();
+        // Forward then backward substitution is the full solve, bit for bit.
+        chol.solve_upper_into(&y, &mut buf).unwrap();
+        assert_eq!(buf, chol.solve_vec(&b).unwrap());
         chol.solve_vec_into(&b, &mut buf).unwrap();
         assert_eq!(buf, chol.solve_vec(&b).unwrap());
         assert!(chol.solve_vec_into(&[1.0], &mut buf).is_err());

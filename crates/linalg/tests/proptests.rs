@@ -192,7 +192,8 @@ proptest! {
     fn blocked_matrix_solve_matches_vector_solves(a in spd_strategy(4), b in vec_strategy(8)) {
         let chol = Cholesky::new(&a).unwrap();
         let rhs = Matrix::from_vec(4, 2, b).unwrap();
-        let blocked = chol.solve_lower_matrix(&rhs).unwrap();
+        let mut blocked = rhs.clone();
+        chol.solve_lower_matrix_in_place(&mut blocked).unwrap();
         for j in 0..2 {
             let y = chol.solve_lower(&rhs.col(j)).unwrap();
             for i in 0..4 {

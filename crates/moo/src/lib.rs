@@ -47,5 +47,5 @@ pub mod stats;
 pub use dominance::{dominates, non_dominated_indices, Dominance, DominanceScratch};
 pub use front::ParetoFront;
 pub use hypervolume::hypervolume;
-pub use nsga2::{FlatPopulation, Nsga2, Nsga2Config, Nsga2Engine, Population};
+pub use nsga2::{FlatPopulation, Nsga2, Nsga2Config, Nsga2Engine};
 pub use scalarize::{Scalarization, WeightVector};

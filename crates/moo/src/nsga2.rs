@@ -1,10 +1,9 @@
 //! NSGA-II (Deb et al., 2002) for continuous box-constrained multi-objective problems.
 //!
 //! PaRMIS uses NSGA-II to solve the *cheap* multi-objective problem over functions sampled
-//! from the GP posteriors (paper §IV-B step 1); the RL/IL baselines and ablations reuse it as
-//! a generic Pareto solver. The algorithm is the textbook one: fast non-dominated sorting,
-//! crowding distance, binary tournament selection, simulated binary crossover (SBX) and
-//! polynomial mutation.
+//! from the GP posteriors (paper §IV-B step 1). The algorithm is the textbook one: fast
+//! non-dominated sorting, crowding distance, binary tournament selection, simulated binary
+//! crossover (SBX) and polynomial mutation.
 //!
 //! # Flat-buffer evolution engine
 //!
@@ -17,8 +16,9 @@
 //! per generation instead of a call per point. After the engine's buffers have warmed up
 //! (first solve at a given shape), a generation performs **zero heap allocations**;
 //! `crates/bench/tests/allocation_contracts.rs` pins this with a counting allocator.
-//! [`Nsga2::run`] is a thin adapter that wraps a per-point objective function into the
-//! batched callback, and gives the same population as [`Nsga2::run_batched`].
+//! [`Nsga2Engine::solve`] is the one way to run a solve; the final population stays in the
+//! engine ([`Nsga2Engine::decisions`], [`Nsga2Engine::objectives`],
+//! [`Nsga2Engine::pareto_indices_into`]).
 //!
 //! # Variation
 //!
@@ -56,8 +56,8 @@
 //! the crossed genes, found by walking the set coin bits, are blended.
 
 use crate::dominance::{
-    fast_non_dominated_sort_flat, non_dominated_indices, non_dominated_indices_flat,
-    per_front_crowding_flat, stable_sort_indices, DominanceScratch,
+    fast_non_dominated_sort_flat, non_dominated_indices_flat, per_front_crowding_flat,
+    stable_sort_indices, DominanceScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -92,51 +92,29 @@ impl Default for Nsga2Config {
     }
 }
 
-/// A solved population: decision vectors and their objective values, plus the Pareto subset.
-#[derive(Debug, Clone)]
-pub struct Population {
-    /// Decision-space points of the final population.
-    pub decisions: Vec<Vec<f64>>,
-    /// Objective vectors corresponding to [`Self::decisions`].
-    pub objectives: Vec<Vec<f64>>,
-}
-
-impl Population {
-    /// Returns the indices of the non-dominated members.
-    pub fn pareto_indices(&self) -> Vec<usize> {
-        non_dominated_indices(&self.objectives)
-    }
-
-    /// Returns the Pareto-optimal `(decision, objectives)` pairs of the population.
-    pub fn pareto_set(&self) -> Vec<(Vec<f64>, Vec<f64>)> {
-        self.pareto_indices()
-            .into_iter()
-            .map(|i| (self.decisions[i].clone(), self.objectives[i].clone()))
-            .collect()
-    }
-
-    /// Returns only the Pareto-optimal objective vectors.
-    pub fn pareto_front(&self) -> Vec<Vec<f64>> {
-        self.pareto_indices()
-            .into_iter()
-            .map(|i| self.objectives[i].clone())
-            .collect()
-    }
-}
-
-/// NSGA-II solver over a box-constrained continuous decision space.
+/// An NSGA-II problem over a box-constrained continuous decision space: the box and the run
+/// configuration. [`Nsga2Engine::solve`] runs it.
 ///
 /// # Examples
 ///
 /// ```
-/// use moo::nsga2::{Nsga2, Nsga2Config};
+/// use moo::nsga2::{Nsga2, Nsga2Config, Nsga2Engine};
 ///
 /// // Minimal bi-objective problem: f1 = x², f2 = (x - 2)² over x ∈ [-4, 4].
 /// let config = Nsga2Config { population_size: 40, generations: 30, ..Default::default() };
 /// let solver = Nsga2::new(vec![-4.0], vec![4.0], config).unwrap();
-/// let pop = solver.run(|x| vec![x[0] * x[0], (x[0] - 2.0) * (x[0] - 2.0)]);
+/// let mut engine = Nsga2Engine::new();
+/// engine.solve(&solver, 2, |points, out| {
+///     for (i, o) in out.chunks_exact_mut(2).enumerate() {
+///         let x = points.row(i)[0];
+///         o.copy_from_slice(&[x * x, (x - 2.0) * (x - 2.0)]);
+///     }
+/// });
 /// // The Pareto set of this problem is x ∈ [0, 2].
-/// for (x, _) in pop.pareto_set() {
+/// let mut pareto = Vec::new();
+/// engine.pareto_indices_into(&mut pareto);
+/// for i in pareto {
+///     let x = engine.decisions().row(i);
 ///     assert!(x[0] > -0.5 && x[0] < 2.5);
 /// }
 /// ```
@@ -189,73 +167,6 @@ impl Nsga2 {
     /// Dimension of the decision space.
     pub fn dim(&self) -> usize {
         self.lower.len()
-    }
-
-    /// Runs the evolutionary loop, evaluating objective vectors with `evaluate`.
-    ///
-    /// The objective function must return the same number of objectives for every point; this
-    /// is asserted on every evaluation. This is a thin per-point adapter over the flat
-    /// [`Nsga2Engine`]: use [`run_batched`](Self::run_batched) (or [`Nsga2Engine::solve`]
-    /// with a long-lived engine) when a whole population can be answered at once.
-    pub fn run<F: FnMut(&[f64]) -> Vec<f64>>(&self, mut evaluate: F) -> Population {
-        let mut engine = Nsga2Engine::new();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        engine.init_population(self, &mut rng);
-
-        // Per-point initial evaluation: the objective count is inferred from the first
-        // point, exactly like the original loop.
-        let pop_size = self.config.population_size;
-        let mut initial = Vec::new();
-        let mut n_obj = 0usize;
-        for i in 0..pop_size {
-            let o = evaluate(engine.initial_row(i));
-            if i == 0 {
-                n_obj = o.len();
-                assert!(
-                    n_obj > 0,
-                    "objective function must return at least one value"
-                );
-            }
-            assert!(
-                o.len() == n_obj,
-                "objective function returned inconsistent dimensions"
-            );
-            initial.extend(o);
-        }
-        engine.install_initial_objectives(n_obj, &initial);
-
-        engine.evolve(
-            self,
-            &mut rng,
-            &mut |points: &FlatPopulation<'_>, out: &mut [f64]| {
-                for i in 0..points.count() {
-                    let o = evaluate(points.row(i));
-                    assert!(
-                        o.len() == n_obj,
-                        "objective function returned inconsistent dimensions"
-                    );
-                    out[i * n_obj..(i + 1) * n_obj].copy_from_slice(&o);
-                }
-            },
-        );
-        engine.to_population()
-    }
-
-    /// Runs the evolutionary loop with a **batched** objective callback on a caller-owned
-    /// engine, then materializes the final [`Population`].
-    ///
-    /// `evaluate` receives every to-be-scored population (initial parents, then one
-    /// offspring block per generation) as a [`FlatPopulation`] and must fill the row-major
-    /// `count × num_objectives` output block. Reusing `engine` across calls (even across
-    /// differently-seeded solves of the same shape) keeps every generation allocation-free.
-    pub fn run_batched<F: FnMut(&FlatPopulation<'_>, &mut [f64])>(
-        &self,
-        engine: &mut Nsga2Engine,
-        num_objectives: usize,
-        evaluate: F,
-    ) -> Population {
-        engine.solve(self, num_objectives, evaluate);
-        engine.to_population()
     }
 }
 
@@ -356,10 +267,12 @@ impl Nsga2Engine {
 
     /// Runs a full NSGA-II solve of `problem` with a batched objective callback, leaving
     /// the final population in the engine (see [`decisions`](Self::decisions),
-    /// [`objectives`](Self::objectives), [`to_population`](Self::to_population)).
+    /// [`objectives`](Self::objectives) and [`pareto_indices_into`](Self::pareto_indices_into)).
     ///
     /// `evaluate` is called once for the initial parents and once per generation for the
     /// offspring block; it must fill the row-major `count × num_objectives` output slice.
+    /// Reusing the engine across solves (even of other shapes and seeds) gives the same
+    /// population as a fresh engine, and keeps every generation allocation-free.
     ///
     /// # Panics
     ///
@@ -408,20 +321,6 @@ impl Nsga2Engine {
         non_dominated_indices_flat(self.objectives(), self.pop_size, self.num_obj, out);
     }
 
-    /// Materializes the final population as nested vectors (the [`Nsga2::run`] interface).
-    pub fn to_population(&self) -> Population {
-        let decisions = (0..self.pop_size)
-            .map(|i| self.decisions().row(i).to_vec())
-            .collect();
-        let objectives = (0..self.pop_size)
-            .map(|i| self.objectives()[i * self.num_obj..(i + 1) * self.num_obj].to_vec())
-            .collect();
-        Population {
-            decisions,
-            objectives,
-        }
-    }
-
     /// Sizes the decision buffers for `problem` and draws the initial population into the
     /// parent block. Degenerate dimensions (`lower[d] == upper[d]`) are pinned without
     /// consuming a random draw; every other coordinate consumes exactly one `gen_range`,
@@ -449,11 +348,6 @@ impl Nsga2Engine {
         }
     }
 
-    /// The `i`-th initial decision vector (valid after [`init_population`](Self::init_population)).
-    fn initial_row(&self, i: usize) -> &[f64] {
-        &self.parent_dec[i * self.dim..(i + 1) * self.dim]
-    }
-
     /// Sizes the objective buffers for `k` objectives per point.
     fn install_num_objectives(&mut self, k: usize) {
         self.num_obj = k;
@@ -461,12 +355,6 @@ impl Nsga2Engine {
         self.combined_obj.resize(2 * self.pop_size * k, 0.0);
         self.select_obj.clear();
         self.select_obj.resize(self.pop_size * k, 0.0);
-    }
-
-    /// Installs pre-computed objectives for the initial parents (per-point adapter path).
-    fn install_initial_objectives(&mut self, k: usize, values: &[f64]) {
-        self.install_num_objectives(k);
-        self.combined_obj[..self.pop_size * k].copy_from_slice(values);
     }
 
     /// The generation loop: selection + variation + batched evaluation + environmental
@@ -830,6 +718,47 @@ mod tests {
         vec![f1, f2]
     }
 
+    /// Solves `problem` on a fresh engine, answering each point with the bi-objective `f`.
+    fn solve(problem: &Nsga2, f: impl Fn(&[f64]) -> Vec<f64>) -> Nsga2Engine {
+        let mut engine = Nsga2Engine::new();
+        engine.solve(problem, 2, |points, out| {
+            for (i, o) in out.chunks_exact_mut(2).enumerate() {
+                o.copy_from_slice(&f(points.row(i)));
+            }
+        });
+        engine
+    }
+
+    /// The final population's decision vectors.
+    fn decisions(engine: &Nsga2Engine) -> Vec<&[f64]> {
+        let points = engine.decisions();
+        (0..points.count()).map(|i| points.row(i)).collect()
+    }
+
+    /// The decision vectors and the objective vectors of the final non-dominated members.
+    fn pareto_set(engine: &Nsga2Engine) -> Vec<(&[f64], &[f64])> {
+        let mut pareto = Vec::new();
+        engine.pareto_indices_into(&mut pareto);
+        let k = engine.num_objectives();
+        pareto
+            .into_iter()
+            .map(|i| {
+                (
+                    engine.decisions().row(i),
+                    &engine.objectives()[i * k..][..k],
+                )
+            })
+            .collect()
+    }
+
+    /// The objective vectors of the final non-dominated members.
+    fn pareto_front(engine: &Nsga2Engine) -> Vec<Vec<f64>> {
+        pareto_set(engine)
+            .into_iter()
+            .map(|(_, o)| o.to_vec())
+            .collect()
+    }
+
     #[test]
     fn validates_configuration() {
         assert!(Nsga2::new(vec![], vec![], Nsga2Config::default()).is_err());
@@ -851,8 +780,8 @@ mod tests {
     fn schaffer_problem_converges_to_known_front() {
         // Schaffer N.1: f1 = x², f2 = (x-2)²; Pareto set is x ∈ [0, 2].
         let solver = Nsga2::new(vec![-10.0], vec![10.0], small_config(7)).unwrap();
-        let pop = solver.run(|x| vec![x[0] * x[0], (x[0] - 2.0) * (x[0] - 2.0)]);
-        let pareto = pop.pareto_set();
+        let engine = solve(&solver, |x| vec![x[0] * x[0], (x[0] - 2.0) * (x[0] - 2.0)]);
+        let pareto = pareto_set(&engine);
         assert!(!pareto.is_empty());
         let inside = pareto
             .iter()
@@ -869,8 +798,7 @@ mod tests {
     fn zdt1_front_approaches_theoretical_hypervolume() {
         let dim = 6;
         let solver = Nsga2::new(vec![0.0; dim], vec![1.0; dim], small_config(13)).unwrap();
-        let pop = solver.run(zdt1);
-        let front = pop.pareto_front();
+        let front = pareto_front(&solve(&solver, zdt1));
         let hv = hypervolume(front, &[1.1, 1.1]);
         // The true front f2 = 1 - sqrt(f1) has HV ≈ 0.756 w.r.t. (1.1, 1.1); a short run on a
         // 6-D ZDT1 should reach a good fraction of it.
@@ -880,36 +808,37 @@ mod tests {
     #[test]
     fn population_respects_bounds() {
         let solver = Nsga2::new(vec![-1.0, 2.0], vec![1.0, 3.0], small_config(3)).unwrap();
-        let pop = solver.run(|x| vec![x[0].abs(), (x[1] - 2.5).abs()]);
-        for d in &pop.decisions {
+        let engine = solve(&solver, |x| vec![x[0].abs(), (x[1] - 2.5).abs()]);
+        for d in decisions(&engine) {
             assert!(d[0] >= -1.0 && d[0] <= 1.0);
             assert!(d[1] >= 2.0 && d[1] <= 3.0);
         }
-        assert_eq!(pop.decisions.len(), 40);
-        assert_eq!(pop.objectives.len(), 40);
+        assert_eq!(engine.population_size(), 40);
+        assert_eq!(engine.num_objectives(), 2);
+        assert_eq!(engine.objectives().len(), 40 * 2);
     }
 
     #[test]
     fn runs_are_reproducible_for_same_seed() {
         let mk = || {
             let solver = Nsga2::new(vec![-5.0], vec![5.0], small_config(99)).unwrap();
-            solver.run(|x| vec![x[0] * x[0], (x[0] - 1.0).powi(2)])
+            solve(&solver, |x| vec![x[0] * x[0], (x[0] - 1.0).powi(2)])
         };
         let a = mk();
         let b = mk();
-        assert_eq!(a.decisions, b.decisions);
-        assert_eq!(a.objectives, b.objectives);
+        assert_eq!(decisions(&a), decisions(&b));
+        assert_eq!(a.objectives(), b.objectives());
     }
 
     #[test]
     fn different_seeds_differ() {
         let run = |seed| {
             let solver = Nsga2::new(vec![-5.0], vec![5.0], small_config(seed)).unwrap();
-            solver.run(|x| vec![x[0] * x[0], (x[0] - 1.0).powi(2)])
+            solve(&solver, |x| vec![x[0] * x[0], (x[0] - 1.0).powi(2)])
         };
         let a = run(1);
         let b = run(2);
-        assert_ne!(a.decisions, b.decisions);
+        assert_ne!(decisions(&a), decisions(&b));
     }
 
     #[test]
@@ -917,41 +846,20 @@ mod tests {
         // lower[d] == upper[d] used to panic in the initializer (`gen_range` on an empty
         // range); it must instead pin the coordinate for the whole run.
         let solver = Nsga2::new(vec![0.5, -1.0], vec![0.5, 1.0], small_config(11)).unwrap();
-        let pop = solver.run(|x| vec![x[1] * x[1], (x[1] - 0.7).powi(2)]);
-        assert_eq!(pop.decisions.len(), 40);
-        for d in &pop.decisions {
+        let engine = solve(&solver, |x| vec![x[1] * x[1], (x[1] - 0.7).powi(2)]);
+        assert_eq!(decisions(&engine).len(), 40);
+        for d in decisions(&engine) {
             assert_eq!(d[0], 0.5, "degenerate coordinate must stay pinned");
             assert!(d[1] >= -1.0 && d[1] <= 1.0);
         }
         // Fully degenerate box: every individual is the single feasible point.
         let solver = Nsga2::new(vec![1.0, 2.0], vec![1.0, 2.0], small_config(12)).unwrap();
-        let pop = solver.run(|x| vec![x[0], x[1]]);
-        for d in &pop.decisions {
-            assert_eq!(d, &vec![1.0, 2.0]);
+        let engine = solve(&solver, |x| vec![x[0], x[1]]);
+        for d in decisions(&engine) {
+            assert_eq!(d, [1.0, 2.0]);
         }
         // Inverted bounds are still rejected.
         assert!(Nsga2::new(vec![1.0], vec![0.5], small_config(1)).is_err());
-    }
-
-    #[test]
-    fn run_batched_matches_per_point_run_bit_for_bit() {
-        let mk_solver = || Nsga2::new(vec![0.0; 4], vec![1.0; 4], small_config(37)).unwrap();
-        let per_point = mk_solver().run(zdt1);
-        let mut engine = Nsga2Engine::new();
-        let batched = mk_solver().run_batched(&mut engine, 2, |points, out| {
-            for i in 0..points.count() {
-                let o = zdt1(points.row(i));
-                out[2 * i..2 * i + 2].copy_from_slice(&o);
-            }
-        });
-        assert_eq!(per_point.decisions, batched.decisions);
-        assert_eq!(per_point.objectives, batched.objectives);
-        // Engine accessors agree with the materialized population.
-        assert_eq!(engine.population_size(), 40);
-        assert_eq!(engine.num_objectives(), 2);
-        let mut pareto = Vec::new();
-        engine.pareto_indices_into(&mut pareto);
-        assert_eq!(pareto, batched.pareto_indices());
     }
 
     #[test]
@@ -960,7 +868,7 @@ mod tests {
         // a fresh engine computes.
         let mut engine = Nsga2Engine::new();
         let warm = Nsga2::new(vec![-2.0; 6], vec![2.0; 6], small_config(3)).unwrap();
-        warm.run_batched(&mut engine, 2, |points, out| {
+        engine.solve(&warm, 2, |points, out| {
             for i in 0..points.count() {
                 let o = zdt1(
                     &points
@@ -978,10 +886,11 @@ mod tests {
                 out[2 * i..2 * i + 2].copy_from_slice(&zdt1(points.row(i)));
             }
         };
-        let reused = solver.run_batched(&mut engine, 2, eval);
-        let fresh = solver.run_batched(&mut Nsga2Engine::new(), 2, eval);
-        assert_eq!(reused.decisions, fresh.decisions);
-        assert_eq!(reused.objectives, fresh.objectives);
+        engine.solve(&solver, 2, eval);
+        let mut fresh = Nsga2Engine::new();
+        fresh.solve(&solver, 2, eval);
+        assert_eq!(decisions(&engine), decisions(&fresh));
+        assert_eq!(engine.objectives(), fresh.objectives());
     }
 
     /// One-sample Kolmogorov–Smirnov statistic of `sample` against the CDF `cdf`.
@@ -1142,7 +1051,7 @@ mod tests {
             .collect();
         let solver = Nsga2::new(lower.clone(), upper.clone(), small_config(31)).unwrap();
         let mut checked = 0;
-        solver.run_batched(&mut Nsga2Engine::new(), 2, |points, out| {
+        Nsga2Engine::new().solve(&solver, 2, |points, out| {
             for i in 0..points.count() {
                 let x = points.row(i);
                 for d in 0..dim {
@@ -1165,8 +1074,7 @@ mod tests {
     #[test]
     fn pareto_front_is_internally_non_dominated() {
         let solver = Nsga2::new(vec![0.0; 3], vec![1.0; 3], small_config(21)).unwrap();
-        let pop = solver.run(zdt1);
-        let front = pop.pareto_front();
+        let front = pareto_front(&solve(&solver, zdt1));
         for (i, a) in front.iter().enumerate() {
             for (j, b) in front.iter().enumerate() {
                 if i != j {

@@ -144,33 +144,14 @@ impl AcquisitionOptimizer {
         AcquisitionOptimizer { bound, dim, config }
     }
 
-    /// Finds the candidate θ with the highest acquisition value.
+    /// Finds the `q` highest-scoring distinct candidates θ and their acquisition values,
+    /// best first — the selection rule of the batched search, which evaluates several
+    /// policies per iteration instead of just the argmax (`q = 1`).
     ///
     /// `incumbents` are parameter vectors worth exploring around (typically the θs on the
-    /// current empirical Pareto front). Returns the best candidate and its acquisition value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates GP prediction failures.
-    pub fn maximize(
-        &self,
-        models: &[GaussianProcess],
-        samples: &[ParetoFrontSample],
-        incumbents: &[Vec<f64>],
-        seed: u64,
-    ) -> Result<(Vec<f64>, f64)> {
-        let mut top = self.maximize_batch(models, samples, incumbents, 1, seed)?;
-        Ok(top.pop().expect("at least one candidate was scored"))
-    }
-
-    /// Finds the `q` highest-scoring distinct candidates, best first — the selection rule of
-    /// the batched search, which evaluates several policies per iteration instead of just
-    /// the argmax.
-    ///
-    /// The scored candidate pool is identical to [`maximize`](Self::maximize) for the same
-    /// seed (it does not depend on `q`), and ties are broken by generation order, so the
-    /// whole selection is deterministic. At most the pool size is returned when `q` exceeds
-    /// it.
+    /// current empirical Pareto front). The scored candidate pool depends on the seed, not
+    /// on `q`, and ties are broken by generation order, so the whole selection is
+    /// deterministic. At most the pool size is returned when `q` exceeds it.
     ///
     /// # Errors
     ///
@@ -329,8 +310,9 @@ mod tests {
         let samples = vec![fake_sample(vec![0.0, 0.0])];
         let optimizer = AcquisitionOptimizer::new(1, 3.0, AcquisitionOptimizerConfig::default());
         let (theta, value) = optimizer
-            .maximize(&models, &samples, &[vec![0.5]], 42)
-            .unwrap();
+            .maximize_batch(&models, &samples, &[vec![0.5]], 1, 42)
+            .unwrap()
+            .remove(0);
         assert_eq!(theta.len(), 1);
         assert!(theta[0] >= -3.0 && theta[0] <= 3.0);
         assert!(value.is_finite());
@@ -341,7 +323,10 @@ mod tests {
         let models = one_d_models();
         let samples = vec![fake_sample(vec![0.1, 0.1])];
         let optimizer = AcquisitionOptimizer::new(1, 3.0, AcquisitionOptimizerConfig::default());
-        let (_, best_value) = optimizer.maximize(&models, &samples, &[], 7).unwrap();
+        let (_, best_value) = optimizer
+            .maximize_batch(&models, &samples, &[], 1, 7)
+            .unwrap()
+            .remove(0);
         // Compare against the mean acquisition of a few fixed points.
         let mut mean = 0.0;
         for theta in [[-2.0], [-1.0], [0.0], [1.0], [2.0]] {
@@ -357,13 +342,12 @@ mod tests {
         let samples = vec![fake_sample(vec![0.0, 0.0])];
         let optimizer = AcquisitionOptimizer::new(1, 3.0, AcquisitionOptimizerConfig::default());
         let a = optimizer
-            .maximize(&models, &samples, &[vec![0.2]], 5)
+            .maximize_batch(&models, &samples, &[vec![0.2]], 1, 5)
             .unwrap();
         let b = optimizer
-            .maximize(&models, &samples, &[vec![0.2]], 5)
+            .maximize_batch(&models, &samples, &[vec![0.2]], 1, 5)
             .unwrap();
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1, b.1);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -397,9 +381,10 @@ mod tests {
         let samples = vec![fake_sample(vec![0.0, 0.0])];
         let optimizer = AcquisitionOptimizer::new(1, 3.0, AcquisitionOptimizerConfig::default());
         let single = optimizer
-            .maximize(&models, &samples, &[vec![0.2]], 9)
-            .unwrap();
-        for q in [1, 3, 8] {
+            .maximize_batch(&models, &samples, &[vec![0.2]], 1, 9)
+            .unwrap()
+            .remove(0);
+        for q in [3, 8] {
             let batch = optimizer
                 .maximize_batch(&models, &samples, &[vec![0.2]], q, 9)
                 .unwrap();

@@ -5,7 +5,9 @@ use crate::cancel::{CancelReason, CancelToken};
 use crate::checkpoint::{self, SearchState};
 use crate::evaluation::PolicyEvaluator;
 use crate::objective::Objective;
-use crate::pareto_sampling::{AcquisitionScratch, ParetoFrontSampler, ParetoSamplingConfig};
+use crate::pareto_sampling::{
+    validate_parameter_bound, AcquisitionScratch, ParetoFrontSampler, ParetoSamplingConfig,
+};
 use crate::{ParmisError, Result};
 use fastmath::Precision;
 use gp::hyperopt::{fit_with_hyperopt, HyperoptConfig};
@@ -456,7 +458,7 @@ impl Parmis {
             let models = model_cache.as_deref().expect("fit_models fills the cache");
 
             // Line 4 (part 1): sample Pareto fronts of the model.
-            let sampler = ParetoFrontSampler::new_with_precision(
+            let sampler = ParetoFrontSampler::new(
                 models,
                 bound,
                 cfg.sampling.clone(),
@@ -636,15 +638,7 @@ impl Parmis {
                 reason: "the policy parameter space must have positive dimension".into(),
             });
         }
-        let bound = evaluator.parameter_bound();
-        if !(bound.is_finite() && bound > 0.0) {
-            return Err(ParmisError::InvalidConfig {
-                reason: format!(
-                    "the parameter bound must be a positive finite number, got {bound}"
-                ),
-            });
-        }
-        Ok(())
+        validate_parameter_bound(evaluator.parameter_bound())
     }
 
     fn check_objective_vector(&self, v: &[f64], k: usize) -> Result<()> {

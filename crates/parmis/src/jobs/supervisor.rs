@@ -32,6 +32,10 @@ use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::time::Duration;
 
+/// Restart attempts a job gets after a faulted segment, a stall that made no progress or a
+/// lost checkpoint store, before it is marked `Failed` (`Quarantined` for the lost store).
+const MAX_RESTARTS: usize = 2;
+
 /// One search job: an id (stable across restarts; names the checkpoint files) and the
 /// full search configuration.
 #[derive(Debug, Clone)]
@@ -76,8 +80,6 @@ pub struct SupervisorConfig {
     /// [`checkpoint_every`](Self::checkpoint_every) ([`JobSupervisor::open`] rejects it
     /// otherwise), and every suspended segment has made progress.
     pub segment_wall_ms: u64,
-    /// Restart attempts after a faulted segment before the job is marked `Failed`.
-    pub max_restarts: usize,
     /// Checkpoint generations kept per job (older ones are garbage-collected).
     pub keep_checkpoints: usize,
     /// Fleet-wide wall-clock budget of one [`run`](JobSupervisor::run), in milliseconds;
@@ -106,7 +108,6 @@ impl Default for SupervisorConfig {
             segment_fuel: 0,
             checkpoint_every: 0,
             segment_wall_ms: 0,
-            max_restarts: 2,
             keep_checkpoints: 3,
             fleet_deadline_ms: 0,
             stall_timeout_ms: 0,
@@ -327,7 +328,7 @@ impl JobSupervisor {
                     store.quarantine(&journal_path, &e.to_string())?;
                     recovery.quarantined.push(JOURNAL_FILE.to_string());
                     recovery.journal_rebuilt = true;
-                    Self::rebuild_journal(&store, &config, &mut recovery)?
+                    Self::rebuild_journal(&store, &mut recovery)?
                 }
             }
         } else {
@@ -356,7 +357,6 @@ impl JobSupervisor {
     /// from scratch with one restart attempt charged.
     fn rebuild_journal(
         store: &CheckpointStore,
-        config: &SupervisorConfig,
         recovery: &mut RecoveryReport,
     ) -> Result<JobJournal> {
         let mut journal = JobJournal::new();
@@ -380,7 +380,6 @@ impl JobSupervisor {
                 None => {
                     charge_checkpoint_loss(
                         &mut entry,
-                        config,
                         "journal lost and no valid checkpoint generation survives; \
                          restarting from scratch",
                     )?;
@@ -424,7 +423,6 @@ impl JobSupervisor {
                         None => {
                             charge_checkpoint_loss(
                                 entry,
-                                &self.config,
                                 "interrupted and no valid checkpoint generation survives; \
                                  restarting from scratch",
                             )?;
@@ -448,7 +446,6 @@ impl JobSupervisor {
                         None => {
                             charge_checkpoint_loss(
                                 entry,
-                                &self.config,
                                 "every checkpoint generation was corrupt; restarting from scratch",
                             )?;
                         }
@@ -773,7 +770,6 @@ impl JobSupervisor {
         id: &str,
         result: SegmentResult,
     ) -> Result<Option<ParmisOutcome>> {
-        let max_restarts = self.config.max_restarts;
         let entry = self.journal.get_mut(id).expect("journaled before the wave");
         match result {
             SegmentResult::Completed(outcome) => {
@@ -809,7 +805,7 @@ impl JobSupervisor {
                     }
                     _ => None,
                 };
-                if charged_stall && entry.attempts > max_restarts {
+                if charged_stall && entry.attempts > MAX_RESTARTS {
                     entry.transition(JobPhase::Failed)?;
                 } else if entry.checkpoint_seq.is_some() {
                     entry.transition(JobPhase::Suspended)?;
@@ -825,7 +821,7 @@ impl JobSupervisor {
             SegmentResult::Faulted(e) => {
                 entry.attempts += 1;
                 entry.note = Some(e.to_string());
-                if entry.attempts > max_restarts {
+                if entry.attempts > MAX_RESTARTS {
                     entry.transition(JobPhase::Failed)?;
                 } else if entry.checkpoint_seq.is_some() {
                     entry.transition(JobPhase::Suspended)?;
@@ -840,7 +836,7 @@ impl JobSupervisor {
                      restarting from scratch",
                     quarantined.len()
                 );
-                charge_checkpoint_loss(entry, &self.config, &note)?;
+                charge_checkpoint_loss(entry, &note)?;
                 self.recovery.quarantined.extend(quarantined);
                 Ok(None)
             }
@@ -857,16 +853,12 @@ impl JobSupervisor {
 /// deterministic, a from-scratch restart still converges bit-identically, so the loss
 /// costs one bounded restart attempt and a demotion to `Pending`. Only *recurring* loss beyond the restart budget — storage that keeps
 /// eating checkpoints — quarantines the job.
-fn charge_checkpoint_loss(
-    entry: &mut JobEntry,
-    config: &SupervisorConfig,
-    note: &str,
-) -> Result<()> {
+fn charge_checkpoint_loss(entry: &mut JobEntry, note: &str) -> Result<()> {
     entry.checkpoint_seq = None;
     entry.evaluations = 0;
     entry.attempts += 1;
     entry.note = Some(note.to_string());
-    if entry.attempts > config.max_restarts {
+    if entry.attempts > MAX_RESTARTS {
         entry.transition(JobPhase::Quarantined)
     } else {
         entry.transition(JobPhase::Pending)
@@ -892,11 +884,7 @@ mod tests {
     #[test]
     fn failing_factory_exhausts_restarts_and_fails_the_job() {
         let dir = temp_dir("restarts");
-        let config = SupervisorConfig {
-            max_restarts: 2,
-            ..SupervisorConfig::default()
-        };
-        let mut supervisor = JobSupervisor::open(&dir, config).unwrap();
+        let mut supervisor = JobSupervisor::open(&dir, SupervisorConfig::default()).unwrap();
         let specs = vec![JobSpec::new("doomed", tiny_config(1, 8))];
         let report = supervisor
             .run(&specs, |_spec| {
@@ -907,7 +895,7 @@ mod tests {
             .unwrap();
         let job = report.job("doomed").expect("reported");
         assert_eq!(job.phase, JobPhase::Failed);
-        assert_eq!(job.attempts, 3, "initial try + 2 restarts");
+        assert_eq!(job.attempts, 3, "initial try + {MAX_RESTARTS} restarts");
         assert_eq!(job.segments, 3);
         assert!(job.note.as_deref().unwrap().contains("board unreachable"));
         assert!(!report.all_done());

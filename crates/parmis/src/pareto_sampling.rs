@@ -15,9 +15,9 @@
 //! feature-matrix product per objective function over the whole population — instead of
 //! `population × k` per-point feature recomputations. An [`AcquisitionScratch`] carries the
 //! engine, the RFF weight-draw buffers and the per-objective output column across
-//! [`sample`](ParetoFrontSampler::sample) calls (the framework keeps one alive across
-//! iterations), so a warm sampler evolves each generation with zero heap allocation. A
-//! warm and a fresh scratch give **bit-identical** fronts for every seed; the
+//! [`sample_with`](ParetoFrontSampler::sample_with) calls (the framework keeps one alive
+//! across iterations), so a warm sampler evolves each generation with zero heap allocation.
+//! A warm and a fresh scratch give **bit-identical** fronts for every seed; the
 //! `acq_equivalence` suite in the bench crate pins this, and committed digests of sampled
 //! fronts pin the numbers.
 
@@ -118,22 +118,8 @@ pub struct ParetoFrontSampler {
 
 impl ParetoFrontSampler {
     /// Builds a sampler for the given per-objective models over the box
-    /// `[-parameter_bound, parameter_bound]^d`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParmisError::InvalidConfig`] for an empty model set and propagates RFF
-    /// construction failures.
-    pub fn new(
-        models: &[GaussianProcess],
-        parameter_bound: f64,
-        config: ParetoSamplingConfig,
-        seed: u64,
-    ) -> Result<Self> {
-        Self::new_with_precision(models, parameter_bound, config, seed, Precision::SeedExact)
-    }
-
-    /// [`new`](Self::new) with an explicit evaluation [`Precision`] tier.
+    /// `[-parameter_bound, parameter_bound]^d`, evaluating the sampled functions on the
+    /// `precision` tier.
     ///
     /// The posterior draws (frequencies, phases, weights) are tier-independent, so the
     /// sampled functions are the *same* functions under either tier; only the cosine
@@ -142,8 +128,9 @@ impl ParetoFrontSampler {
     ///
     /// # Errors
     ///
-    /// Same as [`new`](Self::new).
-    pub fn new_with_precision(
+    /// Returns [`ParmisError::InvalidConfig`] for an empty model set or a bound that is
+    /// not a positive finite number, and propagates RFF construction failures.
+    pub fn new(
         models: &[GaussianProcess],
         parameter_bound: f64,
         config: ParetoSamplingConfig,
@@ -151,10 +138,11 @@ impl ParetoFrontSampler {
         precision: Precision,
     ) -> Result<Self> {
         if models.is_empty() {
-            return Err(crate::ParmisError::InvalidConfig {
+            return Err(ParmisError::InvalidConfig {
                 reason: "Pareto-front sampling needs at least one objective model".into(),
             });
         }
+        validate_parameter_bound(parameter_bound)?;
         let dim = models[0].dim();
         let samplers = models
             .iter()
@@ -177,24 +165,17 @@ impl ParetoFrontSampler {
         self.samplers.len()
     }
 
-    /// Draws one Pareto-front sample (deterministic in `sample_seed`).
+    /// Draws one Pareto-front sample (deterministic in `sample_seed`) against a
+    /// caller-owned [`AcquisitionScratch`].
+    ///
+    /// A warm scratch gives the same sample as a fresh one, bit for bit; reusing it across
+    /// samples and iterations keeps the NSGA-II generations and the RFF weight draws
+    /// allocation-free.
     ///
     /// # Errors
     ///
     /// Propagates posterior-sampling failures and rejects degenerate fronts
     /// ([`ParmisError::DegenerateFront`]).
-    pub fn sample(&self, sample_seed: u64) -> Result<ParetoFrontSample> {
-        self.sample_with(&mut AcquisitionScratch::default(), sample_seed)
-    }
-
-    /// [`sample`](Self::sample) against a caller-owned [`AcquisitionScratch`].
-    ///
-    /// Bit-identical to `sample` for the same seed; reusing the scratch across samples and
-    /// iterations keeps the NSGA-II generations and the RFF weight draws allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`sample`](Self::sample).
     pub fn sample_with(
         &self,
         scratch: &mut AcquisitionScratch,
@@ -244,20 +225,11 @@ impl ParetoFrontSampler {
         ParetoFrontSample::from_front(front)
     }
 
-    /// Draws `count` independent Pareto-front samples.
+    /// Draws `count` independent Pareto-front samples against a caller-owned scratch.
     ///
     /// # Errors
     ///
-    /// Propagates posterior-sampling failures.
-    pub fn sample_many(&self, count: usize, base_seed: u64) -> Result<Vec<ParetoFrontSample>> {
-        self.sample_many_with(&mut AcquisitionScratch::default(), count, base_seed)
-    }
-
-    /// [`sample_many`](Self::sample_many) against a caller-owned scratch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`sample_many`](Self::sample_many).
+    /// Same as [`sample_with`](Self::sample_with).
     pub fn sample_many_with(
         &self,
         scratch: &mut AcquisitionScratch,
@@ -267,6 +239,18 @@ impl ParetoFrontSampler {
         (0..count)
             .map(|s| self.sample_with(scratch, base_seed.wrapping_add(s as u64 * 104729)))
             .collect()
+    }
+}
+
+/// Rejects a parameter bound that is not a positive finite number: the box
+/// `[-bound, bound]^d` must be non-empty and finite for the uniform draws to be defined.
+pub(crate) fn validate_parameter_bound(bound: f64) -> Result<()> {
+    if bound.is_finite() && bound > 0.0 {
+        Ok(())
+    } else {
+        Err(ParmisError::InvalidConfig {
+            reason: format!("the parameter bound must be a positive finite number, got {bound}"),
+        })
     }
 }
 
@@ -300,12 +284,30 @@ mod tests {
         }
     }
 
+    /// A sampler over the toy models on the exact tier.
+    fn toy_sampler(seed: u64) -> ParetoFrontSampler {
+        ParetoFrontSampler::new(
+            &toy_models(),
+            3.0,
+            small_config(),
+            seed,
+            Precision::SeedExact,
+        )
+        .unwrap()
+    }
+
+    /// One sample drawn with a fresh scratch.
+    fn sample(sampler: &ParetoFrontSampler, seed: u64) -> ParetoFrontSample {
+        sampler
+            .sample_with(&mut AcquisitionScratch::default(), seed)
+            .unwrap()
+    }
+
     #[test]
     fn sampler_produces_nonempty_fronts_with_consistent_dimensions() {
-        let models = toy_models();
-        let sampler = ParetoFrontSampler::new(&models, 3.0, small_config(), 1).unwrap();
+        let sampler = toy_sampler(1);
         assert_eq!(sampler.num_objectives(), 2);
-        let sample = sampler.sample(0).unwrap();
+        let sample = sample(&sampler, 0);
         assert!(!sample.front.is_empty());
         assert_eq!(sample.per_objective_best.len(), 2);
         for p in &sample.front {
@@ -318,9 +320,7 @@ mod tests {
 
     #[test]
     fn sampled_front_is_non_dominated() {
-        let models = toy_models();
-        let sampler = ParetoFrontSampler::new(&models, 3.0, small_config(), 2).unwrap();
-        let sample = sampler.sample(5).unwrap();
+        let sample = sample(&toy_sampler(2), 5);
         for (i, a) in sample.front.iter().enumerate() {
             for (j, b) in sample.front.iter().enumerate() {
                 if i != j {
@@ -332,34 +332,32 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_per_seed() {
-        let models = toy_models();
-        let sampler = ParetoFrontSampler::new(&models, 3.0, small_config(), 3).unwrap();
-        let a = sampler.sample(7).unwrap();
-        let b = sampler.sample(7).unwrap();
+        let sampler = toy_sampler(3);
+        let a = sample(&sampler, 7);
+        let b = sample(&sampler, 7);
         assert_eq!(a.front, b.front);
-        let c = sampler.sample(8).unwrap();
+        let c = sample(&sampler, 8);
         assert_ne!(a.per_objective_best, c.per_objective_best);
     }
 
     #[test]
     fn sample_many_returns_requested_count() {
-        let models = toy_models();
-        let sampler = ParetoFrontSampler::new(&models, 3.0, small_config(), 4).unwrap();
-        let samples = sampler.sample_many(3, 11).unwrap();
+        let samples = toy_sampler(4)
+            .sample_many_with(&mut AcquisitionScratch::default(), 3, 11)
+            .unwrap();
         assert_eq!(samples.len(), 3);
     }
 
     #[test]
     fn reused_scratch_reproduces_fresh_scratch_samples() {
-        let models = toy_models();
-        let sampler = ParetoFrontSampler::new(&models, 3.0, small_config(), 6).unwrap();
+        let sampler = toy_sampler(6);
         let mut scratch = AcquisitionScratch::default();
         // Warm the scratch on a different seed first, then compare against fresh-scratch
         // draws: the engine and weight buffers must not leak state between samples.
         let _ = sampler.sample_with(&mut scratch, 3).unwrap();
         for seed in [0, 9, 17] {
             let warm = sampler.sample_with(&mut scratch, seed).unwrap();
-            let fresh = sampler.sample(seed).unwrap();
+            let fresh = sample(&sampler, seed);
             assert_eq!(warm.front, fresh.front);
             assert_eq!(warm.per_objective_best, fresh.per_objective_best);
         }
@@ -384,9 +382,7 @@ mod tests {
     fn trade_off_models_give_conflicting_extrema() {
         // Since objective 1 increases with x0 and objective 2 decreases with x0, the sampled
         // front should span a range in both objectives rather than collapse to a point.
-        let models = toy_models();
-        let sampler = ParetoFrontSampler::new(&models, 3.0, small_config(), 5).unwrap();
-        let sample = sampler.sample(1).unwrap();
+        let sample = sample(&toy_sampler(5), 1);
         if sample.front.len() >= 2 {
             let spread0: f64 = sample
                 .front

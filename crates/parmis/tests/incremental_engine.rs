@@ -132,7 +132,7 @@ fn parmis_run_takes_the_incremental_and_batched_paths() {
     )
     .unwrap();
     let incremental = base
-        .with_observations(&thetas[seed_n..], &ys[seed_n..])
+        .with_observations_and_targets(&thetas[seed_n..], ys.clone())
         .unwrap();
     let full = GaussianProcess::fit(thetas.clone(), ys, kernel, 1e-4).unwrap();
     for theta in thetas.iter().step_by(3) {
@@ -170,12 +170,15 @@ fn incremental_refit_and_predict_batch_beat_the_serial_baselines() {
     let kernel = Kernel::matern52(1.0, 8.0);
     let gp =
         GaussianProcess::fit(xs[..n].to_vec(), ys[..n].to_vec(), kernel.clone(), 1e-4).unwrap();
-    let (new_x, new_y) = (xs[n].clone(), ys[n]);
+    let new_x = [xs[n].clone()];
 
     let reps = 8;
     let start = std::time::Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(gp.with_observation(new_x.clone(), new_y).unwrap());
+        std::hint::black_box(
+            gp.with_observations_and_targets(&new_x, ys.clone())
+                .unwrap(),
+        );
     }
     let incremental_time = start.elapsed();
 

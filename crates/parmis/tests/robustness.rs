@@ -5,7 +5,8 @@
 use parmis::evaluation::{PolicyEvaluator, SocEvaluator};
 use parmis::framework::{Parmis, ParmisConfig, ParmisOutcome};
 use parmis::objective::Objective;
-use parmis::pareto_sampling::{ParetoFrontSampler, ParetoSamplingConfig};
+use parmis::pareto_sampling::{AcquisitionScratch, ParetoFrontSampler, ParetoSamplingConfig};
+use parmis::prelude::Precision;
 use parmis::{ParmisError, Result};
 use soc_sim::apps::Benchmark;
 
@@ -38,12 +39,47 @@ fn wrong_dimension_theta_is_a_structured_error() {
 #[test]
 fn empty_model_set_is_rejected_by_the_sampler() {
     let models: &[gp::GaussianProcess] = &[];
-    let err = ParetoFrontSampler::new(models, 1.0, ParetoSamplingConfig::default(), 7).unwrap_err();
+    let config = ParetoSamplingConfig::default();
+    let err = ParetoFrontSampler::new(models, 1.0, config, 7, Precision::Fast).unwrap_err();
     assert!(matches!(err, ParmisError::InvalidConfig { .. }), "{err}");
     assert!(
         err.to_string().contains("at least one objective model"),
         "{err}"
     );
+}
+
+/// A negative bound used to build a sampler over an inverted box, and a NaN bound one over
+/// an empty box; the first `sample_with` then panicked inside NSGA-II's box check or the
+/// uniform initial draw. The constructor now rejects any bound that is not a positive
+/// finite number, as `Parmis::validate` does.
+#[test]
+fn negative_or_nan_bound_is_rejected_by_the_sampler() {
+    let xs: Vec<Vec<f64>> = (0..6)
+        .map(|i| vec![i as f64 * 0.5, 1.0 - i as f64])
+        .collect();
+    let models: Vec<gp::GaussianProcess> = [0.3, -0.7]
+        .iter()
+        .map(|slope| {
+            let ys = xs.iter().map(|x| slope * x[0] + x[1]).collect();
+            gp::GaussianProcess::fit(xs.clone(), ys, gp::kernel::Kernel::rbf(1.0, 1.0), 1e-4)
+                .unwrap()
+        })
+        .collect();
+    let config = ParetoSamplingConfig {
+        rff_features: 20,
+        nsga_population: 8,
+        nsga_generations: 2,
+    };
+    for bound in [-1.0, f64::NAN, 0.0, f64::INFINITY] {
+        let err = ParetoFrontSampler::new(&models, bound, config.clone(), 7, Precision::Fast)
+            .and_then(|sampler| sampler.sample_with(&mut AcquisitionScratch::default(), 3))
+            .unwrap_err();
+        assert!(
+            matches!(err, ParmisError::InvalidConfig { .. }),
+            "bound {bound}: {err}"
+        );
+        assert!(err.to_string().contains("parameter bound"), "{err}");
+    }
 }
 
 /// Evaluator used by the configuration-validation regressions below.

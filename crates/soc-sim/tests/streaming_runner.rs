@@ -6,12 +6,17 @@
 //! order, and every `DecisionTable` entry matches freshly-derived model values.
 //! A deterministic regression test additionally pins the per-epoch energy ordering
 //! semantics (energy = final time × final power, plus the un-noised switch penalty).
+//!
+//! Two committed digests pin the numbers themselves. They were computed while the seed's
+//! epoch loop was still in the tree and proved the engine bit-identical to it, so they hold
+//! the seed's bits: a change to the engine that moves one bit of one epoch moves a digest.
 
 use proptest::prelude::*;
 use soc_sim::config::DrmDecision;
 use soc_sim::counters::CounterSnapshot;
 use soc_sim::engine::DecisionTable;
-use soc_sim::platform::{DrmController, Platform};
+use soc_sim::governor::default_governors;
+use soc_sim::platform::{DrmController, EpochResult, Platform, RunAggregates};
 use soc_sim::power::PowerModel;
 use soc_sim::workload::{ApplicationBuilder, PhaseSpec};
 
@@ -314,3 +319,171 @@ fn invalid_controller_decisions_still_error() {
     let err = platform.run_application(&app, &mut Rogue, 0).unwrap_err();
     assert!(err.to_string().contains("big cores"), "got: {err}");
 }
+
+/// FNV-1a over the little-endian bytes of each word, in order, continuing from `hash`.
+fn fnv1a(hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(hash, |hash, word| {
+        word.to_le_bytes().iter().fold(hash, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    })
+}
+
+/// The FNV-1a offset basis: the digest of nothing.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Every field of a run's aggregates as digest words: integers widened, floats as their
+/// bits. The destructuring is exhaustive, so a new field fails to compile here.
+fn aggregate_words(run: &RunAggregates) -> impl Iterator<Item = u64> {
+    let RunAggregates {
+        epochs,
+        execution_time_s,
+        energy_j,
+        instructions,
+        average_power_w,
+        ppw,
+        peak_temperature_c,
+    } = *run;
+    std::iter::once(epochs as u64).chain(
+        [
+            execution_time_s,
+            energy_j,
+            instructions,
+            average_power_w,
+            ppw,
+            peak_temperature_c,
+        ]
+        .map(f64::to_bits),
+    )
+}
+
+/// Every field of an epoch (its decision and counters included) as digest words, like
+/// [`aggregate_words`].
+fn epoch_words(epoch: &EpochResult) -> impl Iterator<Item = u64> {
+    let EpochResult {
+        decision,
+        time_s,
+        energy_j,
+        power_w,
+        big_power_w,
+        little_power_w,
+        temperature_c,
+        counters,
+    } = *epoch;
+    let DrmDecision {
+        big_cores,
+        little_cores,
+        big_freq_mhz,
+        little_freq_mhz,
+    } = decision;
+    let CounterSnapshot {
+        instructions_retired,
+        cpu_cycles,
+        branch_mispredictions,
+        l2_cache_misses,
+        data_memory_accesses,
+        noncache_external_requests,
+        little_cluster_utilization_sum,
+        big_cluster_utilization_per_core,
+        total_chip_power_w,
+    } = counters;
+    [
+        u64::from(big_cores),
+        u64::from(little_cores),
+        u64::from(big_freq_mhz),
+        u64::from(little_freq_mhz),
+    ]
+    .into_iter()
+    .chain(
+        [
+            time_s,
+            energy_j,
+            power_w,
+            big_power_w,
+            little_power_w,
+            temperature_c,
+            instructions_retired,
+            cpu_cycles,
+            branch_mispredictions,
+            l2_cache_misses,
+            data_memory_accesses,
+            noncache_external_requests,
+            little_cluster_utilization_sum,
+            big_cluster_utilization_per_core,
+            total_chip_power_w,
+        ]
+        .map(f64::to_bits),
+    )
+}
+
+/// A bursty 60-epoch application under each default governor on every platform preset,
+/// with measurement seed 11: the aggregates and every epoch of each traced run, in order.
+/// This pins thermal throttling, switch penalties, leakage and the measurement noise of the
+/// whole epoch loop.
+#[test]
+fn traced_bursty_runs_match_their_committed_digest() {
+    let mut hash = FNV_OFFSET;
+    for platform in [
+        Platform::odroid_xu3(),
+        Platform::hexa_asym(),
+        Platform::wearable(),
+    ] {
+        let base = PhaseSpec {
+            name: "p".into(),
+            instructions: 40e6,
+            parallel_fraction: 0.6,
+            memory_refs_per_instr: 0.22,
+            l2_miss_rate: 0.05,
+            branch_fraction: 0.1,
+            branch_miss_rate: 0.04,
+            ilp_scale: 0.8,
+        };
+        let app = soc_sim::workload::bursty("equivalence", base, 5.0, 7, 2, 60, 0.1, 3).unwrap();
+        for mut governor in default_governors(platform.spec()) {
+            let (aggregates, trace) = platform
+                .run_application_traced(&app, &mut governor, 11)
+                .unwrap();
+            hash = fnv1a(hash, aggregate_words(&aggregates));
+            hash = fnv1a(hash, trace.iter().flat_map(epoch_words));
+        }
+    }
+    assert_eq!(
+        hash, TRACED_BURSTY_RUNS_DIGEST,
+        "the traced bursty runs moved: {hash:#018x}"
+    );
+}
+
+/// One `Platform::run_epoch` of a fixed probe phase at every decision of the Odroid-XU3
+/// space, in the space's order: the per-decision performance, power and counter models.
+#[test]
+fn every_decision_epoch_matches_its_committed_digest() {
+    let platform = Platform::odroid_xu3();
+    let phase = PhaseSpec {
+        name: "probe".into(),
+        instructions: 25e6,
+        parallel_fraction: 0.5,
+        memory_refs_per_instr: 0.3,
+        l2_miss_rate: 0.06,
+        branch_fraction: 0.12,
+        branch_miss_rate: 0.05,
+        ilp_scale: 0.75,
+    };
+    let space = platform.spec().decision_space();
+    let hash = space.iter().fold(FNV_OFFSET, |hash, decision| {
+        fnv1a(
+            hash,
+            epoch_words(&platform.run_epoch(&decision, &phase).unwrap()),
+        )
+    });
+    assert_eq!(space.len(), 4940);
+    assert_eq!(
+        hash, EVERY_DECISION_EPOCH_DIGEST,
+        "the probe-phase epochs moved: {hash:#018x}"
+    );
+}
+
+/// Digest of [`traced_bursty_runs_match_their_committed_digest`]'s runs.
+const TRACED_BURSTY_RUNS_DIGEST: u64 = 0x5770_c20a_8a5f_a9a7;
+
+/// Digest of [`every_decision_epoch_matches_its_committed_digest`]'s epochs.
+const EVERY_DECISION_EPOCH_DIGEST: u64 = 0xdc89_8af5_f4f1_9618;
